@@ -31,9 +31,8 @@ int run(int argc, char** argv) {
   // One shared builder call covers both strategies at every batch size
   // up to the sweep's largest, fanned out over the pool.
   const auto model = nn::vit_base();
-  const auto tables = serve::build_latency_tables_from_logs(
-      [&model](int b) { return nn::build_kernel_log(model, b); },
-      {core::Strategy::kTC, core::Strategy::kVitBit}, cfg, spec, calib,
+  const auto tables = serve::build_latency_tables(
+      model, {core::Strategy::kTC, core::Strategy::kVitBit}, cfg, spec, calib,
       batches.back(), &pool);
   const auto& tc = tables[0];
   const auto& vb = tables[1];

@@ -21,9 +21,8 @@ int run(int argc, char** argv) {
   const core::StrategyConfig cfg;
 
   const auto strategies = core::figure5_strategies();
-  const auto results = parallel_map(&pool, strategies.size(), [&](auto i) {
-    return core::time_inference(log, strategies[i], cfg, spec, calib, &pool);
-  });
+  const auto results = core::time_inferences(
+      core::strategy_jobs(log, strategies, cfg), spec, calib, &pool);
 
   Table t("Extension — edge-CNN inference (224x224 input, 8 convs)");
   t.header({"method", "time (ms)", "speedup vs TC", "conv GEMM (ms)",

@@ -23,9 +23,8 @@ int run(int argc, char** argv) {
   const core::StrategyConfig cfg;
 
   const auto strategies = core::figure5_strategies();
-  const auto results = parallel_map(&pool, strategies.size(), [&](auto i) {
-    return core::time_inference(log, strategies[i], cfg, spec, calib, &pool);
-  });
+  const auto results = core::time_inferences(
+      core::strategy_jobs(log, strategies, cfg), spec, calib, &pool);
 
   Table t("Extension — energy per ViT-Base inference");
   t.header({"method", "time (ms)", "energy (mJ)", "avg power (W)",

@@ -27,17 +27,14 @@ int run(int argc, char** argv) {
   Table t("Extension — packing factor (INT8 vs INT4 policies) on ViT-Base");
   t.header({"config", "pack factor", "time (ms)", "speedup vs TC",
             "CUDA-kernel speedup"});
-  // Tasks: [TC, IC, VitBit@pf=2, VitBit@pf=3, VitBit@pf=4].
-  const auto timings = parallel_map(&pool, 5, [&](std::size_t i) {
-    core::StrategyConfig cfg;
-    if (i < 2)
-      return core::time_inference(
-          log, i == 0 ? core::Strategy::kTC : core::Strategy::kIC, cfg, spec,
-          calib, &pool);
-    cfg.pack_factor = static_cast<int>(i);
-    return core::time_inference(log, core::Strategy::kVitBit, cfg, spec,
-                                calib, &pool);
-  });
+  // Jobs: [TC, IC, VitBit@pf=2, VitBit@pf=3, VitBit@pf=4].
+  std::vector<core::InferenceJob> jobs = {{&log, core::Strategy::kTC, {}},
+                                          {&log, core::Strategy::kIC, {}}};
+  for (const int pf : {2, 3, 4}) {
+    jobs.push_back({&log, core::Strategy::kVitBit, {}});
+    jobs.back().config.pack_factor = pf;
+  }
+  const auto timings = core::time_inferences(jobs, spec, calib, &pool);
   const auto& tc = timings[0];
   const auto& ic = timings[1];
   for (const int pf : {2, 3, 4}) {

@@ -29,14 +29,12 @@ int run(int argc, char** argv) {
       {"MLP-Mixer-S", nn::build_mixer_kernel_log(nn::mixer_small())},
       {"edge CNN", nn::build_cnn_kernel_log(nn::cnn_edge())},
   };
-  // Flatten (model, strategy) so the pool sees all 2N replays at once.
-  const auto timings =
-      parallel_map(&pool, models.size() * 2, [&](std::size_t i) {
-        const auto s =
-            i % 2 == 0 ? core::Strategy::kTC : core::Strategy::kVitBit;
-        return core::time_inference(models[i / 2].second, s, cfg, spec, calib,
-                                    &pool);
-      });
+  // One job per (model, strategy): [TC, VitBit] per model.
+  std::vector<core::InferenceJob> jobs;
+  for (const auto& model : models)
+    for (const auto s : {core::Strategy::kTC, core::Strategy::kVitBit})
+      jobs.push_back({&model.second, s, cfg});
+  const auto timings = core::time_inferences(jobs, spec, calib, &pool);
 
   Table t("Extension — workload sweep (VitBit vs TC)");
   t.header({"model", "GMACs", "TC (ms)", "VitBit (ms)", "speedup"});

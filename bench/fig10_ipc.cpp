@@ -34,9 +34,8 @@ int run(int argc, char** argv) {
   const core::StrategyConfig cfg;
 
   const auto strategies = core::figure7_strategies();
-  const auto results = parallel_map(&pool, strategies.size(), [&](auto i) {
-    return core::time_inference(log, strategies[i], cfg, spec, calib, &pool);
-  });
+  const auto results = core::time_inferences(
+      core::strategy_jobs(log, strategies, cfg), spec, calib, &pool);
 
   // The paper's Figure 10 measures average IPC over whole-layer execution
   // per method: a single-pipe method (IC or FC) is capped by one pipe's

@@ -22,9 +22,8 @@ int run(int argc, char** argv) {
   cfg.m_ratio = static_cast<int>(cli.get_int("m", cfg.m_ratio));
 
   const auto strategies = core::figure5_strategies();
-  const auto results = parallel_map(&pool, strategies.size(), [&](auto i) {
-    return core::time_inference(log, strategies[i], cfg, spec, calib, &pool);
-  });
+  const auto results = core::time_inferences(
+      core::strategy_jobs(log, strategies, cfg), spec, calib, &pool);
 
   const double paper[] = {1.00, 1.06, 1.11, 1.22};
   Table t("Figure 5 — ViT-Base inference time (normalized to TC)");

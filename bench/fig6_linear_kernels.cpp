@@ -23,9 +23,8 @@ int run(int argc, char** argv) {
 
   const core::Strategy strategies[] = {core::Strategy::kTC,
                                        core::Strategy::kVitBit};
-  const auto timings = parallel_map(&pool, 2, [&](std::size_t i) {
-    return core::time_inference(log, strategies[i], cfg, spec, calib, &pool);
-  });
+  const auto timings = core::time_inferences(
+      core::strategy_jobs(log, strategies, cfg), spec, calib, &pool);
   const auto& tc = timings[0];
   const auto& vb = timings[1];
 

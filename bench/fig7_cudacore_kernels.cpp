@@ -23,9 +23,8 @@ int run(int argc, char** argv) {
   const core::Strategy strategies[] = {
       core::Strategy::kIC, core::Strategy::kFC, core::Strategy::kICFC,
       core::Strategy::kVitBit};
-  const auto timings = parallel_map(&pool, 4, [&](std::size_t i) {
-    return core::time_inference(log, strategies[i], cfg, spec, calib, &pool);
-  });
+  const auto timings = core::time_inferences(
+      core::strategy_jobs(log, strategies, cfg), spec, calib, &pool);
   const auto& ic = timings[0];
   const auto& fc = timings[1];
   const auto& icfc = timings[2];

@@ -25,9 +25,8 @@ int run(int argc, char** argv) {
   const core::StrategyConfig cfg;
 
   const auto strategies = core::figure5_strategies();
-  const auto results = parallel_map(&pool, strategies.size(), [&](auto i) {
-    return core::time_inference(log, strategies[i], cfg, spec, calib, &pool);
-  });
+  const auto results = core::time_inferences(
+      core::strategy_jobs(log, strategies, cfg), spec, calib, &pool);
 
   const double paper[] = {1.00, 1.11, 1.17, 1.28};
   Table t("Figure 8 — arithmetic density during ViT-Base inference");

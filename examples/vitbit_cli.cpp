@@ -90,9 +90,8 @@ int cmd_infer(const Cli& cli, ThreadPool& pool) {
   std::vector<core::Strategy> selected;
   for (const auto s : core::all_strategies())
     if (want.empty() || want == core::strategy_name(s)) selected.push_back(s);
-  auto results = parallel_map(&pool, selected.size(), [&](std::size_t i) {
-    return core::time_inference(log, selected[i], cfg, kSpec, calib, &pool);
-  });
+  const auto results = core::time_inferences(
+      core::strategy_jobs(log, selected, cfg), kSpec, calib, &pool);
 
   Table t("inference timing — " + (model == "cnn" ? std::string("edge CNN")
                                                   : std::string("ViT-Base")));
@@ -148,11 +147,9 @@ int cmd_report(const Cli& cli, ThreadPool& pool) {
   std::vector<core::Strategy> selected;
   for (const auto s : core::all_strategies())
     if (want.empty() || want == core::strategy_name(s)) selected.push_back(s);
-  rep.strategies = parallel_map(&pool, selected.size(), [&](std::size_t i) {
-    const auto r =
-        core::time_inference(log, selected[i], cfg, kSpec, calib, &pool);
-    return report::make_strategy_report(r, kSpec);
-  });
+  for (const auto& r : core::time_inferences(
+           core::strategy_jobs(log, selected, cfg), kSpec, calib, &pool))
+    rep.strategies.push_back(report::make_strategy_report(r, kSpec));
   if (cli.get_bool("l2", false)) {
     // One addressed multi-SM L2 run per GEMM plan family, over a reduced
     // shape so the section stays cheap.

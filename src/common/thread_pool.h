@@ -1,12 +1,16 @@
 // Dependency-free fork-join thread pool for the simulator's embarrassingly
-// parallel hot paths (tuner sweeps, pipeline cache fills, strategy replays).
+// parallel hot paths (the distinct SM slices of core::time_inferences,
+// tuner sweeps, serving sweep points, L2 runs).
 //
 // Determinism contract: parallel_map returns results in input-index order
 // and the reduction sites built on it break ties by candidate order, so an
 // N-thread run produces bit-identical output to a 1-thread run. A pool of
 // size 1 spawns no workers and executes on the calling thread; a run()
 // issued from inside a pool task executes inline (nested fan-out cannot
-// deadlock and needs no re-entrant queue).
+// deadlock and needs no re-entrant queue). Inline means serial on that one
+// worker: a fan-out nested inside another runs without the pool, so
+// callers flatten their work into one run() instead (as time_inferences
+// does for all of its jobs).
 #pragma once
 
 #include <cstddef>

@@ -138,19 +138,23 @@ ModelRegistry::ModelRegistry(const std::vector<std::string>& names,
     for (std::size_t j = i + 1; j < names_.size(); ++j)
       VITBIT_CHECK_MSG(names_[i] != names_[j],
                        "duplicate zoo model: " << names_[i]);
-  tables_.reserve(names_.size());
+  std::vector<LatencyTableModel> models;
   cold_swap_us_.reserve(names_.size());
   for (const auto& name : names_) {
-    const ZooEntry entry = zoo_entry(name);
-    auto tables = build_latency_tables_from_logs(
-        entry.log_for_batch, {strategy_}, entry.strategy_cfg, spec, calib,
-        max_batch, pool);
-    tables_.push_back(std::move(tables.front()));
+    ZooEntry entry = zoo_entry(name);
     const auto us = std::llround(static_cast<double>(entry.weight_bytes) /
                                  (swap_.load_gbps * 1e3));
     cold_swap_us_.push_back(
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(us)));
+    models.push_back(
+        {std::move(entry.log_for_batch), {strategy_}, entry.strategy_cfg});
   }
+  // Every model's (batch) tables in one build, so slices shared across
+  // models and batch sizes are simulated once.
+  tables_.reserve(names_.size());
+  for (auto& tables :
+       build_model_latency_tables(models, spec, calib, max_batch, pool))
+    tables_.push_back(std::move(tables.front()));
 }
 
 const std::string& ModelRegistry::name(int m) const {

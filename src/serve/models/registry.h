@@ -3,7 +3,7 @@
 // variants riding VitBit's pack factor — each described by a per-batch
 // kernel-log builder, the strategy config it serves under, and its
 // weight footprint. A ModelRegistry memoizes one LatencyTable per model
-// through the shared build_latency_tables_from_logs helper, keeping
+// through the shared build_model_latency_tables helper, keeping
 // per-model latency fidelity grounded in the simulated kernels rather
 // than synthetic distributions, and prices cache-aware model swaps: a
 // replica switching to a model still resident in its weight cache pays a
@@ -54,10 +54,11 @@ struct SwapCostConfig {
 };
 
 // Memoized per-(model, batch-size) latency tables for a named subset of
-// the zoo under one serving strategy. Table construction fans out over
-// `pool` through build_latency_tables_from_logs per model and assembles
-// in catalog-argument order, so the registry is bit-identical at every
-// --threads value.
+// the zoo under one serving strategy. All tables come from one
+// build_model_latency_tables call — every (model, batch) inference timed
+// together, each distinct SM slice simulated once over `pool` — and are
+// kept in catalog-argument order, so the registry is bit-identical at
+// every --threads value.
 class ModelRegistry {
  public:
   ModelRegistry(const std::vector<std::string>& names,

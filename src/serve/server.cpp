@@ -23,17 +23,10 @@ std::string fmt_rate(double rate) {
   return buf;
 }
 
-// One memoization entry: simulate a `batch`-image inference under
-// `strategy` and convert cycles to integer virtual microseconds at the
-// spec clock (clock_ghz cycles per nanosecond).
-std::uint64_t simulate_batch_latency_us(const KernelLogForBatch& log_for_batch,
-                                        core::Strategy strategy,
-                                        const core::StrategyConfig& cfg,
-                                        const arch::OrinSpec& spec,
-                                        const arch::Calibration& calib,
-                                        int batch, ThreadPool* pool) {
-  const auto log = log_for_batch(batch);
-  const auto t = core::time_inference(log, strategy, cfg, spec, calib, pool);
+// A timed inference in integer virtual microseconds at the spec clock
+// (clock_ghz cycles per nanosecond).
+std::uint64_t latency_us_of(const core::InferenceTiming& t,
+                            const arch::OrinSpec& spec) {
   return static_cast<std::uint64_t>(std::llround(
       static_cast<double>(t.total_cycles) / (spec.clock_ghz * 1e3)));
 }
@@ -47,31 +40,39 @@ std::uint64_t LatencyTable::latency_us(std::size_t batch) const {
   return batch_latency_us[batch];
 }
 
-std::vector<LatencyTable> build_latency_tables_from_logs(
-    const KernelLogForBatch& log_for_batch,
-    const std::vector<core::Strategy>& strategies,
-    const core::StrategyConfig& cfg, const arch::OrinSpec& spec,
+std::vector<std::vector<LatencyTable>> build_model_latency_tables(
+    const std::vector<LatencyTableModel>& models, const arch::OrinSpec& spec,
     const arch::Calibration& calib, int max_batch, ThreadPool* pool) {
-  VITBIT_CHECK_MSG(!strategies.empty(), "need >= 1 strategy");
+  for (const auto& model : models)
+    VITBIT_CHECK_MSG(!model.strategies.empty(), "need >= 1 strategy");
   VITBIT_CHECK_MSG(max_batch >= 1, "max_batch must be >= 1");
-  // One kernel-log simulation per distinct (strategy, batch size),
-  // flattened over the pool.
-  const auto n = strategies.size();
   const auto mb = static_cast<std::size_t>(max_batch);
-  const auto flat = parallel_map(pool, n * mb, [&](std::size_t i) {
-    return simulate_batch_latency_us(log_for_batch, strategies[i / mb], cfg,
-                                     spec, calib, static_cast<int>(i % mb) + 1,
-                                     pool);
-  });
-  std::vector<LatencyTable> tables(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    tables[s].strategy = strategies[s];
-    tables[s].batch_latency_us.assign(mb + 1, 0);
-    for (std::size_t b = 1; b <= mb; ++b) {
-      const auto us = flat[s * mb + (b - 1)];
-      VITBIT_CHECK_MSG(us >= 1,
-                       "batch " << b << " latency rounds to zero microseconds");
-      tables[s].batch_latency_us[b] = us;
+  // Every (model, batch) log, then one job per (model, strategy, batch).
+  std::vector<nn::KernelLog> logs;
+  logs.reserve(models.size() * mb);
+  for (const auto& model : models)
+    for (int b = 1; b <= max_batch; ++b)
+      logs.push_back(model.log_for_batch(b));
+  std::vector<core::InferenceJob> jobs;
+  for (std::size_t m = 0; m < models.size(); ++m)
+    for (const auto s : models[m].strategies)
+      for (std::size_t b = 0; b < mb; ++b)
+        jobs.push_back({&logs[m * mb + b], s, models[m].cfg});
+  const auto timings = core::time_inferences(jobs, spec, calib, pool);
+
+  std::vector<std::vector<LatencyTable>> tables(models.size());
+  std::size_t next = 0;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    for (const auto s : models[m].strategies) {
+      LatencyTable& table = tables[m].emplace_back();
+      table.strategy = s;
+      table.batch_latency_us.assign(mb + 1, 0);
+      for (std::size_t b = 1; b <= mb; ++b) {
+        const auto us = latency_us_of(timings[next++], spec);
+        VITBIT_CHECK_MSG(
+            us >= 1, "batch " << b << " latency rounds to zero microseconds");
+        table.batch_latency_us[b] = us;
+      }
     }
   }
   return tables;
@@ -81,9 +82,12 @@ std::vector<LatencyTable> build_latency_tables(
     const nn::VitConfig& model, const std::vector<core::Strategy>& strategies,
     const core::StrategyConfig& cfg, const arch::OrinSpec& spec,
     const arch::Calibration& calib, int max_batch, ThreadPool* pool) {
-  return build_latency_tables_from_logs(
-      [&model](int batch) { return nn::build_kernel_log(model, batch); },
-      strategies, cfg, spec, calib, max_batch, pool);
+  const KernelLogForBatch log_for_batch = [&model](int batch) {
+    return nn::build_kernel_log(model, batch);
+  };
+  auto tables = build_model_latency_tables({{log_for_batch, strategies, cfg}},
+                                           spec, calib, max_batch, pool);
+  return std::move(tables.front());
 }
 
 LatencyTable build_latency_table(const nn::VitConfig& model,

@@ -1,7 +1,7 @@
 // Event-driven serving simulator on top of the timing pipeline: virtual
 // time advances between request arrivals, batch dispatches, and batch
 // completions; each dispatched batch charges the simulated GPU latency of
-// `core::time_inference` over `nn::build_kernel_log(cfg, batch)`, memoized
+// `nn::build_kernel_log(cfg, batch)` under core::time_inferences, memoized
 // per batch size in a LatencyTable. This is where VitBit's kernel-level
 // speedup turns into goodput and tail-latency wins under load.
 //
@@ -60,21 +60,29 @@ struct LatencyTable {
 // a per-batch log builder (ViT, CNN, mixer, int4 variants).
 using KernelLogForBatch = std::function<nn::KernelLog(int batch)>;
 
-// The generic memoized per-batch-size latency-table builder: one table
-// per strategy, each covering batch sizes [1, max_batch], one
-// `time_inference` per distinct (strategy, batch) pair, flattened over
-// `pool`, converted from cycles to microseconds at the spec clock, and
-// validated to never round to zero. Every consumer — the serve sweeps
-// (via the ViT wrapper below), the model registry (serve/models), and
-// the ext_* batch benches — goes through this one helper.
-std::vector<LatencyTable> build_latency_tables_from_logs(
-    const KernelLogForBatch& log_for_batch,
-    const std::vector<core::Strategy>& strategies,
-    const core::StrategyConfig& cfg, const arch::OrinSpec& spec,
+// One model's share of a latency-table build: its per-batch log builder,
+// the strategies to tabulate, and the config it serves under.
+struct LatencyTableModel {
+  KernelLogForBatch log_for_batch;
+  std::vector<core::Strategy> strategies;
+  core::StrategyConfig cfg;
+};
+
+// The generic memoized per-batch-size latency-table builder: per model,
+// one table per strategy, each covering batch sizes [1, max_batch],
+// converted from cycles to microseconds at the spec clock and validated
+// to never round to zero. Every (model, strategy, batch) inference is
+// timed in one core::time_inferences call, so each distinct SM slice
+// across all of them is simulated once, fanned out over `pool`. Returns
+// tables[model][strategy]. Every consumer — the serve sweeps (via the ViT
+// wrapper below), the model registry (serve/models), and the ext_* batch
+// benches — goes through this one helper.
+std::vector<std::vector<LatencyTable>> build_model_latency_tables(
+    const std::vector<LatencyTableModel>& models, const arch::OrinSpec& spec,
     const arch::Calibration& calib, int max_batch, ThreadPool* pool = nullptr);
 
-// ViT wrapper over build_latency_tables_from_logs, kept as the serve
-// sweeps' entry point (their model knob is a VitConfig).
+// ViT wrapper over build_model_latency_tables, kept as the serve sweeps'
+// entry point (their model knob is a VitConfig).
 std::vector<LatencyTable> build_latency_tables(
     const nn::VitConfig& model, const std::vector<core::Strategy>& strategies,
     const core::StrategyConfig& cfg, const arch::OrinSpec& spec,
@@ -285,8 +293,8 @@ struct SweepPoint {
   ServeMetrics metrics;
 };
 
-// Phase 1 memoizes the latency tables (one simulation per distinct
-// (strategy, batch-size) pair); phase 2 runs the event loop per
+// Phase 1 memoizes the latency tables (every (strategy, batch-size)
+// inference in one time_inferences call); phase 2 runs the event loop per
 // (strategy, rate) point. Both phases fan out over `pool` and assemble in
 // index order, so results are bit-identical for every pool size.
 std::vector<SweepPoint> run_rate_sweep(const SweepConfig& cfg,

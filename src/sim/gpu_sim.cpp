@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/int_math.h"
 
 namespace vitbit::sim {
 
@@ -68,7 +67,8 @@ GpuRunResult GpuSim::run(const KernelSpec& kernel, const GridGeom& geom,
       sm.reset();
       for (int b = 0; b < blocks_per_sm && next_block < kernel.grid_blocks;
            ++b) {
-        sm.add_block(kernel.block_warps, geom.block_bases(next_block));
+        sm.add_block(kernel.block_warps, geom.block_bases(next_block),
+                     kernel.warp_operand_offsets);
         ++next_block;
       }
     }
@@ -113,17 +113,16 @@ LaunchResult launch_kernel_l2(const KernelSpec& kernel, const GridGeom& geom,
                               const arch::Calibration& calib,
                               const arch::RfCompressConfig& rf) {
   GpuSim gpu(spec, calib);
-  const int bps = occupancy_blocks_per_sm(kernel, spec, rf);
-  const auto r = gpu.run(kernel, geom, bps);
+  const LaunchGeometry g = launch_geometry(kernel.geometry(), spec, rf);
+  const auto r = gpu.run(kernel, geom, g.blocks_per_sm);
   LaunchResult out;
   out.total_cycles =
       r.cycles +
       static_cast<std::uint64_t>(calib.kernel_launch_overhead_cycles);
-  out.blocks_per_sm = bps;
-  out.resident_blocks =
-      std::min(bps, ceil_div(kernel.grid_blocks, spec.num_sms));
-  out.grid_blocks = kernel.grid_blocks;
-  out.waves = ceil_div(ceil_div(kernel.grid_blocks, spec.num_sms), bps);
+  out.blocks_per_sm = g.blocks_per_sm;
+  out.resident_blocks = g.resident_blocks;
+  out.grid_blocks = g.grid_blocks;
+  out.waves = g.waves;
   out.sm = r.total;
   out.grid_instructions = r.total.instructions_issued;
   return out;

@@ -9,10 +9,10 @@
 
 namespace vitbit::sim {
 
-OccupancyLimits occupancy_limits(const KernelSpec& kernel,
+OccupancyLimits occupancy_limits(const KernelGeometry& kernel,
                                  const arch::OrinSpec& spec,
                                  const arch::RfCompressConfig& rf) {
-  const int warps_per_block = static_cast<int>(kernel.block_warps.size());
+  const int warps_per_block = kernel.warps_per_block;
   VITBIT_CHECK(warps_per_block >= 1);
   VITBIT_CHECK(warps_per_block * spec.warp_size <= spec.max_threads_per_block);
   OccupancyLimits lim;
@@ -49,54 +49,58 @@ OccupancyLimits occupancy_limits(const KernelSpec& kernel,
   return lim;
 }
 
-int occupancy_blocks_per_sm(const KernelSpec& kernel,
-                            const arch::OrinSpec& spec,
-                            const arch::RfCompressConfig& rf) {
-  return occupancy_limits(kernel, spec, rf).blocks;
+LaunchGeometry launch_geometry(const KernelGeometry& kernel,
+                               const arch::OrinSpec& spec,
+                               const arch::RfCompressConfig& rf) {
+  VITBIT_CHECK(kernel.grid_blocks >= 1);
+  LaunchGeometry g;
+  g.blocks_per_sm = occupancy_limits(kernel, spec, rf).blocks;
+  g.blocks_on_sm = ceil_div(kernel.grid_blocks, spec.num_sms);
+  g.resident_blocks = std::min(g.blocks_per_sm, g.blocks_on_sm);
+  g.waves = ceil_div(g.blocks_on_sm, g.resident_blocks);
+  g.grid_blocks = kernel.grid_blocks;
+  return g;
 }
 
-namespace {
-// Simulates one SM running `blocks` copies of the block.
-SmStats simulate_sm(const KernelSpec& kernel, int blocks,
+SmStats simulate_sm(const KernelSpec& kernel, int resident,
                     const arch::OrinSpec& spec,
                     const arch::Calibration& calib) {
   SmSim sm(spec, calib);
-  for (int b = 0; b < blocks; ++b) sm.add_block(kernel.block_warps);
+  for (int b = 0; b < resident; ++b) sm.add_block(kernel.block_warps);
   return sm.run();
 }
-}  // namespace
 
-LaunchResult launch_kernel(const KernelSpec& kernel,
-                           const arch::OrinSpec& spec,
-                           const arch::Calibration& calib,
-                           const arch::RfCompressConfig& rf) {
-  VITBIT_CHECK(kernel.grid_blocks >= 1);
+LaunchResult extrapolate(const LaunchGeometry& geometry, const SmStats& sm,
+                         const arch::Calibration& calib) {
   LaunchResult result;
-  result.blocks_per_sm = occupancy_blocks_per_sm(kernel, spec, rf);
-  result.total_cycles +=
-      static_cast<std::uint64_t>(calib.kernel_launch_overhead_cycles);
-
-  // Blocks the busiest SM executes over the kernel's lifetime.
-  const int blocks_on_sm = ceil_div(kernel.grid_blocks, spec.num_sms);
-  const int resident = std::min(result.blocks_per_sm, blocks_on_sm);
-  result.resident_blocks = resident;
-  result.grid_blocks = kernel.grid_blocks;
-  result.waves = ceil_div(blocks_on_sm, resident);
-
+  result.blocks_per_sm = geometry.blocks_per_sm;
+  result.resident_blocks = geometry.resident_blocks;
+  result.grid_blocks = geometry.grid_blocks;
+  result.waves = geometry.waves;
+  result.sm = sm;
   // Steady-state throughput extrapolation: real GPUs refill an SM as soon
   // as a block retires, so the SM sustains the per-block rate of a
   // fully-occupied simulation; whole-wave serialization would introduce
   // artificial quantization cliffs between strategies with different
   // occupancies.
-  result.sm = simulate_sm(kernel, resident, spec, calib);
-  const double scale =
-      static_cast<double>(blocks_on_sm) / static_cast<double>(resident);
-  result.total_cycles += static_cast<std::uint64_t>(
-      static_cast<double>(result.sm.cycles) * scale);
-  result.grid_instructions +=
-      (result.sm.instructions_issued / static_cast<std::uint64_t>(resident)) *
-      static_cast<std::uint64_t>(kernel.grid_blocks);
+  const auto resident = static_cast<std::uint64_t>(geometry.resident_blocks);
+  const double scale = static_cast<double>(geometry.blocks_on_sm) /
+                       static_cast<double>(geometry.resident_blocks);
+  result.total_cycles =
+      static_cast<std::uint64_t>(calib.kernel_launch_overhead_cycles) +
+      static_cast<std::uint64_t>(static_cast<double>(sm.cycles) * scale);
+  result.grid_instructions = (sm.instructions_issued / resident) *
+                             static_cast<std::uint64_t>(geometry.grid_blocks);
   return result;
+}
+
+LaunchResult launch_kernel(const KernelSpec& kernel,
+                           const arch::OrinSpec& spec,
+                           const arch::Calibration& calib,
+                           const arch::RfCompressConfig& rf) {
+  const LaunchGeometry g = launch_geometry(kernel.geometry(), spec, rf);
+  return extrapolate(g, simulate_sm(kernel, g.resident_blocks, spec, calib),
+                     calib);
 }
 
 }  // namespace vitbit::sim

@@ -1,7 +1,16 @@
 // Kernel launcher: occupancy calculation and grid-to-SM wave scheduling.
 // A kernel is simulated on one SM at its resident-block occupancy and the
-// result is extrapolated over the grid's waves (all SMs run identical work;
-// the partial last wave is simulated separately).
+// result is extrapolated over the grid's waves (all SMs run identical work).
+//
+// A launch is three public steps, composed by launch_kernel:
+//   launch_geometry — occupancy, resident blocks and waves, from the
+//                     kernel's trace-free KernelGeometry;
+//   simulate_sm     — the only cycle-level work: one SM holding `resident`
+//                     copies of the block;
+//   extrapolate     — scales that SM slice to the grid.
+// The SM slice depends only on the block's warp programs and the resident
+// count, so callers timing many kernels (core::time_inferences) simulate
+// each distinct slice once and extrapolate it per kernel.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +24,31 @@
 
 namespace vitbit::sim {
 
-struct KernelSpec {
-  // The warps of one thread block (shared instruction traces).
-  std::vector<ProgramPtr> block_warps;
+// What occupancy and wave scheduling need to know about a kernel: block
+// size, per-block resources and grid — no instruction trace.
+struct KernelGeometry {
+  int warps_per_block = 1;
   int grid_blocks = 1;
   int regs_per_thread = 64;
   int smem_bytes = 48 * 1024;
+
+  bool operator==(const KernelGeometry&) const = default;
+};
+
+struct KernelSpec {
+  // The warps of one thread block. Warps of one class share a program.
+  std::vector<ProgramPtr> block_warps;
+  // Empty, or one entry per warp: the warp's operand offsets, added to its
+  // addressed accesses (GpuSim only; the single-SM model ignores them).
+  std::vector<OperandOffsets> warp_operand_offsets;
+  int grid_blocks = 1;
+  int regs_per_thread = 64;
+  int smem_bytes = 48 * 1024;
+
+  KernelGeometry geometry() const {
+    return {static_cast<int>(block_warps.size()), grid_blocks, regs_per_thread,
+            smem_bytes};
+  }
 };
 
 struct LaunchResult {
@@ -60,17 +88,51 @@ struct OccupancyLimits {
   const char* limiter = "";     // "blocks" | "warps" | "smem" | "registers"
 };
 
-OccupancyLimits occupancy_limits(const KernelSpec& kernel,
+OccupancyLimits occupancy_limits(const KernelGeometry& kernel,
                                  const arch::OrinSpec& spec,
                                  const arch::RfCompressConfig& rf = {});
+inline OccupancyLimits occupancy_limits(const KernelSpec& kernel,
+                                        const arch::OrinSpec& spec,
+                                        const arch::RfCompressConfig& rf = {}) {
+  return occupancy_limits(kernel.geometry(), spec, rf);
+}
 
 // Resident blocks per SM under warp/block/smem/register limits; the
 // register budget is the RF-compression-adjusted effective capacity
 // (default config reproduces the raw spec budget exactly).
-int occupancy_blocks_per_sm(const KernelSpec& kernel,
-                            const arch::OrinSpec& spec,
-                            const arch::RfCompressConfig& rf = {});
+inline int occupancy_blocks_per_sm(const KernelSpec& kernel,
+                                   const arch::OrinSpec& spec,
+                                   const arch::RfCompressConfig& rf = {}) {
+  return occupancy_limits(kernel, spec, rf).blocks;
+}
 
+// Where a kernel's blocks land on the GPU.
+struct LaunchGeometry {
+  int blocks_per_sm = 0;    // occupancy limit
+  int blocks_on_sm = 0;     // blocks the busiest SM executes over the run
+  int resident_blocks = 0;  // min(blocks_per_sm, blocks_on_sm): simulated
+  int waves = 0;
+  int grid_blocks = 0;
+};
+
+LaunchGeometry launch_geometry(const KernelGeometry& kernel,
+                               const arch::OrinSpec& spec,
+                               const arch::RfCompressConfig& rf = {});
+
+// One SM running `resident` co-resident copies of the kernel's block
+// (single-SM memory model). Reads only the block: its programs alone,
+// with `resident`, determine the result.
+SmStats simulate_sm(const KernelSpec& kernel, int resident,
+                    const arch::OrinSpec& spec,
+                    const arch::Calibration& calib);
+
+// Scales one simulated SM slice (`sm`, run at geometry.resident_blocks) to
+// the whole grid and adds the launch overhead.
+LaunchResult extrapolate(const LaunchGeometry& geometry, const SmStats& sm,
+                         const arch::Calibration& calib);
+
+// extrapolate(g, simulate_sm(kernel, g.resident_blocks)) at
+// g = launch_geometry(kernel.geometry()).
 LaunchResult launch_kernel(const KernelSpec& kernel,
                            const arch::OrinSpec& spec,
                            const arch::Calibration& calib,

@@ -15,8 +15,13 @@ namespace vitbit::sim {
 constexpr std::uint16_t kNoReg = 0xFFFF;
 constexpr std::uint8_t kNoOperand = 0xFF;
 
+// Fields are ordered so the two byte-wide ones share a word: 24 bytes per
+// instruction, the unit of every trace's memory.
 struct Instr {
   Opcode op = Opcode::kNop;
+  // Global ops, addressed mode: which logical operand region this access
+  // touches (kNoOperand when the trace is address-free). See `offset`.
+  std::uint8_t operand = kNoOperand;
   std::uint16_t dst = kNoReg;
   std::array<std::uint16_t, 3> src = {kNoReg, kNoReg, kNoReg};
   // Memory ops: bytes moved by the whole warp (drives LSU occupancy).
@@ -26,19 +31,31 @@ struct Instr {
   // operands). Defaults to `bytes` via the builder. Used by the default
   // (single-SM, derate-based) memory model.
   std::uint32_t dram_bytes = 0;
-  // Global ops, addressed mode: which logical operand region this access
-  // touches (kNoOperand when the trace is address-free) and the byte offset
-  // within it. The multi-SM L2 simulation resolves these to physical
-  // addresses per block (sim/gpu_sim.h).
-  std::uint8_t operand = kNoOperand;
+  // Global ops, addressed mode: byte offset within `operand`, relative to
+  // the executing warp's operand offset (OperandOffsets). The multi-SM L2
+  // simulation resolves it to a physical address per block and warp
+  // (sim/gpu_sim.h).
   std::uint32_t offset = 0;
+
+  bool operator==(const Instr&) const = default;
 };
+static_assert(sizeof(Instr) == 24, "Instr must stay packed to 24 bytes");
+
+// Number of logical operand regions an addressed trace can touch.
+constexpr std::size_t kNumOperands = 4;
+
+// One warp's byte offsets into each logical operand region, added to the
+// Instr::offset of its addressed accesses. The warps of one class differ
+// only in the operand slice they touch, so they share one program and
+// carry their slice here instead.
+using OperandOffsets = std::array<std::uint32_t, kNumOperands>;
 
 struct Program {
   std::vector<Instr> code;
   std::uint16_t num_regs = 0;
 
   std::size_t size() const { return code.size(); }
+  bool operator==(const Program&) const = default;
 };
 
 using ProgramPtr = std::shared_ptr<const Program>;

@@ -83,11 +83,14 @@ class SmSim {
         GlobalMemory* gmem = nullptr);
 
   // Adds one resident thread block (its warps are distributed round-robin
-  // over sub-cores). `operand_bases` maps Instr::operand indices to the
-  // block's physical base addresses (addressed mode only). Throws if the
-  // SM's warp limit would be exceeded.
+  // over sub-cores). Addressed mode only: `operand_bases` maps
+  // Instr::operand indices to the block's physical base addresses, and
+  // `warp_offsets` (empty, or one entry per warp) adds each warp's own
+  // operand offsets on top. Throws if the SM's warp limit would be
+  // exceeded.
   void add_block(const std::vector<ProgramPtr>& warps,
-                 const std::array<std::uint64_t, 4>& operand_bases = {});
+                 const std::array<std::uint64_t, 4>& operand_bases = {},
+                 const std::vector<OperandOffsets>& warp_offsets = {});
 
   int resident_warps() const { return static_cast<int>(warps_.size()); }
   bool done() const { return done_warps_ >= static_cast<int>(warps_.size()); }
@@ -161,7 +164,6 @@ class SmSim {
     // Warps of one block occupy contiguous ids [first_warp,
     // first_warp + num_warps): barrier release walks exactly them.
     int first_warp = 0;
-    std::array<std::uint64_t, 4> operand_bases{};
   };
 
   // Attempts to issue the warp in `sc`'s slot `idx` at `cycle`; returns
@@ -178,6 +180,9 @@ class SmSim {
   std::vector<WarpState> warps_;
   std::vector<Subcore> subcores_;
   std::vector<Block> blocks_;
+  // Warp-id-indexed physical operand bases (block base + warp offset),
+  // read only by addressed accesses.
+  std::vector<std::array<std::uint64_t, kNumOperands>> warp_bases_;
   // Warp-id-indexed packed flags (the former per-warp bools).
   Bitset64 at_barrier_;
   Bitset64 done_;

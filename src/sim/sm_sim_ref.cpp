@@ -28,6 +28,7 @@ void SmSimRef::reset() {
   }
   warps_.clear();
   blocks_.clear();
+  warp_bases_.clear();
   lsu_busy_until_ = 0;
   dram_free_q32_ = 0;
   done_warps_ = 0;
@@ -35,17 +36,24 @@ void SmSimRef::reset() {
 }
 
 void SmSimRef::add_block(const std::vector<ProgramPtr>& block_warps,
-                         const std::array<std::uint64_t, 4>& operand_bases) {
+                         const std::array<std::uint64_t, 4>& operand_bases,
+                         const std::vector<OperandOffsets>& warp_offsets) {
   VITBIT_CHECK(!block_warps.empty());
+  VITBIT_CHECK(warp_offsets.empty() ||
+               warp_offsets.size() == block_warps.size());
   VITBIT_CHECK_MSG(
       resident_warps() + static_cast<int>(block_warps.size()) <=
           spec_.max_warps_per_sm,
       "SM warp limit exceeded: " << resident_warps() << " + "
                                  << block_warps.size());
   const int block_id = static_cast<int>(blocks_.size());
-  blocks_.push_back({static_cast<int>(block_warps.size()), 0, operand_bases});
+  blocks_.push_back({static_cast<int>(block_warps.size()), 0});
   for (std::size_t i = 0; i < block_warps.size(); ++i) {
     VITBIT_CHECK(block_warps[i] != nullptr);
+    auto& bases = warp_bases_.emplace_back(operand_bases);
+    if (!warp_offsets.empty())
+      for (std::size_t o = 0; o < kNumOperands; ++o)
+        bases[o] += warp_offsets[i][o];
     WarpState w;
     w.prog = block_warps[i];
     w.reg_ready.assign(block_warps[i]->num_regs, 0);
@@ -134,8 +142,8 @@ bool SmSimRef::try_issue(Subcore& sc, std::uint64_t cycle,
         if (gmem_ && in.operand != kNoOperand) {
           // Addressed mode: the shared memory system (L2 + DRAM) decides.
           const std::uint64_t addr =
-              blocks_[static_cast<std::size_t>(w.block)]
-                  .operand_bases[in.operand] +
+              warp_bases_[static_cast<std::size_t>(sc.warp_ids[idx])]
+                         [in.operand] +
               in.offset;
           result_ready =
               gmem_->access(addr, in.bytes, cycle, in.op == Opcode::kStg);

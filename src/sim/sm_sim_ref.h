@@ -37,7 +37,8 @@ class SmSimRef {
            GlobalMemory* gmem = nullptr);
 
   void add_block(const std::vector<ProgramPtr>& warps,
-                 const std::array<std::uint64_t, 4>& operand_bases = {});
+                 const std::array<std::uint64_t, 4>& operand_bases = {},
+                 const std::vector<OperandOffsets>& warp_offsets = {});
 
   int resident_warps() const { return static_cast<int>(warps_.size()); }
   bool done() const { return done_warps_ >= static_cast<int>(warps_.size()); }
@@ -67,7 +68,6 @@ class SmSimRef {
   struct Block {
     int num_warps = 0;
     int arrived = 0;
-    std::array<std::uint64_t, 4> operand_bases{};
   };
 
   bool try_issue(Subcore& sc, std::uint64_t cycle, std::uint64_t& next_wake);
@@ -78,6 +78,8 @@ class SmSimRef {
   std::vector<WarpState> warps_;
   std::vector<Subcore> subcores_;
   std::vector<Block> blocks_;
+  // Warp-id-indexed physical operand bases (block base + warp offset).
+  std::vector<std::array<std::uint64_t, kNumOperands>> warp_bases_;
   std::uint64_t lsu_busy_until_ = 0;
   // Next Q32.32 cycle the DRAM channel is free (see sim/sm_sim.h).
   std::uint64_t dram_free_q32_ = 0;

@@ -70,10 +70,6 @@ struct EwWarpParams {
   int conv_ops = 0;
   int bytes_in = 32;
   int bytes_out = 32;
-  // Addressing (L2 simulation): this warp's slice of the block's element
-  // range, in input/output bytes.
-  std::uint32_t in_offset = 0;
-  std::uint32_t out_offset = 0;
 };
 
 ProgramPtr build_ew_warp(const EwWarpParams& p) {
@@ -87,10 +83,9 @@ ProgramPtr build_ew_warp(const EwWarpParams& p) {
   auto next_tmp = [&]() { return tmp[static_cast<std::size_t>(rot++ % 8)]; };
   for (int s = 0; s < p.steps; ++s) {
     const auto in_reg = (s % 2) ? data1 : data0;
+    const auto step = static_cast<std::uint32_t>(s);
     b.ldg(in_reg, static_cast<std::uint32_t>(p.bytes_in), UINT32_MAX,
-          /*operand=*/0,
-          p.in_offset + static_cast<std::uint32_t>(s) *
-                            static_cast<std::uint32_t>(p.bytes_in));
+          /*operand=*/0, step * static_cast<std::uint32_t>(p.bytes_in));
     for (int i = 0; i < p.conv_ops; ++i) b.i2f(next_tmp(), in_reg);
     for (int i = 0; i < p.int_ops; ++i) {
       const auto d = next_tmp();
@@ -107,9 +102,7 @@ ProgramPtr build_ew_warp(const EwWarpParams& p) {
     }
     for (int i = 0; i < p.sfu_ops; ++i) b.mufu(next_tmp(), in_reg);
     b.stg(in_reg, static_cast<std::uint32_t>(p.bytes_out), UINT32_MAX,
-          /*operand=*/3,
-          p.out_offset + static_cast<std::uint32_t>(s) *
-                             static_cast<std::uint32_t>(p.bytes_out));
+          /*operand=*/3, step * static_cast<std::uint32_t>(p.bytes_out));
   }
   b.exit();
   return b.build();
@@ -117,40 +110,66 @@ ProgramPtr build_ew_warp(const EwWarpParams& p) {
 
 }  // namespace
 
-sim::KernelSpec build_elementwise_kernel(const ElementwisePlan& plan,
-                                         const arch::OrinSpec& spec,
-                                         const arch::Calibration& calib) {
-  (void)calib;
+namespace {
+
+// Block shape and resources of every elementwise kernel.
+constexpr int kWarpsPerBlock = 8;
+constexpr int kElemsPerThread = 16;
+constexpr int kRegsPerThread = 32;
+
+std::int64_t elems_per_block(const arch::OrinSpec& spec) {
+  return static_cast<std::int64_t>(kWarpsPerBlock) * spec.warp_size *
+         kElemsPerThread;
+}
+
+}  // namespace
+
+sim::KernelGeometry elementwise_geometry(const ElementwisePlan& plan,
+                                         const arch::OrinSpec& spec) {
   VITBIT_CHECK(plan.elems > 0);
+  sim::KernelGeometry g;
+  g.warps_per_block = kWarpsPerBlock;
+  g.grid_blocks = static_cast<int>(
+      ceil_div<std::int64_t>(plan.elems, elems_per_block(spec)));
+  g.regs_per_thread = kRegsPerThread;
+  g.smem_bytes = 0;
+  return g;
+}
+
+sim::KernelSpec build_elementwise_block(const ElementwiseBlockPlan& plan,
+                                        const arch::OrinSpec& spec,
+                                        const arch::Calibration& calib) {
+  (void)calib;
   VITBIT_CHECK(plan.fp_fraction >= 0.0 && plan.fp_fraction <= 1.0);
-  const int warps_per_block = 8;
-  const int elems_per_thread = 16;
-  const std::int64_t elems_per_block = static_cast<std::int64_t>(
-      warps_per_block) * spec.warp_size * elems_per_thread;
+  const std::int64_t block_elems = elems_per_block(spec);
 
   // Element split between the INT path and the FP path.
   const double fpf = plan.fp_fraction;
-  const int fp_warps = static_cast<int>(std::lround(fpf * warps_per_block));
-  const int int_warps = warps_per_block - fp_warps;
+  const int fp_warps = static_cast<int>(std::lround(fpf * kWarpsPerBlock));
+  const int int_warps = kWarpsPerBlock - fp_warps;
 
-  // Per-warp steps so the block covers elems_per_block total.
+  // Per-warp steps so the block covers block_elems total.
   auto steps_for = [&](int nwarps, double fraction) {
     if (nwarps == 0) return 0;
-    const double elems = static_cast<double>(elems_per_block) * fraction;
+    const double elems = static_cast<double>(block_elems) * fraction;
     return static_cast<int>(
         std::ceil(elems / (static_cast<double>(nwarps) * spec.warp_size)));
   };
 
   sim::KernelSpec kernel;
+  kernel.regs_per_thread = kRegsPerThread;
+  kernel.smem_bytes = 0;
   int warp_slot = 0;
-  auto emit_class = [&](EwWarpParams p, int count) {
+  // Emits `count` warps of class `p` sharing one program; each warp's
+  // operand offsets select its slice of the block's input and output.
+  auto emit_class = [&](const EwWarpParams& p, int count) {
+    const ProgramPtr program = build_ew_warp(p);
     for (int w = 0; w < count; ++w) {
-      EwWarpParams inst = p;
-      inst.in_offset = static_cast<std::uint32_t>(warp_slot) *
-                       static_cast<std::uint32_t>(p.steps * p.bytes_in);
-      inst.out_offset = static_cast<std::uint32_t>(warp_slot) *
-                        static_cast<std::uint32_t>(p.steps * p.bytes_out);
-      kernel.block_warps.push_back(build_ew_warp(inst));
+      const auto slot = static_cast<std::uint32_t>(warp_slot);
+      kernel.block_warps.push_back(program);
+      kernel.warp_operand_offsets.push_back(
+          {slot * static_cast<std::uint32_t>(p.steps * p.bytes_in), 0, 0,
+           slot * static_cast<std::uint32_t>(p.steps * p.bytes_out)});
       ++warp_slot;
     }
   };
@@ -183,10 +202,15 @@ sim::KernelSpec build_elementwise_kernel(const ElementwisePlan& plan,
     p.bytes_out = 32;
     emit_class(p, fp_warps);
   }
-  kernel.grid_blocks =
-      static_cast<int>(ceil_div<std::int64_t>(plan.elems, elems_per_block));
-  kernel.regs_per_thread = 32;
-  kernel.smem_bytes = 0;
+  return kernel;
+}
+
+sim::KernelSpec build_elementwise_kernel(const ElementwisePlan& plan,
+                                         const arch::OrinSpec& spec,
+                                         const arch::Calibration& calib) {
+  const sim::KernelGeometry g = elementwise_geometry(plan, spec);
+  sim::KernelSpec kernel = build_elementwise_block(plan, spec, calib);
+  kernel.grid_blocks = g.grid_blocks;
   return kernel;
 }
 
@@ -195,19 +219,17 @@ sim::GridGeom elementwise_grid_geom(const ElementwisePlan& plan,
   // Streaming kernels: every block reads/writes a private element range —
   // the L2 sees no cross-block reuse (a negative control for the cache
   // model). Block ranges are column-indexed.
-  const std::int64_t elems_per_block =
-      static_cast<std::int64_t>(8) * spec.warp_size * 16;
+  const std::int64_t block_elems = elems_per_block(spec);
   sim::GridGeom g;
   g.addressed = true;
   g.row_blocks = 1;
-  g.col_blocks = static_cast<int>(
-      ceil_div<std::int64_t>(plan.elems, elems_per_block));
+  g.col_blocks = elementwise_geometry(plan, spec).grid_blocks;
   // Generous per-block strides cover the rounded per-warp slices.
   const std::uint64_t in_stride =
-      static_cast<std::uint64_t>(elems_per_block) *
+      static_cast<std::uint64_t>(block_elems) *
       static_cast<std::uint64_t>(plan.bytes_per_elem + 2);
   const std::uint64_t out_stride =
-      static_cast<std::uint64_t>(elems_per_block) * 4;
+      static_cast<std::uint64_t>(block_elems) * 4;
   g.operands[0] = {0x1000'0000ull, 0, 0, in_stride};
   g.operands[3] = {0xC000'0000ull, 0, 0, out_stride};
   return g;

@@ -8,6 +8,7 @@
 //             applied to the lane-parallel fraction of the op stream.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "arch/calibration.h"
@@ -18,8 +19,9 @@
 
 namespace vitbit::trace {
 
-struct ElementwisePlan {
-  std::int64_t elems = 0;
+// Everything of an elementwise plan except its extent. It alone
+// determines the thread block's trace; `elems` only sizes the grid.
+struct ElementwiseBlockPlan {
   // Integer-path cost (ops per element on the INT pipe).
   int int_ops_per_elem = 16;
   // Float-path cost per element (used by FC / the FP half of IC+FC).
@@ -34,12 +36,34 @@ struct ElementwisePlan {
   double packable_fraction = 0.7;  // lane-parallel share of the int ops
   // Bytes moved per element (int8 in + int8 out).
   int bytes_per_elem = 2;
+
+  // Field-wise equality, plus an order for keyed containers.
+  auto operator<=>(const ElementwiseBlockPlan&) const = default;
+};
+
+struct ElementwisePlan : ElementwiseBlockPlan {
+  std::int64_t elems = 0;
+
+  auto operator<=>(const ElementwisePlan&) const = default;
 };
 
 // Per-element cost table for the ViT CUDA-core kernels, from calibration.
 ElementwisePlan elementwise_plan(nn::KernelKind kind, std::int64_t elems,
                                  const arch::Calibration& calib);
 
+// Launch geometry of `plan` without emitting a trace: 8-warp blocks of 16
+// elements per thread, enough of them to cover plan.elems.
+sim::KernelGeometry elementwise_geometry(const ElementwisePlan& plan,
+                                         const arch::OrinSpec& spec);
+
+// One thread block of `plan`: one program per warp class (INT path, FP
+// path), each warp's element slice in its operand offsets. Returned as a
+// one-block kernel (grid_blocks = 1).
+sim::KernelSpec build_elementwise_block(const ElementwiseBlockPlan& plan,
+                                        const arch::OrinSpec& spec,
+                                        const arch::Calibration& calib);
+
+// build_elementwise_block over the grid of elementwise_geometry.
 sim::KernelSpec build_elementwise_kernel(const ElementwisePlan& plan,
                                          const arch::OrinSpec& spec,
                                          const arch::Calibration& calib);

@@ -22,15 +22,15 @@ struct StagePlan {
   std::uint32_t ldg_count = 0;
   std::uint32_t dram_bytes_per_ldg = 128;
   bool to_smem = true;
-  // Addressing for the L2 simulation: logical operand, this warp's slice
-  // start within the operand's per-panel chunk, chunk start within the
-  // panel, and the operand's advance per panel.
+  // Addressing for the L2 simulation: logical operand, chunk start within
+  // the panel, and the operand's advance per panel. The trace addresses
+  // the first sharer's slice; each warp's operand offset moves it to its
+  // own slice (slot x warp_bytes).
   std::uint8_t operand = sim::kNoOperand;
   std::uint32_t chunk_offset = 0;  // where this stage's data begins in a panel
   std::uint32_t warp_bytes = 0;    // bytes one warp stages per panel
   // Operand bytes consumed per panel (whole block).
   std::uint32_t panel_stride = 0;
-  int slot = 0;                    // this warp's index among the sharers
 };
 
 StagePlan stage_share(double operand_bytes, int sharing_warps, double derate,
@@ -63,13 +63,13 @@ struct WarpParams {
   // Packing.
   int spill_period = 0;  // 0 = no spills
   int spill_ops = 0;     // INT instrs per spill event (all registers)
-  // Staging this warp performs per panel (stage slots are set per warp
-  // instance so concurrent warps fetch disjoint addresses).
+  // Staging this warp performs per panel. Stage 0 is the block-shared A
+  // tile (split over every warp of the block), later stages are
+  // class-private.
   std::vector<StagePlan> stages;
   // Epilogue.
   int requant_ops = 0;  // INT instrs
   std::uint32_t stg_count = 0;
-  std::uint32_t out_offset = 0;  // this warp's slice of the output tile
   bool fp_class = false;  // MACs go to the FP pipe
 };
 
@@ -99,8 +99,7 @@ ProgramPtr build_warp(const WarpParams& p, int panels, int tile_k) {
     std::size_t r = 0;
     for (const auto& s : p.stages) {
       const std::uint32_t base =
-          static_cast<std::uint32_t>(panel) * s.panel_stride + s.chunk_offset +
-          static_cast<std::uint32_t>(s.slot) * s.warp_bytes;
+          static_cast<std::uint32_t>(panel) * s.panel_stride + s.chunk_offset;
       for (std::uint32_t i = 0; i < s.ldg_count; ++i)
         b.ldg(ldg_regs[r++ % ldg_regs.size()], 128, s.dram_bytes_per_ldg,
               s.operand, base + i * 128);
@@ -193,8 +192,7 @@ ProgramPtr build_warp(const WarpParams& p, int panels, int tile_k) {
       b.iadd(acc, acc, acc);
   }
   for (std::uint32_t i = 0; i < p.stg_count; ++i)
-    b.stg(accs[i % accs.size()], 128, UINT32_MAX, /*operand=*/3,
-          p.out_offset + i * 128);
+    b.stg(accs[i % accs.size()], 128, UINT32_MAX, /*operand=*/3, i * 128);
   b.exit();
   return b.build();
 }
@@ -203,49 +201,82 @@ ProgramPtr build_warp(const WarpParams& p, int panels, int tile_k) {
 
 namespace {
 
-// Quantities shared by the kernel builder and the address-geometry helper;
-// keeping them in one place prevents the two from drifting.
-struct GemmDerived {
-  int panels = 1;
-  int split_k = 1;
-  int row_blocks = 1;
-  int col_blocks = 1;
-  // Per-panel byte layout of the block's operand chunks.
+void check_plan(const GemmBlockPlan& plan) {
+  VITBIT_CHECK_MSG(plan.total_cols() > 0, "GEMM plan assigns no columns");
+  VITBIT_CHECK(plan.tile_m >= 1 && plan.tile_k >= 1);
+  if (plan.pack_int) VITBIT_CHECK(plan.pack_factor >= 2);
+  VITBIT_CHECK(plan.total_warps() >= 1);
+}
+
+int int_reg_cols(const GemmBlockPlan& plan) {
+  return plan.pack_int ? ceil_div(plan.int_cols, plan.pack_factor)
+                       : plan.int_cols;
+}
+
+// B1 bytes per panel: packed B1 occupies int_cols/pack_factor registers
+// worth of bytes.
+double b1_panel_bytes(const GemmBlockPlan& plan) {
+  return plan.pack_int
+             ? static_cast<double>(plan.tile_k) * int_reg_cols(plan) * 4
+             : static_cast<double>(plan.tile_k) * plan.int_cols;
+}
+
+// Per-class accumulator counts and the block's resource use: a function
+// of the plan alone, shared by the launch geometry and the block builder.
+struct BlockResources {
+  int int_accs = 0;  // 0 when the class has no columns
+  int fp_accs = 0;
+  int regs_per_thread = 0;
+  int smem_bytes = 0;
+};
+
+BlockResources block_resources(const GemmBlockPlan& plan,
+                               const arch::OrinSpec& spec) {
+  const int warp_size = spec.warp_size;
+  const int tile_k = plan.tile_k;
+  BlockResources r;
+  double smem_bytes = 0.0;
+  int max_accs = 1;
+  if (plan.tc_cols > 0) {
+    smem_bytes += 2.0 * (static_cast<double>(plan.tile_m) * tile_k +
+                         static_cast<double>(tile_k) * plan.tc_cols);
+    max_accs = std::max(max_accs, 8);
+  }
+  if (plan.int_cols > 0) {
+    r.int_accs = std::max(
+        1, plan.tile_m * int_reg_cols(plan) / (warp_size * plan.int_warps));
+    smem_bytes += 2.0 * b1_panel_bytes(plan);
+    max_accs = std::max(max_accs, r.int_accs);
+  }
+  if (plan.fp_cols > 0) {
+    r.fp_accs =
+        std::max(1, plan.tile_m * plan.fp_cols / (warp_size * plan.fp_warps));
+    // Runtime conversion stages int8 B2; VitBit preprocessing stages fp32.
+    smem_bytes += plan.fp_runtime_convert
+                      ? 2.0 * tile_k * plan.fp_cols
+                      : 2.0 * static_cast<double>(tile_k) * plan.fp_cols * 4;
+    max_accs = std::max(max_accs, r.fp_accs);
+  }
+  r.regs_per_thread = std::min(255, max_accs + 24);
+  r.smem_bytes = static_cast<int>(
+      std::min<double>(smem_bytes, spec.smem_bytes_per_sm));
+  return r;
+}
+
+// Per-panel byte layout of the block's operand chunks (plan alone).
+struct PanelLayout {
   std::uint32_t a_panel = 0;   // A1 (int8)
   std::uint32_t a2_panel = 0;  // duplicated fp32 A2 (VitBit FP slice)
   std::uint32_t b3_off = 0, b1_off = 0, b2_off = 0;
   std::uint32_t b_panel = 0;   // combined B chunk per panel
 };
 
-GemmDerived derive_gemm(const GemmShape& shape, const GemmBlockPlan& plan,
-                        const arch::OrinSpec& spec) {
-  GemmDerived d;
-  d.row_blocks = ceil_div(shape.m, plan.tile_m);
-  d.col_blocks = ceil_div(shape.n, plan.total_cols());
-  int panels = ceil_div(shape.k, plan.tile_k);
-  // Split-K (the standard BLAS remedy for small grids): when the output
-  // tiling yields too few thread blocks to fill the GPU, partition the K
-  // dimension across several blocks so every SM stays occupied. Partial
-  // sums are combined in a cheap reduction epilogue (wider stores).
-  const int base_grid = d.row_blocks * d.col_blocks * shape.batch;
-  const int target_grid = 8 * spec.num_sms;
-  if (base_grid < target_grid) {
-    // Keep at least 6 K-panels per block so the software pipeline's
-    // prologue/epilogue stays amortized.
-    const int max_split = std::max(1, panels / 6);
-    d.split_k = std::min(max_split, ceil_div(target_grid, base_grid));
-  }
-  d.panels = ceil_div(panels, d.split_k);
-
-  const int reg_cols = plan.pack_int
-                           ? ceil_div(plan.int_cols, plan.pack_factor)
-                           : plan.int_cols;
+PanelLayout panel_layout(const GemmBlockPlan& plan) {
   const auto tk = static_cast<std::uint32_t>(plan.tile_k);
   // Staging issues whole 128B transactions per warp, so every chunk is
   // rounded up to warps x 128B — the address extents must match what the
   // warps actually touch or blocks would alias.
-  const int total_warps = plan.total_warps();
-  auto rounded = [&](std::uint32_t bytes, int warps) -> std::uint32_t {
+  auto rounded = [](std::uint32_t bytes, int warps) -> std::uint32_t {
     if (bytes == 0 || warps <= 0) return 0;
     return static_cast<std::uint32_t>(warps) *
            ceil_div<std::uint32_t>(
@@ -254,14 +285,15 @@ GemmDerived derive_gemm(const GemmShape& shape, const GemmBlockPlan& plan,
                128) *
            128;
   };
+  PanelLayout d;
   d.a_panel = rounded(static_cast<std::uint32_t>(plan.tile_m) * tk,
-                      total_warps);
+                      plan.total_warps());
   d.a2_panel = rounded(static_cast<std::uint32_t>(plan.tile_m) * tk * 4,
                        plan.fp_warps);
   const std::uint32_t b3 = rounded(
       tk * static_cast<std::uint32_t>(plan.tc_cols), plan.tc_warps);
   const std::uint32_t b1 = rounded(
-      plan.pack_int ? tk * static_cast<std::uint32_t>(reg_cols) * 4
+      plan.pack_int ? tk * static_cast<std::uint32_t>(int_reg_cols(plan)) * 4
                     : tk * static_cast<std::uint32_t>(plan.int_cols),
       plan.int_warps);
   const std::uint32_t b2 = rounded(
@@ -277,23 +309,54 @@ GemmDerived derive_gemm(const GemmShape& shape, const GemmBlockPlan& plan,
 
 }  // namespace
 
+GemmGeometry gemm_geometry(const GemmShape& shape, const GemmBlockPlan& plan,
+                           const arch::OrinSpec& spec) {
+  VITBIT_CHECK(shape.m >= 1 && shape.k >= 1 && shape.n >= 1 &&
+               shape.batch >= 1);
+  check_plan(plan);
+  GemmGeometry g;
+  g.row_blocks = ceil_div(shape.m, plan.tile_m);
+  g.col_blocks = ceil_div(shape.n, plan.total_cols());
+  const int panels = ceil_div(shape.k, plan.tile_k);
+  // Split-K (the standard BLAS remedy for small grids): when the output
+  // tiling yields too few thread blocks to fill the GPU, partition the K
+  // dimension across several blocks so every SM stays occupied. Partial
+  // sums are combined in a cheap reduction epilogue (wider stores).
+  const int base_grid = g.row_blocks * g.col_blocks * shape.batch;
+  const int target_grid = 8 * spec.num_sms;
+  if (base_grid < target_grid) {
+    // Keep at least 6 K-panels per block so the software pipeline's
+    // prologue/epilogue stays amortized.
+    const int max_split = std::max(1, panels / 6);
+    g.split_k = std::min(max_split, ceil_div(target_grid, base_grid));
+  }
+  g.panels = ceil_div(panels, g.split_k);
+  const BlockResources res = block_resources(plan, spec);
+  g.kernel.warps_per_block = plan.total_warps();
+  g.kernel.grid_blocks = base_grid * g.split_k;
+  g.kernel.regs_per_thread = res.regs_per_thread;
+  g.kernel.smem_bytes = res.smem_bytes;
+  return g;
+}
+
 sim::GridGeom gemm_grid_geom(const GemmShape& shape, const GemmBlockPlan& plan,
                              const arch::OrinSpec& spec) {
-  const GemmDerived d = derive_gemm(shape, plan, spec);
+  const GemmGeometry d = gemm_geometry(shape, plan, spec);
+  const PanelLayout c = panel_layout(plan);  // per-panel operand chunks
   sim::GridGeom g;
   g.addressed = true;
   g.row_blocks = d.row_blocks;
   g.col_blocks = d.col_blocks;
   const std::uint64_t panels = static_cast<std::uint64_t>(d.panels);
   // A1: shared by every column-block of a row; split/batch slices disjoint.
-  g.operands[0] = {0x1000'0000ull, panels * d.a_panel * d.row_blocks,
-                   panels * d.a_panel, 0};
+  g.operands[0] = {0x1000'0000ull, panels * c.a_panel * d.row_blocks,
+                   panels * c.a_panel, 0};
   // B: private per column-block, shared across row-blocks.
   g.operands[1] = {0x4000'0000ull,
-                   panels * d.b_panel * d.col_blocks, 0, panels * d.b_panel};
+                   panels * c.b_panel * d.col_blocks, 0, panels * c.b_panel};
   // A2 (fp32 duplicate): same topology as A1.
-  g.operands[2] = {0x8000'0000ull, panels * d.a2_panel * d.row_blocks,
-                   panels * d.a2_panel, 0};
+  g.operands[2] = {0x8000'0000ull, panels * c.a2_panel * d.row_blocks,
+                   panels * c.a2_panel, 0};
   // Output: disjoint per block.
   const std::uint64_t out_block =
       static_cast<std::uint64_t>(plan.tile_m) * plan.total_cols() * 4;
@@ -302,38 +365,39 @@ sim::GridGeom gemm_grid_geom(const GemmShape& shape, const GemmBlockPlan& plan,
   return g;
 }
 
-sim::KernelSpec build_gemm_kernel(const GemmShape& shape,
-                                  const GemmBlockPlan& plan,
-                                  const arch::OrinSpec& spec,
-                                  const arch::Calibration& calib) {
-  VITBIT_CHECK(shape.m >= 1 && shape.k >= 1 && shape.n >= 1 &&
-               shape.batch >= 1);
-  VITBIT_CHECK_MSG(plan.total_cols() > 0, "GEMM plan assigns no columns");
-  VITBIT_CHECK(plan.tile_m >= 1 && plan.tile_k >= 1);
-  if (plan.pack_int) VITBIT_CHECK(plan.pack_factor >= 2);
-
-  const int warp_size = spec.warp_size;
+sim::KernelSpec build_gemm_block(const GemmBlockPlan& plan, int panels,
+                                 const arch::OrinSpec& spec,
+                                 const arch::Calibration& calib) {
+  check_plan(plan);
+  VITBIT_CHECK(panels >= 1);
   const int tile_k = plan.tile_k;
   const int total_warps = plan.total_warps();
-  VITBIT_CHECK(total_warps >= 1);
-  const GemmDerived d = derive_gemm(shape, plan, spec);
-  const int panels = d.panels;
+  const BlockResources res = block_resources(plan, spec);
+  const PanelLayout d = panel_layout(plan);
 
   sim::KernelSpec kernel;
-  double smem_bytes = 0.0;
-  int max_accs = 1;
+  kernel.regs_per_thread = res.regs_per_thread;
+  kernel.smem_bytes = res.smem_bytes;
   int global_slot = 0;  // block-wide warp index: partitions the shared A tile
 
-  // Emits `count` warps of class `p`; stage 0 is always the block-shared A
-  // tile (global slot), later stages are class-private (local slot).
-  auto emit_warps = [&](WarpParams p, int count) {
+  // Emits `count` warps of class `p` sharing one program. A warp's operand
+  // offsets select its slices: the block-shared A tile (stage 0) by global
+  // slot, class-private stages by local slot, the output by global slot.
+  auto emit_warps = [&](const WarpParams& p, int count) {
+    const ProgramPtr program = build_warp(p, panels, tile_k);
     for (int w = 0; w < count; ++w) {
-      WarpParams inst = p;
-      for (std::size_t si = 0; si < inst.stages.size(); ++si)
-        inst.stages[si].slot = si == 0 ? global_slot : w;
-      inst.out_offset =
-          static_cast<std::uint32_t>(global_slot) * inst.stg_count * 128;
-      kernel.block_warps.push_back(build_warp(inst, panels, tile_k));
+      // A class stages each operand at most once: one offset per operand.
+      sim::OperandOffsets offsets{};
+      for (std::size_t si = 0; si < p.stages.size(); ++si) {
+        const StagePlan& s = p.stages[si];
+        if (s.ldg_count == 0) continue;
+        VITBIT_CHECK(s.operand < sim::kNumOperands);
+        const int slot = si == 0 ? global_slot : w;
+        offsets[s.operand] = static_cast<std::uint32_t>(slot) * s.warp_bytes;
+      }
+      offsets[3] = static_cast<std::uint32_t>(global_slot) * p.stg_count * 128;
+      kernel.block_warps.push_back(program);
+      kernel.warp_operand_offsets.push_back(offsets);
       ++global_slot;
     }
   };
@@ -358,19 +422,12 @@ sim::KernelSpec build_gemm_kernel(const GemmShape& shape,
     p.stg_count = static_cast<std::uint32_t>(ceil_div(
         plan.tile_m * plan.tc_cols / plan.tc_warps, 128));
     emit_warps(p, plan.tc_warps);
-    smem_bytes += 2.0 * (static_cast<double>(plan.tile_m) * tile_k +
-                         static_cast<double>(tile_k) * plan.tc_cols);
-    max_accs = std::max(max_accs, 8);
   }
 
   // ---- INT CUDA-core warps ----
   if (plan.int_cols > 0) {
     WarpParams p;
-    const int reg_cols =
-        plan.pack_int ? ceil_div(plan.int_cols, plan.pack_factor)
-                      : plan.int_cols;
-    const int accs =
-        std::max(1, plan.tile_m * reg_cols / (warp_size * plan.int_warps));
+    const int accs = res.int_accs;
     p.macs_per_step = accs;
     p.overhead_per_step = calib.cc_overhead_per_kstep;
     p.lds_per_step = calib.cc_lds_per_kstep;
@@ -381,28 +438,20 @@ sim::KernelSpec build_gemm_kernel(const GemmShape& shape,
     p.stages.push_back(stage_share(
         static_cast<double>(plan.tile_m) * tile_k, total_warps,
         calib.a_operand_l2_derate, true, /*operand=*/0, 0, d.a_panel));
-    // Packed B1 occupies int_cols/pack_factor registers worth of bytes.
-    const double b1_bytes =
-        plan.pack_int
-            ? static_cast<double>(tile_k) * reg_cols * 4
-            : static_cast<double>(tile_k) * plan.int_cols;
-    p.stages.push_back(stage_share(b1_bytes, plan.int_warps,
+    p.stages.push_back(stage_share(b1_panel_bytes(plan), plan.int_warps,
                                    calib.b_operand_l2_derate, true,
                                    /*operand=*/1, d.b1_off, d.b_panel));
     p.requant_ops = accs * 2;
     p.stg_count = static_cast<std::uint32_t>(
         ceil_div(plan.tile_m * plan.int_cols / plan.int_warps, 128));
     emit_warps(p, plan.int_warps);
-    smem_bytes += 2.0 * b1_bytes;
-    max_accs = std::max(max_accs, accs);
   }
 
   // ---- FP CUDA-core warps ----
   if (plan.fp_cols > 0) {
     WarpParams p;
     p.fp_class = true;
-    const int accs =
-        std::max(1, plan.tile_m * plan.fp_cols / (warp_size * plan.fp_warps));
+    const int accs = res.fp_accs;
     p.macs_per_step = accs;
     p.overhead_per_step = calib.cc_overhead_per_kstep;
     p.lds_per_step = calib.cc_lds_per_kstep;
@@ -417,7 +466,6 @@ sim::KernelSpec build_gemm_kernel(const GemmShape& shape,
           static_cast<double>(tile_k) * plan.fp_cols, plan.fp_warps,
           calib.b_operand_l2_derate, true, /*operand=*/1, d.b2_off,
           d.b_panel));
-      smem_bytes += 2.0 * tile_k * plan.fp_cols;
     } else {
       // VitBit preprocessing: B2 and the duplicated A2 arrive as fp32.
       // A2 has little intra-block reuse over a narrow FP slice, so it
@@ -430,20 +478,23 @@ sim::KernelSpec build_gemm_kernel(const GemmShape& shape,
           static_cast<double>(tile_k) * plan.fp_cols * 4, plan.fp_warps,
           calib.b_operand_l2_derate, true, /*operand=*/1, d.b2_off,
           d.b_panel));
-      smem_bytes += 2.0 * static_cast<double>(tile_k) * plan.fp_cols * 4;
     }
     // FP results convert back to INT for the next layer (F2I + shift).
     p.requant_ops = accs * 2;
     p.stg_count = static_cast<std::uint32_t>(
         ceil_div(plan.tile_m * plan.fp_cols / plan.fp_warps, 128));
     emit_warps(p, plan.fp_warps);
-    max_accs = std::max(max_accs, accs);
   }
+  return kernel;
+}
 
-  kernel.grid_blocks = d.row_blocks * d.col_blocks * shape.batch * d.split_k;
-  kernel.regs_per_thread = std::min(255, max_accs + 24);
-  kernel.smem_bytes = static_cast<int>(
-      std::min<double>(smem_bytes, spec.smem_bytes_per_sm));
+sim::KernelSpec build_gemm_kernel(const GemmShape& shape,
+                                  const GemmBlockPlan& plan,
+                                  const arch::OrinSpec& spec,
+                                  const arch::Calibration& calib) {
+  const GemmGeometry g = gemm_geometry(shape, plan, spec);
+  sim::KernelSpec kernel = build_gemm_block(plan, g.panels, spec, calib);
+  kernel.grid_blocks = g.kernel.grid_blocks;
   return kernel;
 }
 

@@ -19,6 +19,8 @@
 //   VitBit    {tc_cols=64, int_cols=X, fp_cols=Y, pack_int=true}
 #pragma once
 
+#include <compare>
+
 #include "arch/calibration.h"
 #include "arch/orin_spec.h"
 #include "sim/gpu_sim.h"
@@ -59,11 +61,37 @@ struct GemmBlockPlan {
     return (tc_cols > 0 ? tc_warps : 0) + (int_cols > 0 ? int_warps : 0) +
            (fp_cols > 0 ? fp_warps : 0);
   }
+
+  // Field-wise equality, plus an order for keyed containers.
+  auto operator<=>(const GemmBlockPlan&) const = default;
 };
 
-// Builds the simulator kernel for `plan` applied to `shape`. The emitted
-// traces carry operand addresses, so the kernel runs under both the
-// calibrated single-SM launcher and the multi-SM L2 simulation.
+// Launch geometry of `plan` over `shape`, computed without emitting a
+// trace: the output-tile grid, split-K, and the K-panels each block
+// streams — the only way the shape reaches a block's trace.
+struct GemmGeometry {
+  int row_blocks = 1;
+  int col_blocks = 1;
+  int split_k = 1;
+  int panels = 1;  // K-panels per block, after split-K
+  sim::KernelGeometry kernel;
+};
+
+GemmGeometry gemm_geometry(const GemmShape& shape, const GemmBlockPlan& plan,
+                           const arch::OrinSpec& spec);
+
+// One thread block of `plan` streaming `panels` K-panels: one program per
+// warp class, each warp's operand slice in its operand offsets. A pure
+// function of (plan, panels) for a fixed spec and calibration. Returned as
+// a one-block kernel (grid_blocks = 1).
+sim::KernelSpec build_gemm_block(const GemmBlockPlan& plan, int panels,
+                                 const arch::OrinSpec& spec,
+                                 const arch::Calibration& calib);
+
+// Builds the simulator kernel for `plan` applied to `shape`: the block of
+// build_gemm_block over the grid of gemm_geometry. The emitted traces
+// carry operand addresses, so the kernel runs under both the calibrated
+// single-SM launcher and the multi-SM L2 simulation.
 sim::KernelSpec build_gemm_kernel(const GemmShape& shape,
                                   const GemmBlockPlan& plan,
                                   const arch::OrinSpec& spec,

@@ -1,6 +1,7 @@
 #include "vitbit/pipeline.h"
 
-#include <functional>
+#include <compare>
+#include <map>
 #include <unordered_map>
 
 #include "arch/energy_model.h"
@@ -70,13 +71,6 @@ CallKey make_key(Strategy s, const nn::KernelCall& call) {
                  call.n, call.batch, call.elems};
 }
 
-// One simulation task for a cache miss; exactly one of the plans is live,
-// selected by the miss's kernel kind.
-struct Candidate {
-  trace::GemmBlockPlan gemm;
-  trace::ElementwisePlan elementwise;
-};
-
 // Auto-tune candidates for a fused GEMM, in the serial sweep order (paper
 // Section 3.2: the assignment ratio comes from measured execution time).
 // Candidate 0 is the pure tensor-core block; the rest try CUDA slices,
@@ -120,37 +114,84 @@ std::vector<trace::GemmBlockPlan> fused_gemm_candidates(
   return plans;
 }
 
-// Candidates for one cache miss, in the order the serial sweep tried them
-// (the reduction tie-breaks on this order, so it must be stable).
-std::vector<Candidate> candidates_for(Strategy strategy,
-                                      const nn::KernelCall& call,
-                                      const StrategyConfig& config,
-                                      const arch::Calibration& calib) {
-  std::vector<Candidate> out;
-  if (call.kind == nn::KernelKind::kGemm) {
-    const bool fused = strategy == Strategy::kTacker ||
-                       strategy == Strategy::kTCICFC ||
-                       strategy == Strategy::kVitBit;
-    if (fused && config.auto_tune_fused_cols) {
-      for (auto& plan : fused_gemm_candidates(strategy, config, calib))
-        out.push_back({plan, {}});
-    } else {
-      out.push_back({gemm_plan_for(strategy, config, calib), {}});
+// The exact input of one single-SM simulation, for the spec and
+// calibration of one time_inferences call: a GEMM block trace is a pure
+// function of its plan and K-panel count, an elementwise block trace of
+// its plan without the extent, and the SM holds `resident` copies.
+struct SliceKey {
+  bool gemm = true;
+  trace::GemmBlockPlan gemm_plan;       // GEMM slices
+  int panels = 0;                       // GEMM slices
+  trace::ElementwiseBlockPlan ew_plan;  // elementwise slices
+  int resident = 0;
+
+  auto operator<=>(const SliceKey&) const = default;
+};
+
+// The one-block kernel a slice simulates.
+sim::KernelSpec build_slice(const SliceKey& key, const arch::OrinSpec& spec,
+                            const arch::Calibration& calib) {
+  if (key.gemm)
+    return trace::build_gemm_block(key.gemm_plan, key.panels, spec, calib);
+  return trace::build_elementwise_block(key.ew_plan, spec, calib);
+}
+
+// One (job, CallKey, candidate): the slice it simulates and the geometry
+// that extrapolates the slice to its grid.
+struct Task {
+  std::uint32_t slice = 0;
+  sim::LaunchGeometry geometry;
+};
+
+// A job's distinct CallKeys ("misses", in first-appearance order) and the
+// range of tasks each one reduces over.
+struct JobMisses {
+  std::unordered_map<CallKey, std::size_t, CallKeyHash> index;
+  std::vector<const nn::KernelCall*> misses;
+  std::vector<std::size_t> task_begin;  // misses.size() + 1 entries
+};
+
+// Per-kernel timings in log order from the winning launch of each miss.
+InferenceTiming assemble(const nn::KernelLog& log, Strategy strategy,
+                         const JobMisses& job,
+                         const std::vector<sim::LaunchResult>& best,
+                         const arch::OrinSpec& spec) {
+  InferenceTiming out;
+  out.strategy = strategy;
+  for (const auto& call : log.calls()) {
+    const sim::LaunchResult& r = best[job.index.at(make_key(strategy, call))];
+    KernelTiming t;
+    t.name = call.name;
+    t.kind = call.kind;
+    t.cycles = r.total_cycles;
+    t.instructions = r.grid_instructions;
+    {
+      // Energy: dynamic unit + DRAM energy scaled from the simulated SM
+      // slice to the whole grid, plus base power over the kernel duration.
+      const arch::EnergyModel energy;
+      const double dyn_nj =
+          (energy.sm_dynamic_nj(r.sm) +
+           energy.dram_nj_per_byte * static_cast<double>(r.sm.dram_bytes)) *
+          r.grid_scale();
+      const double stat_nj =
+          energy.static_nj(spec, static_cast<double>(r.total_cycles));
+      t.energy_mj = (dyn_nj + stat_nj) * 1e-6;
     }
-    return out;
-  }
-  const bool tunable =
-      strategy == Strategy::kICFC || strategy == Strategy::kVitBit;
-  if (tunable && config.auto_tune_fused_cols) {
-    // Balance the element split between the pipes by measurement, exactly
-    // like the GEMM ratio (Section 3.2 methodology).
-    for (const double f : {0.25, 1.0 / 3.0, 0.4, 0.5, 0.6}) {
-      auto plan = elementwise_plan_for(strategy, call, config, calib);
-      plan.fp_fraction = f;
-      out.push_back({{}, plan});
-    }
-  } else {
-    out.push_back({{}, elementwise_plan_for(strategy, call, config, calib)});
+    t.ipc = r.sm.ipc();
+    t.sm = r.sm;
+    t.int_util =
+        r.sm.utilization(sim::ExecUnit::kIntPipe, spec.subcores_per_sm);
+    t.fp_util =
+        r.sm.utilization(sim::ExecUnit::kFpPipe, spec.subcores_per_sm);
+    t.tc_util = r.sm.utilization(sim::ExecUnit::kTensor, spec.subcores_per_sm);
+    out.total_cycles += t.cycles;
+    out.total_instructions += t.instructions;
+    out.total_energy_mj += t.energy_mj;
+    if (call.kind == nn::KernelKind::kGemm)
+      out.gemm_cycles += t.cycles;
+    else
+      out.cuda_cycles += t.cycles;
+    out.kernels.push_back(std::move(t));
   }
   return out;
 }
@@ -190,103 +231,138 @@ double InferenceTiming::gemm_ops_per_cycle(const nn::KernelLog& log) const {
          static_cast<double>(gemm_cycles);
 }
 
+std::vector<trace::GemmBlockPlan> gemm_candidates(
+    Strategy strategy, const StrategyConfig& config,
+    const arch::Calibration& calib) {
+  const bool fused = strategy == Strategy::kTacker ||
+                     strategy == Strategy::kTCICFC ||
+                     strategy == Strategy::kVitBit;
+  if (fused && config.auto_tune_fused_cols)
+    return fused_gemm_candidates(strategy, config, calib);
+  return {gemm_plan_for(strategy, config, calib)};
+}
+
+std::vector<trace::ElementwisePlan> elementwise_candidates(
+    Strategy strategy, const nn::KernelCall& call,
+    const StrategyConfig& config, const arch::Calibration& calib) {
+  const auto plan = elementwise_plan_for(strategy, call, config, calib);
+  const bool tunable =
+      strategy == Strategy::kICFC || strategy == Strategy::kVitBit;
+  if (!tunable || !config.auto_tune_fused_cols) return {plan};
+  // Balance the element split between the pipes by measurement, exactly
+  // like the GEMM ratio (Section 3.2 methodology).
+  std::vector<trace::ElementwisePlan> out;
+  for (const double f : {0.25, 1.0 / 3.0, 0.4, 0.5, 0.6}) {
+    out.push_back(plan);
+    out.back().fp_fraction = f;
+  }
+  return out;
+}
+
+std::vector<InferenceTiming> time_inferences(
+    const std::vector<InferenceJob>& jobs, const arch::OrinSpec& spec,
+    const arch::Calibration& calib, ThreadPool* pool) {
+  // Phase 1 (serial, trace-free): per job, the distinct CallKeys; per
+  // CallKey, each candidate's launch geometry and slice key. Slices are
+  // numbered in order of first appearance.
+  std::vector<JobMisses> job_misses(jobs.size());
+  std::vector<SliceKey> slices;
+  std::vector<Task> tasks;
+  {
+    std::map<SliceKey, std::uint32_t> slice_ids;
+    const auto add_task = [&](const SliceKey& key,
+                              const sim::LaunchGeometry& geometry) {
+      const auto [it, fresh] = slice_ids.emplace(
+          key, static_cast<std::uint32_t>(slices.size()));
+      if (fresh) slices.push_back(key);
+      tasks.push_back({it->second, geometry});
+    };
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const InferenceJob& job = jobs[j];
+      VITBIT_CHECK_MSG(job.log != nullptr, "inference job without a log");
+      JobMisses& jm = job_misses[j];
+      for (const auto& call : job.log->calls()) {
+        const CallKey key = make_key(job.strategy, call);
+        if (jm.index.emplace(key, jm.misses.size()).second)
+          jm.misses.push_back(&call);
+      }
+      const auto gemm_plans = gemm_candidates(job.strategy, job.config, calib);
+      for (const nn::KernelCall* call : jm.misses) {
+        jm.task_begin.push_back(tasks.size());
+        SliceKey key;
+        if (call->kind == nn::KernelKind::kGemm) {
+          const trace::GemmShape shape{call->m, call->k, call->n, call->batch};
+          for (const auto& plan : gemm_plans) {
+            const auto g = trace::gemm_geometry(shape, plan, spec);
+            const auto launch = sim::launch_geometry(g.kernel, spec);
+            key.gemm_plan = plan;
+            key.panels = g.panels;
+            key.resident = launch.resident_blocks;
+            add_task(key, launch);
+          }
+          continue;
+        }
+        key.gemm = false;
+        for (const auto& plan :
+             elementwise_candidates(job.strategy, *call, job.config, calib)) {
+          const auto launch = sim::launch_geometry(
+              trace::elementwise_geometry(plan, spec), spec);
+          key.ew_plan = plan;
+          key.resident = launch.resident_blocks;
+          add_task(key, launch);
+        }
+      }
+      jm.task_begin.push_back(tasks.size());
+    }
+  }
+
+  // Phase 2: one simulation per distinct slice, the one flat fan-out. Each
+  // worker builds its slice's block, simulates it and drops it.
+  const auto stats = parallel_map(pool, slices.size(), [&](std::size_t i) {
+    const SliceKey& key = slices[i];
+    return sim::simulate_sm(build_slice(key, spec, calib), key.resident, spec,
+                            calib);
+  });
+
+  // Phase 3: extrapolate every task, keep each CallKey's fastest candidate
+  // with a (cycles, candidate-order) tie-break, assemble in log order.
+  std::vector<InferenceTiming> out;
+  out.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const JobMisses& jm = job_misses[j];
+    std::vector<sim::LaunchResult> best(jm.misses.size());
+    for (std::size_t mi = 0; mi < jm.misses.size(); ++mi) {
+      const std::size_t begin = jm.task_begin[mi];
+      const std::size_t end = jm.task_begin[mi + 1];
+      VITBIT_CHECK(begin < end);
+      for (std::size_t t = begin; t < end; ++t) {
+        const Task& task = tasks[t];
+        auto r = sim::extrapolate(task.geometry, stats[task.slice], calib);
+        if (t == begin || r.total_cycles < best[mi].total_cycles)
+          best[mi] = std::move(r);
+      }
+    }
+    out.push_back(assemble(*jobs[j].log, jobs[j].strategy, jm, best, spec));
+  }
+  return out;
+}
+
+std::vector<InferenceJob> strategy_jobs(const nn::KernelLog& log,
+                                        std::span<const Strategy> strategies,
+                                        const StrategyConfig& config) {
+  std::vector<InferenceJob> jobs;
+  jobs.reserve(strategies.size());
+  for (const auto s : strategies) jobs.push_back({&log, s, config});
+  return jobs;
+}
+
 InferenceTiming time_inference(const nn::KernelLog& log, Strategy strategy,
                                const StrategyConfig& config,
                                const arch::OrinSpec& spec,
                                const arch::Calibration& calib,
                                ThreadPool* pool) {
-  InferenceTiming out;
-  out.strategy = strategy;
-
-  // Phase 1: collect the distinct cache keys, in first-appearance order.
-  std::unordered_map<CallKey, std::size_t, CallKeyHash> cache;
-  std::vector<const nn::KernelCall*> misses;
-  for (const auto& call : log.calls()) {
-    if (cache.emplace(make_key(strategy, call), misses.size()).second)
-      misses.push_back(&call);
-  }
-
-  // Phase 2: simulate every miss. The (miss, candidate) pairs are
-  // flattened into one task list so a log with few distinct shapes still
-  // saturates the pool, then each miss reduces over its candidate range
-  // with a (cycles, candidate-order) tie-break — bit-identical to the
-  // serial sweep for any pool size.
-  struct Task {
-    std::size_t miss = 0;
-    Candidate candidate;
-  };
-  std::vector<Task> tasks;
-  std::vector<std::size_t> task_begin(misses.size() + 1, 0);
-  for (std::size_t mi = 0; mi < misses.size(); ++mi) {
-    task_begin[mi] = tasks.size();
-    for (auto& c : candidates_for(strategy, *misses[mi], config, calib))
-      tasks.push_back({mi, std::move(c)});
-  }
-  task_begin[misses.size()] = tasks.size();
-
-  const std::vector<sim::LaunchResult> simulated =
-      parallel_map(pool, tasks.size(), [&](std::size_t t) {
-        const Task& task = tasks[t];
-        const nn::KernelCall& call = *misses[task.miss];
-        if (call.kind == nn::KernelKind::kGemm) {
-          const trace::GemmShape shape{call.m, call.k, call.n, call.batch};
-          return sim::launch_kernel(
-              trace::build_gemm_kernel(shape, task.candidate.gemm, spec,
-                                       calib),
-              spec, calib);
-        }
-        return sim::launch_kernel(
-            trace::build_elementwise_kernel(task.candidate.elementwise, spec,
-                                            calib),
-            spec, calib);
-      });
-
-  std::vector<sim::LaunchResult> best(misses.size());
-  for (std::size_t mi = 0; mi < misses.size(); ++mi) {
-    VITBIT_CHECK(task_begin[mi] < task_begin[mi + 1]);
-    best[mi] = simulated[task_begin[mi]];
-    for (std::size_t t = task_begin[mi] + 1; t < task_begin[mi + 1]; ++t)
-      if (simulated[t].total_cycles < best[mi].total_cycles)
-        best[mi] = simulated[t];
-  }
-
-  // Phase 3: assemble per-kernel timings in log order.
-  for (const auto& call : log.calls()) {
-    const sim::LaunchResult& r = best[cache.at(make_key(strategy, call))];
-    KernelTiming t;
-    t.name = call.name;
-    t.kind = call.kind;
-    t.cycles = r.total_cycles;
-    t.instructions = r.grid_instructions;
-    {
-      // Energy: dynamic unit + DRAM energy scaled from the simulated SM
-      // slice to the whole grid, plus base power over the kernel duration.
-      const arch::EnergyModel energy;
-      const double dyn_nj =
-          (energy.sm_dynamic_nj(r.sm) +
-           energy.dram_nj_per_byte * static_cast<double>(r.sm.dram_bytes)) *
-          r.grid_scale();
-      const double stat_nj =
-          energy.static_nj(spec, static_cast<double>(r.total_cycles));
-      t.energy_mj = (dyn_nj + stat_nj) * 1e-6;
-    }
-    t.ipc = r.sm.ipc();
-    t.sm = r.sm;
-    t.int_util =
-        r.sm.utilization(sim::ExecUnit::kIntPipe, spec.subcores_per_sm);
-    t.fp_util =
-        r.sm.utilization(sim::ExecUnit::kFpPipe, spec.subcores_per_sm);
-    t.tc_util = r.sm.utilization(sim::ExecUnit::kTensor, spec.subcores_per_sm);
-    out.total_cycles += t.cycles;
-    out.total_instructions += t.instructions;
-    out.total_energy_mj += t.energy_mj;
-    if (call.kind == nn::KernelKind::kGemm)
-      out.gemm_cycles += t.cycles;
-    else
-      out.cuda_cycles += t.cycles;
-    out.kernels.push_back(std::move(t));
-  }
-  return out;
+  auto timings = time_inferences({{&log, strategy, config}}, spec, calib, pool);
+  return std::move(timings.front());
 }
 
 }  // namespace vitbit::core

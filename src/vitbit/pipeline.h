@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,8 @@
 #include "arch/orin_spec.h"
 #include "nn/kernel_log.h"
 #include "sim/launcher.h"
+#include "trace/elementwise_traces.h"
+#include "trace/gemm_traces.h"
 #include "vitbit/strategy.h"
 
 namespace vitbit {
@@ -71,9 +74,10 @@ struct InferenceTiming {
   double gemm_ops_per_cycle(const nn::KernelLog& log) const;
 };
 
-// Simulation-cache key: one distinct (strategy, kernel-shape) pair. The
-// timing of a kernel depends on nothing else, so identical calls (the 12
-// identical ViT layers) cost one simulation each.
+// Simulation-cache key: one distinct (strategy, kernel-shape) pair. Within
+// one job the timing of a kernel depends on nothing else, so identical
+// calls (the 12 identical ViT layers) are timed once. It carries no
+// config, so it is only a key within one job.
 struct CallKey {
   Strategy strategy = Strategy::kTC;
   nn::KernelKind kind = nn::KernelKind::kGemm;
@@ -88,16 +92,53 @@ struct CallKeyHash {
   std::size_t operator()(const CallKey& key) const;
 };
 
-// Times every kernel of `log` under `strategy`. Results for identical
-// (strategy, kernel-shape) pairs are cached internally, so the 12 identical
-// ViT layers cost one simulation each.
+// The block plans timed for one GEMM / elementwise kernel under
+// `strategy`, in the order the per-kernel reduction tie-breaks on: one
+// plan, or the auto-tune sweep when config.auto_tune_fused_cols is on
+// (fused GEMMs sweep CUDA slices, warp splits and block geometries;
+// IC+FC and VitBit elementwise kernels sweep the FP-path share).
+std::vector<trace::GemmBlockPlan> gemm_candidates(
+    Strategy strategy, const StrategyConfig& config,
+    const arch::Calibration& calib);
+std::vector<trace::ElementwisePlan> elementwise_candidates(
+    Strategy strategy, const nn::KernelCall& call,
+    const StrategyConfig& config, const arch::Calibration& calib);
+
+// One kernel log to time under one strategy and config.
+struct InferenceJob {
+  const nn::KernelLog* log = nullptr;
+  Strategy strategy = Strategy::kTC;
+  StrategyConfig config;
+};
+
+// Times every kernel of every job; result i belongs to jobs[i].
 //
-// Runs in two phases: the distinct CallKeys of the log are collected first,
-// then every cache miss (and every auto-tune candidate within a miss) is
-// simulated via `pool`, and per-kernel timings are assembled in log order.
-// Candidate selection tie-breaks on (cycles, then candidate order), so the
-// result is bit-identical for every pool size, including `pool == nullptr`
-// (serial, the default).
+// Each job's distinct CallKeys are collected first; each is timed as the
+// fastest of its candidate plans (ties go to the earlier candidate). A
+// candidate's timing is one single-SM simulation ("slice": the block's
+// warp programs at the launch's resident block count) extrapolated to its
+// grid. Slices are keyed exactly by the inputs that determine them — the
+// block plan, the GEMM's K-panels after split-K, the resident count — and
+// each distinct slice across all jobs is simulated once: the same K-panel
+// block recurs across GEMM shapes and batch sizes, an elementwise block
+// never depends on its extent, and every fused strategy's tuner tries the
+// pure tensor-core block. The distinct slices, numbered in order of first
+// appearance, are the one flat fan-out over `pool`; traces are built only
+// for them, inside the worker that simulates them.
+//
+// The result is bit-identical to timing each job alone, for every pool
+// size including `pool == nullptr` (serial). Nothing is cached across
+// calls.
+std::vector<InferenceTiming> time_inferences(
+    const std::vector<InferenceJob>& jobs, const arch::OrinSpec& spec,
+    const arch::Calibration& calib, ThreadPool* pool = nullptr);
+
+// One job per strategy over the same log and config, in `strategies` order.
+std::vector<InferenceJob> strategy_jobs(const nn::KernelLog& log,
+                                        std::span<const Strategy> strategies,
+                                        const StrategyConfig& config);
+
+// time_inferences for a single job.
 InferenceTiming time_inference(const nn::KernelLog& log, Strategy strategy,
                                const StrategyConfig& config,
                                const arch::OrinSpec& spec,

@@ -84,15 +84,9 @@ report::RunReport build_report(const Figure& fig, const nn::KernelLog& log,
   rep.meta["model"] = "vit";
   rep.meta["layers"] = std::to_string(layers);
   rep.threads = pool.size();
-  // Strategy replays are independent; fan them out (each replay fans its
-  // own candidate sweeps out too when it runs on an idle pool).
-  rep.strategies = parallel_map(
-      &pool, fig.strategies.size(), [&](std::size_t i) {
-        const auto r =
-            core::time_inference(log, fig.strategies[i], cfg, spec, calib,
-                                 &pool);
-        return report::make_strategy_report(r, spec);
-      });
+  for (const auto& r : core::time_inferences(
+           core::strategy_jobs(log, fig.strategies, cfg), spec, calib, &pool))
+    rep.strategies.push_back(report::make_strategy_report(r, spec));
   if (fig.with_l2) {
     // One addressed multi-SM run so L2 hit/miss behaviour is gated too.
     const trace::GemmShape shape{197, 768, 256, 1};
