@@ -56,10 +56,8 @@ void BM_GemmPackedAdaptive(benchmark::State& state) {
   fill_gaussian_clipped(a, rng, 14.0, -127, 127);
   const auto b = random_mat(n, n, -128, 127, 5);
   const swar::PackedMatrix packed(b, kLayout);
-  swar::PackedGemmOptions opt;
-  opt.validate_bounds = false;  // adaptive tiles are provably exact
   for (auto _ : state) {
-    auto c = swar::gemm_packed(a, packed, opt);
+    auto c = swar::gemm_packed(a, packed);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);

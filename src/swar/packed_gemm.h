@@ -3,6 +3,18 @@
 // multiply-accumulate — exactly the IMAD a GPU INT core would execute — and
 // lane spills/corrections follow the tile policy. This is the ground-truth
 // implementation the timing model's instruction accounting mirrors.
+//
+// Every call checks lane bounds exactly: beside the wrapping MAC, an exact
+// shadow of each lane's physical prefix sum flags any step at which a lane
+// left its field (PackedGemmStats::overflow_tiles). Two loops compute it:
+//  * VITBIT_GEMM=ref — the column-major oracle: one packed column at a
+//    time, every lane decoded and compared in int64 at every step.
+//  * every other engine — tile-major: per row and accumulation tile, the
+//    MAC runs across the whole row of packed columns (swar_mac_span) and
+//    the shadow across the row of (packed column x lane) values
+//    (swar_lane_shadow_span, int32 where a per-tile bound proves it
+//    cannot wrap, int64 otherwise), both vectorized on AVX2 machines.
+// Both produce the same output, the same stats and the same CheckErrors.
 #pragma once
 
 #include <cstdint>
@@ -28,16 +40,15 @@ struct PackedGemmStats {
 };
 
 struct PackedGemmOptions {
+  // Where accumulation tiles end. An adaptive tile that violates a lane
+  // bound throws CheckError ("adaptive tiles must never violate lane
+  // bounds"); fixed-period tiles may violate and are counted.
   TilePolicy tile;
   // In fixed-period mode, replace a violated tile's lanes with the exact
-  // values (models a saturation-detect-and-replay fallback). If false, the
-  // wrapped (corrupted) lane values are kept — used by tests to demonstrate
-  // what overflow does.
+  // shadow values (models a saturation-detect-and-replay fallback). If
+  // false, the wrapped (corrupted) lane values are kept — used by tests to
+  // demonstrate what overflow does.
   bool fallback_on_overflow = true;
-  // Track exact shadow sums to detect lane-bound violations. Adaptive tiles
-  // cannot violate by construction, so pipelines may disable this to skip
-  // the shadow bookkeeping (fixed-period mode always validates).
-  bool validate_bounds = true;
 };
 
 // A is MxK (values must fit layout.scalar_bits); B is the packed KxN operand.

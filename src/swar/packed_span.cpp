@@ -212,4 +212,48 @@ void swar_mac_span(std::span<std::uint32_t> acc, std::uint32_t enc,
   for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += enc * words[i];
 }
 
+void swar_lane_shadow_span(std::span<const std::int32_t> scalars,
+                           std::span<const std::int32_t> lane_panels,
+                           std::size_t panel_stride,
+                           std::span<const std::int32_t> lo,
+                           std::span<const std::int32_t> hi,
+                           std::span<std::int32_t> sums,
+                           std::span<std::int32_t> violated) {
+  const std::size_t cols = lo.size();
+  constexpr auto kPanel = static_cast<std::size_t>(kShadowPanel);
+  VITBIT_CHECK(cols % kPanel == 0 && hi.size() == cols &&
+               sums.size() == cols && violated.size() == cols);
+  const std::size_t panel_len = scalars.size() * kPanel;
+  VITBIT_CHECK(cols == 0 ||
+               (panel_stride >= panel_len &&
+                (cols / kPanel - 1) * panel_stride + panel_len <=
+                    lane_panels.size()));
+#if defined(VITBIT_SIMD_HAVE_AVX2)
+  if (avx2_active()) {
+    detail::lane_shadow_i32_span_avx2(scalars.data(), scalars.size(),
+                                      lane_panels.data(), panel_stride,
+                                      lo.data(), hi.data(), sums.data(),
+                                      violated.data(), cols);
+    return;
+  }
+#endif
+  for (std::size_t j = 0; j < cols; j += kPanel) {
+    std::int32_t s[kPanel] = {};
+    std::int32_t v[kPanel] = {};
+    const std::int32_t* row = lane_panels.data() + j / kPanel * panel_stride;
+    for (const std::int32_t e : scalars) {
+      for (std::size_t c = 0; c < kPanel; ++c) {
+        s[c] += e * row[c];
+        v[c] |= -static_cast<std::int32_t>(s[c] < lo[j + c] ||
+                                           s[c] > hi[j + c]);
+      }
+      row += kPanel;
+    }
+    for (std::size_t c = 0; c < kPanel; ++c) {
+      sums[j + c] = s[c];
+      violated[j + c] = v[c];
+    }
+  }
+}
+
 }  // namespace vitbit::swar

@@ -6,13 +6,17 @@
 // and every lower SIMD tier runs the scalar per-word primitives from
 // swar/pack.h and swar/packed_simd.h. Both paths compute the identical
 // wrapping 32-bit arithmetic, so results are lane-exact regardless of tier
-// (VITBIT_SIMD_LEVEL flips the implementation, never the answer).
+// (VITBIT_SIMD_LEVEL flips the implementation, never the answer). The two
+// kernels of gemm_packed's tile-major loop, swar_mac_span and
+// swar_lane_shadow_span, do not depend on the layout and run their AVX2
+// kernels for every layout.
 //
 // Debug builds always take the scalar path for the ops that carry
 // per-lane overflow/borrow VITBIT_CHECKs (add, sub, scalar_mul) so those
 // diagnostics are never skipped; the checks vanish in release either way.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -69,5 +73,30 @@ void swar_min_const_span(std::span<const std::uint32_t> a, std::uint32_t c,
 // are bit-identical by definition. Requires acc.size() == words.size().
 void swar_mac_span(std::span<std::uint32_t> acc, std::uint32_t enc,
                    std::span<const std::uint32_t> words);
+
+// Columns per panel of swar_lane_shadow_span's lane operand: the sums and
+// violation masks of one panel stay in two AVX2 registers per tile.
+inline constexpr int kShadowPanel = 16;
+
+// Exact lane-bound shadow of one accumulation tile — the check gemm_packed
+// runs beside swar_mac_span. Column j of the lane operand is one (packed
+// column, lane) pair holding that lane's *encoded* value; columns are
+// stored in panels of kShadowPanel, so column j's step-s entry is
+//   lane_panels[j / kShadowPanel * panel_stride + s * kShadowPanel
+//               + j % kShadowPanel].
+// Over steps s < scalars.size():
+//   sums[j]     = sum_s scalars[s] * entry(s, j)
+//   violated[j] = -1 if any prefix of that sum left [lo[j], hi[j]], else 0.
+// lo, hi, sums and violated all have the column count, a multiple of
+// kShadowPanel; every entry must lie inside lane_panels. The caller
+// guarantees every prefix fits int32 (sum_s |scalars[s]| * max|entry| <=
+// INT32_MAX), so the sums are exact.
+void swar_lane_shadow_span(std::span<const std::int32_t> scalars,
+                           std::span<const std::int32_t> lane_panels,
+                           std::size_t panel_stride,
+                           std::span<const std::int32_t> lo,
+                           std::span<const std::int32_t> hi,
+                           std::span<std::int32_t> sums,
+                           std::span<std::int32_t> violated);
 
 }  // namespace vitbit::swar

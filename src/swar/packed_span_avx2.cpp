@@ -261,4 +261,35 @@ void mac_u32_span_avx2(std::uint32_t* acc, std::uint32_t enc,
   for (; i < n; ++i) acc[i] += enc * words[i];
 }
 
+void lane_shadow_i32_span_avx2(const std::int32_t* scalars, std::size_t steps,
+                               const std::int32_t* lane_panels,
+                               std::size_t panel_stride,
+                               const std::int32_t* lo, const std::int32_t* hi,
+                               std::int32_t* sums, std::int32_t* violated,
+                               std::size_t cols) {
+  const auto load = [](const std::int32_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  };
+  for (std::size_t j = 0; j < cols; j += 16, lane_panels += panel_stride) {
+    const __m256i lo0 = load(lo + j), lo1 = load(lo + j + 8);
+    const __m256i hi0 = load(hi + j), hi1 = load(hi + j + 8);
+    __m256i s0 = _mm256_setzero_si256(), s1 = _mm256_setzero_si256();
+    __m256i v0 = _mm256_setzero_si256(), v1 = _mm256_setzero_si256();
+    const std::int32_t* row = lane_panels;
+    for (std::size_t s = 0; s < steps; ++s, row += 16) {
+      const __m256i e = _mm256_set1_epi32(scalars[s]);
+      s0 = _mm256_add_epi32(s0, _mm256_mullo_epi32(e, load(row)));
+      s1 = _mm256_add_epi32(s1, _mm256_mullo_epi32(e, load(row + 8)));
+      v0 = _mm256_or_si256(v0, _mm256_or_si256(_mm256_cmpgt_epi32(lo0, s0),
+                                                _mm256_cmpgt_epi32(s0, hi0)));
+      v1 = _mm256_or_si256(v1, _mm256_or_si256(_mm256_cmpgt_epi32(lo1, s1),
+                                                _mm256_cmpgt_epi32(s1, hi1)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums + j), s0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums + j + 8), s1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(violated + j), v0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(violated + j + 8), v1);
+  }
+}
+
 }  // namespace vitbit::swar::detail

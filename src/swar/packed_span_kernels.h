@@ -48,6 +48,15 @@ void min_lanes_span_avx2(const std::uint32_t* a, std::uint32_t word_c,
 // acc[i] += enc * words[i], wrapping uint32.
 void mac_u32_span_avx2(std::uint32_t* acc, std::uint32_t enc,
                        const std::uint32_t* words, std::size_t n);
+// swar_lane_shadow_span over `cols` columns (a multiple of 16): per
+// 16-column panel, the int32 sums and violation masks stay in registers
+// for all `steps` and are stored once.
+void lane_shadow_i32_span_avx2(const std::int32_t* scalars, std::size_t steps,
+                               const std::int32_t* lane_panels,
+                               std::size_t panel_stride,
+                               const std::int32_t* lo, const std::int32_t* hi,
+                               std::int32_t* sums, std::int32_t* violated,
+                               std::size_t cols);
 
 #endif  // VITBIT_SIMD_HAVE_AVX2
 

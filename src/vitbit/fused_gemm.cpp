@@ -44,8 +44,7 @@ MatrixI32 vitbit_gemm(const PreprocessedWeights& weights,
                          << k << " max|a|=" << max_a << " max|b|=" << max_b);
     // Dispatched float GEMM; exact under the bound just checked, so it
     // yields the same integers the FFMA accumulation chain would.
-    const MatrixF32 c2 =
-        gemm_f32(convert<float>(weights.a2), convert<float>(input.b2));
+    const MatrixF32 c2 = gemm_f32(weights.a2, input.b2);
     for (int r = 0; r < m; ++r) {
       for (int col = 0; col < n2; ++col) {
         const auto v =

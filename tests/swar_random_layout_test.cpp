@@ -1,24 +1,36 @@
 // Property tests over randomly generated lane layouts — not just the
 // paper's Fig. 3 policy points: any internally-consistent (lanes, field,
 // bitwidths, mode) combination must round-trip and produce exact GEMMs
-// with adaptive tiles.
+// with adaptive tiles, and the tile-major gemm_packed must match the
+// column-major VITBIT_GEMM=ref oracle at every SIMD tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "common/check.h"
 #include "common/rng.h"
 #include "swar/packed_gemm.h"
+#include "tensor/gemm_dispatch.h"
 #include "tensor/gemm_ref.h"
+#include "tensor/simd_level.h"
 
 namespace vitbit::swar {
 namespace {
 
-// Draws a random valid layout (resamples until valid()).
-LaneLayout random_layout(Rng& rng) {
+// Draws a random valid layout (resamples until valid()) with value and
+// scalar bitwidths up to `max_bits`.
+LaneLayout random_layout(Rng& rng, int max_bits = 10) {
   for (int attempt = 0; attempt < 1000; ++attempt) {
     LaneLayout l;
     l.num_lanes = static_cast<int>(rng.range(1, 4));
     l.field_bits = static_cast<int>(rng.range(4, 32 / l.num_lanes));
-    l.value_bits = static_cast<int>(rng.range(2, std::min(10, l.field_bits)));
-    l.scalar_bits = static_cast<int>(rng.range(2, 10));
+    l.value_bits =
+        static_cast<int>(rng.range(2, std::min(max_bits, l.field_bits)));
+    l.scalar_bits = static_cast<int>(rng.range(2, max_bits));
     const int mode = static_cast<int>(rng.range(0, 2));
     l.mode = mode == 0 ? LaneMode::kUnsigned
                        : (mode == 1 ? LaneMode::kOffset : LaneMode::kTopSigned);
@@ -108,6 +120,132 @@ TEST(RandomLayouts, WorstCasePeriodIsSafe) {
     ASSERT_EQ(stats.overflow_tiles, 0) << l.to_string();
     ASSERT_EQ(max_abs_diff(c, gemm_ref_int(a, b)), 0) << l.to_string();
   }
+}
+
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) { set_simd_level_override(level); }
+  ~ScopedSimdLevel() { clear_simd_level_override(); }
+};
+
+class ScopedEngine {
+ public:
+  explicit ScopedEngine(GemmEngine e) : saved_(default_gemm_engine()) {
+    set_default_gemm_engine(e);
+  }
+  ~ScopedEngine() { set_default_gemm_engine(saved_); }
+
+ private:
+  GemmEngine saved_;
+};
+
+// One gemm_packed call: its output and stats, or nullopt if it threw.
+struct PackedRun {
+  MatrixI32 c;
+  PackedGemmStats stats;
+};
+
+std::optional<PackedRun> run_packed(GemmEngine engine, const MatrixI32& a,
+                                    const PackedMatrix& b,
+                                    const PackedGemmOptions& opt) {
+  ScopedEngine use(engine);
+  PackedRun run;
+  try {
+    run.c = gemm_packed(a, b, opt, &run.stats);
+  } catch (const CheckError&) {
+    return std::nullopt;
+  }
+  return run;
+}
+
+// Tiles of `a` x `b` whose shadow bound, sum |encoded scalar| * max
+// |encoded lane value|, exceeds INT32_MAX: the tile-major loop runs their
+// shadow in int64.
+int int64_shadow_tiles(const MatrixI32& a, const PackedMatrix& b,
+                       const PackedGemmOptions& opt) {
+  const LaneLayout& l = b.layout();
+  std::int64_t max_lane = 0;
+  for (int k = 0; k < b.rows(); ++k)
+    for (int pc = 0; pc < b.packed_cols(); ++pc)
+      for (int lane = 0; lane < l.num_lanes; ++lane) {
+        const bool raw_top =
+            l.mode == LaneMode::kTopSigned && lane == l.num_lanes - 1;
+        const std::int64_t v = b.value(k, pc, lane);
+        const std::int64_t enc = raw_top ? v : v + l.zero_point();
+        max_lane = std::max(max_lane, std::abs(enc));
+      }
+  int tiles = 0;
+  for (int m = 0; m < a.rows(); ++m) {
+    int k0 = 0;
+    for (const int k1 : tile_boundaries(a.row(m), l, opt.tile)) {
+      std::int64_t weight = 0;
+      for (int k = k0; k < k1; ++k) weight += l.scalar_tile_weight(a.at(m, k));
+      tiles += weight * max_lane > INT32_MAX;
+      k0 = k1;
+    }
+  }
+  return tiles;
+}
+
+TEST(RandomLayouts, TileMajorGemmMatchesRefOracleAtEveryTier) {
+  // Seeded layouts of 1-4 lanes, value and scalar bits 2-16, all three
+  // lane modes; adaptive or fixed-period tiles, with and without the
+  // overflow fallback. The simd engine at every forced tier must equal the
+  // ref oracle in output, every stats field and whether it throws.
+  Rng rng(505);
+  std::int64_t overflow_tiles = 0, int64_tiles = 0;
+  int throw_cases = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto l = random_layout(rng, /*max_bits=*/16);
+    const int m = static_cast<int>(rng.range(1, 6));
+    const int k = static_cast<int>(rng.range(1, 300));
+    // Every fourth case keeps n at or below the lane count.
+    const int n = static_cast<int>(
+        trial % 4 == 0 ? rng.range(1, l.num_lanes) : rng.range(1, 40));
+    MatrixI32 a(m, k), b(k, n);
+    fill_uniform(a, rng, l.scalar_min(), l.scalar_max());
+    fill_uniform(b, rng, l.value_min(), l.value_max());
+    PackedGemmOptions opt;
+    if (rng.range(0, 1) == 1) {
+      opt.tile.mode = TileMode::kFixedPeriod;
+      opt.tile.fixed_period = static_cast<int>(rng.range(1, 64));
+      opt.fallback_on_overflow = rng.range(0, 1) == 1;
+    }
+    const PackedMatrix packed(b, l);
+    const std::string where = l.to_string() + " m=" + std::to_string(m) +
+                              " k=" + std::to_string(k) +
+                              " n=" + std::to_string(n) + " tiles=" +
+                              (opt.tile.mode == TileMode::kAdaptive
+                                   ? "adaptive"
+                                   : std::to_string(opt.tile.fixed_period)) +
+                              (opt.fallback_on_overflow ? "" : " no-fallback");
+    const auto want = run_packed(GemmEngine::kRef, a, packed, opt);
+    for (const SimdLevel level :
+         {SimdLevel::kNone, SimdLevel::kSse, SimdLevel::kAvx2}) {
+      ScopedSimdLevel force(level);
+      const auto got = run_packed(GemmEngine::kSimd, a, packed, opt);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << where << " at " << simd_level_name(level);
+      if (!want) continue;
+      ASSERT_EQ(got->c, want->c) << where << " at " << simd_level_name(level);
+      EXPECT_EQ(got->stats.mac_instructions, want->stats.mac_instructions);
+      EXPECT_EQ(got->stats.spill_events, want->stats.spill_events);
+      EXPECT_EQ(got->stats.overflow_tiles, want->stats.overflow_tiles)
+          << where << " at " << simd_level_name(level);
+      EXPECT_EQ(got->stats.total_tiles, want->stats.total_tiles);
+      EXPECT_EQ(got->stats.mean_tile_length, want->stats.mean_tile_length);
+    }
+    if (want) overflow_tiles += want->stats.overflow_tiles;
+    int64_tiles += int64_shadow_tiles(a, packed, opt);
+    throw_cases += !want;
+  }
+  // The seeds must reach the violation path, the int64 shadow and a throw.
+  EXPECT_GT(overflow_tiles, 0);
+  EXPECT_GT(int64_tiles, 0);
+  EXPECT_GT(throw_cases, 0);
+  RecordProperty("overflow_tiles", std::to_string(overflow_tiles));
+  RecordProperty("int64_shadow_tiles", std::to_string(int64_tiles));
+  RecordProperty("throw_cases", throw_cases);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // test runs its assertions under none, sse, and avx2 overrides.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -243,6 +244,49 @@ TEST(SwarSpanOps, MacSpanMatchesScalarLoopAtEveryTier) {
   }
 }
 
+TEST(SwarSpanOps, LaneShadowSpanMatchesScalarLoopAtEveryTier) {
+  // Two 16-column panels of 40 steps, shadowed over steps [5, 37) the way
+  // gemm_packed passes one tile of its k range. The caps are drawn so some
+  // columns leave them at some prefix and others never do.
+  constexpr int kCols = 2 * kShadowPanel, kSteps = 40, kT0 = 5, kT1 = 37;
+  constexpr std::size_t kStride = kSteps * kShadowPanel;
+  Rng rng(57);
+  std::vector<std::int32_t> panels(2 * kStride), scalars(kT1 - kT0);
+  std::vector<std::int32_t> lo(kCols), hi(kCols);
+  for (auto& v : panels) v = static_cast<std::int32_t>(rng.range(-300, 300));
+  for (auto& v : scalars) v = static_cast<std::int32_t>(rng.range(-200, 200));
+  for (int j = 0; j < kCols; ++j) {
+    lo[j] = static_cast<std::int32_t>(-rng.range(0, 200000));
+    hi[j] = static_cast<std::int32_t>(rng.range(0, 200000));
+  }
+  std::vector<std::int32_t> want_sums(kCols), want_violated(kCols);
+  for (int j = 0; j < kCols; ++j) {
+    std::int64_t sum = 0;
+    bool bad = false;
+    for (int s = 0; s < kT1 - kT0; ++s) {
+      sum += std::int64_t{scalars[s]} *
+             panels[j / kShadowPanel * kStride + (kT0 + s) * kShadowPanel +
+                    j % kShadowPanel];
+      bad |= sum < lo[j] || sum > hi[j];
+    }
+    want_sums[j] = static_cast<std::int32_t>(sum);
+    want_violated[j] = bad ? -1 : 0;
+  }
+  const auto flagged =
+      std::count(want_violated.begin(), want_violated.end(), -1);
+  ASSERT_GT(flagged, 0);
+  ASSERT_LT(flagged, kCols);
+  for (const SimdLevel level : kAllLevels) {
+    ScopedSimdLevel force(level);
+    std::vector<std::int32_t> sums(kCols), violated(kCols);
+    swar_lane_shadow_span(scalars,
+                          std::span(panels).subspan(kT0 * kShadowPanel),
+                          kStride, lo, hi, sums, violated);
+    EXPECT_EQ(sums, want_sums) << simd_level_name(level);
+    EXPECT_EQ(violated, want_violated) << simd_level_name(level);
+  }
+}
+
 TEST(SwarSpanOps, SizeMismatchThrows) {
   const LaneLayout l = paper_policy_layout(8, LaneMode::kTopSigned);
   std::vector<std::int32_t> v(5, 0);
@@ -251,6 +295,12 @@ TEST(SwarSpanOps, SizeMismatchThrows) {
   std::vector<std::uint32_t> a(4), b(3), r(4);
   EXPECT_THROW(swar_add_span(a, b, r, l), CheckError);
   EXPECT_THROW(swar_mac_span(r, 1u, b), CheckError);
+  // One step over one 16-column panel needs 16 lane entries.
+  std::vector<std::int32_t> step(1), caps(kShadowPanel), sums(kShadowPanel),
+      violated(kShadowPanel), short_panel(kShadowPanel - 1);
+  EXPECT_THROW(swar_lane_shadow_span(step, short_panel, kShadowPanel, caps,
+                                     caps, sums, violated),
+               CheckError);
 }
 
 }  // namespace

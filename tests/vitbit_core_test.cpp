@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "nn/vit_model.h"
 #include "tensor/gemm_ref.h"
+#include "tensor/simd_level.h"
 #include "vitbit/executors.h"
 #include "vitbit/fused_gemm.h"
 #include "vitbit/pipeline.h"
@@ -100,14 +101,32 @@ TEST(FusedGemm, FpSliceExactnessGuard) {
 
 class ExecutorEquivalence : public ::testing::TestWithParam<Strategy> {};
 
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) { set_simd_level_override(level); }
+  ~ScopedSimdLevel() { clear_simd_level_override(); }
+};
+
 TEST_P(ExecutorEquivalence, AllStrategiesProduceIdenticalResults) {
+  // At every forced SIMD tier, on a signed operand pair and on a
+  // non-negative one (which selects kUnsigned lanes).
   const Strategy s = GetParam();
   Rng rng(4 + static_cast<int>(s));
   const auto a = random_i8(rng, 12, 64);
   const auto b = random_i8(rng, 64, 33, 30.0);
-  const auto baseline = gemm_ref_int(a, b);
+  MatrixI32 a_pos(12, 64), b_pos(64, 33);
+  fill_uniform(a_pos, rng, 0, 255);
+  fill_uniform(b_pos, rng, 0, 255);
   const auto fn = make_gemm_executor(s);
-  EXPECT_EQ(max_abs_diff(fn(a, b), baseline), 0) << strategy_name(s);
+  for (const SimdLevel level :
+       {SimdLevel::kNone, SimdLevel::kSse, SimdLevel::kAvx2}) {
+    ScopedSimdLevel force(level);
+    EXPECT_EQ(max_abs_diff(fn(a, b), gemm_ref_int(a, b)), 0)
+        << strategy_name(s) << " at " << simd_level_name(level);
+    EXPECT_EQ(max_abs_diff(fn(a_pos, b_pos), gemm_ref_int(a_pos, b_pos)), 0)
+        << strategy_name(s) << " (non-negative) at "
+        << simd_level_name(level);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ExecutorEquivalence,
