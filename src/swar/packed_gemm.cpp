@@ -77,20 +77,18 @@ LaneCaps lane_caps(const LaneLayout& l) {
 
 // Undoing the encodings: a lane's logical tile sum is its physical sum
 // minus zero-point * (scalar sum + scalar zero-point * tile length) — for
-// every lane except the raw top lane of kTopSigned, and never in kUnsigned
-// — and, in kOffset, minus scalar zero-point * the lane's value sum over
-// the tile. `corr` gets the first term; the callers subtract the second.
+// every lane except the raw top lane of kTopSigned; both zero points are 0
+// in kUnsigned — and, in kOffset, minus scalar zero-point * the lane's
+// value sum over the tile. `corr` gets the first term; the callers
+// subtract the second.
 void lane_corrections(const LaneLayout& l, std::int64_t scalar_sum,
                       std::int64_t t_len, LaneSums& corr) {
-  const std::int64_t z = l.zero_point();
-  const std::int64_t za = l.scalar_zero_point();
+  const std::int64_t offset_term =
+      l.zero_point() * (scalar_sum + l.scalar_zero_point() * t_len);
   for (int lane = 0; lane < l.num_lanes; ++lane) {
     const bool raw_top =
         l.mode == LaneMode::kTopSigned && lane == l.num_lanes - 1;
-    corr[static_cast<std::size_t>(lane)] =
-        raw_top || l.mode == LaneMode::kUnsigned
-            ? 0
-            : z * (scalar_sum + za * t_len);
+    corr[static_cast<std::size_t>(lane)] = raw_top ? 0 : offset_term;
   }
 }
 
@@ -220,11 +218,11 @@ void add_lane_sums(std::span<const std::uint32_t> acc, const LaneLayout& l,
     }
   }
   const std::int64_t c = corr[static_cast<std::size_t>(top)];
-  for (std::size_t i = 0; i < n; ++i) {
-    totals[i] += (l.mode == LaneMode::kTopSigned
-                      ? std::int64_t{static_cast<std::int32_t>(high[i])}
-                      : std::int64_t{high[i]}) -
-                 c;
+  if (l.mode == LaneMode::kTopSigned) {
+    for (std::size_t i = 0; i < n; ++i)
+      totals[i] += static_cast<std::int32_t>(high[i]) - c;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) totals[i] += high[i] - c;
   }
 }
 
@@ -305,8 +303,7 @@ MatrixI32 gemm_packed_tiled(const MatrixI32& a, const PackedMatrix& b,
         swar_mac_span(acc_row, static_cast<std::uint32_t>(enc_a[k]),
                       b.word_row(static_cast<int>(k)));
 
-      const std::span<const std::int32_t> scalars(enc_a.data() + k0,
-                                                  k1 - k0);
+      const std::span<const std::int32_t> scalars(enc_a.data() + k0, k1 - k0);
       const auto tile_panels =
           std::span<const std::int32_t>(lane_panels).subspan(k0 * kPanel);
       const bool exact32 =

@@ -223,11 +223,11 @@ void swar_lane_shadow_span(std::span<const std::int32_t> scalars,
   constexpr auto kPanel = static_cast<std::size_t>(kShadowPanel);
   VITBIT_CHECK(cols % kPanel == 0 && hi.size() == cols &&
                sums.size() == cols && violated.size() == cols);
+  const std::size_t panels = cols / kPanel;
   const std::size_t panel_len = scalars.size() * kPanel;
-  VITBIT_CHECK(cols == 0 ||
-               (panel_stride >= panel_len &&
-                (cols / kPanel - 1) * panel_stride + panel_len <=
-                    lane_panels.size()));
+  VITBIT_CHECK(panels == 0 || panel_stride >= panel_len);
+  VITBIT_CHECK(panels == 0 ||
+               (panels - 1) * panel_stride + panel_len <= lane_panels.size());
 #if defined(VITBIT_SIMD_HAVE_AVX2)
   if (avx2_active()) {
     detail::lane_shadow_i32_span_avx2(scalars.data(), scalars.size(),

@@ -128,6 +128,9 @@ class ScopedSimdLevel {
   ~ScopedSimdLevel() { clear_simd_level_override(); }
 };
 
+constexpr SimdLevel kAllLevels[] = {SimdLevel::kNone, SimdLevel::kSse,
+                                    SimdLevel::kAvx2};
+
 class ScopedEngine {
  public:
   explicit ScopedEngine(GemmEngine e) : saved_(default_gemm_engine()) {
@@ -212,26 +215,23 @@ TEST(RandomLayouts, TileMajorGemmMatchesRefOracleAtEveryTier) {
       opt.fallback_on_overflow = rng.range(0, 1) == 1;
     }
     const PackedMatrix packed(b, l);
-    const std::string where = l.to_string() + " m=" + std::to_string(m) +
-                              " k=" + std::to_string(k) +
-                              " n=" + std::to_string(n) + " tiles=" +
-                              (opt.tile.mode == TileMode::kAdaptive
-                                   ? "adaptive"
-                                   : std::to_string(opt.tile.fixed_period)) +
-                              (opt.fallback_on_overflow ? "" : " no-fallback");
+    std::string where = l.to_string() + " m=" + std::to_string(m);
+    where += " k=" + std::to_string(k) + " n=" + std::to_string(n);
+    if (opt.tile.mode == TileMode::kFixedPeriod)
+      where += " period=" + std::to_string(opt.tile.fixed_period);
+    if (!opt.fallback_on_overflow) where += " no-fallback";
+    SCOPED_TRACE(where);
     const auto want = run_packed(GemmEngine::kRef, a, packed, opt);
-    for (const SimdLevel level :
-         {SimdLevel::kNone, SimdLevel::kSse, SimdLevel::kAvx2}) {
+    for (const SimdLevel level : kAllLevels) {
+      SCOPED_TRACE(simd_level_name(level));
       ScopedSimdLevel force(level);
       const auto got = run_packed(GemmEngine::kSimd, a, packed, opt);
-      ASSERT_EQ(got.has_value(), want.has_value())
-          << where << " at " << simd_level_name(level);
+      ASSERT_EQ(got.has_value(), want.has_value());
       if (!want) continue;
-      ASSERT_EQ(got->c, want->c) << where << " at " << simd_level_name(level);
+      ASSERT_EQ(got->c, want->c);
       EXPECT_EQ(got->stats.mac_instructions, want->stats.mac_instructions);
       EXPECT_EQ(got->stats.spill_events, want->stats.spill_events);
-      EXPECT_EQ(got->stats.overflow_tiles, want->stats.overflow_tiles)
-          << where << " at " << simd_level_name(level);
+      EXPECT_EQ(got->stats.overflow_tiles, want->stats.overflow_tiles);
       EXPECT_EQ(got->stats.total_tiles, want->stats.total_tiles);
       EXPECT_EQ(got->stats.mean_tile_length, want->stats.mean_tile_length);
     }

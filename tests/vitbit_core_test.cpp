@@ -107,6 +107,9 @@ class ScopedSimdLevel {
   ~ScopedSimdLevel() { clear_simd_level_override(); }
 };
 
+constexpr SimdLevel kAllLevels[] = {SimdLevel::kNone, SimdLevel::kSse,
+                                    SimdLevel::kAvx2};
+
 TEST_P(ExecutorEquivalence, AllStrategiesProduceIdenticalResults) {
   // At every forced SIMD tier, on a signed operand pair and on a
   // non-negative one (which selects kUnsigned lanes).
@@ -118,14 +121,13 @@ TEST_P(ExecutorEquivalence, AllStrategiesProduceIdenticalResults) {
   fill_uniform(a_pos, rng, 0, 255);
   fill_uniform(b_pos, rng, 0, 255);
   const auto fn = make_gemm_executor(s);
-  for (const SimdLevel level :
-       {SimdLevel::kNone, SimdLevel::kSse, SimdLevel::kAvx2}) {
+  SCOPED_TRACE(strategy_name(s));
+  for (const SimdLevel level : kAllLevels) {
+    SCOPED_TRACE(simd_level_name(level));
     ScopedSimdLevel force(level);
-    EXPECT_EQ(max_abs_diff(fn(a, b), gemm_ref_int(a, b)), 0)
-        << strategy_name(s) << " at " << simd_level_name(level);
+    EXPECT_EQ(max_abs_diff(fn(a, b), gemm_ref_int(a, b)), 0);
     EXPECT_EQ(max_abs_diff(fn(a_pos, b_pos), gemm_ref_int(a_pos, b_pos)), 0)
-        << strategy_name(s) << " (non-negative) at "
-        << simd_level_name(level);
+        << "non-negative operands";
   }
 }
 
