@@ -1,6 +1,7 @@
 #include "sim/launcher.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "common/check.h"
@@ -68,6 +69,86 @@ SmStats simulate_sm(const KernelSpec& kernel, int resident,
   SmSim sm(spec, calib);
   for (int b = 0; b < resident; ++b) sm.add_block(kernel.block_warps);
   return sm.run();
+}
+
+namespace {
+
+// What one warp, or all warps homed on one sub-core, put on the issue
+// ports: instructions issued, and per unit the summed and the largest
+// dispatch-port occupancy.
+struct IssueLoad {
+  std::uint64_t instructions = 0;
+  std::array<std::uint64_t, kNumUnits> occupancy_sum{};
+  std::array<std::uint32_t, kNumUnits> occupancy_max{};
+
+  IssueLoad& operator+=(const IssueLoad& other) {
+    instructions += other.instructions;
+    for (std::size_t u = 0; u < occupancy_sum.size(); ++u) {
+      occupancy_sum[u] += other.occupancy_sum[u];
+      occupancy_max[u] = std::max(occupancy_max[u], other.occupancy_max[u]);
+    }
+    return *this;
+  }
+
+  // Cycles the unit needs to dispatch its load: each issue waits until the
+  // previous one's busy window ends, the last one's is never waited for.
+  std::uint64_t port_cycles(ExecUnit unit) const {
+    const auto u = static_cast<std::size_t>(unit);
+    return occupancy_sum[u] == 0 ? 0
+                                 : occupancy_sum[u] - occupancy_max[u] + 1;
+  }
+};
+
+IssueLoad program_load(const Program& prog, const arch::Calibration& calib) {
+  IssueLoad load;
+  for (const Instr& in : prog.code) {
+    const OpInfo& info = op_info(in.op);
+    const auto u = static_cast<std::size_t>(info.unit);
+    const std::uint32_t occupancy = issue_occupancy(in, info, calib);
+    ++load.instructions;
+    load.occupancy_sum[u] += occupancy;
+    load.occupancy_max[u] = std::max(load.occupancy_max[u], occupancy);
+    if (in.op == Opcode::kExit) break;
+  }
+  return load;
+}
+
+}  // namespace
+
+std::uint64_t slice_cycle_lower_bound(const KernelSpec& kernel, int resident,
+                                      const arch::OrinSpec& spec,
+                                      const arch::Calibration& calib) {
+  VITBIT_CHECK(resident >= 1);
+  // Warps of one class share a program: load each distinct program once.
+  std::vector<const Program*> programs;
+  std::vector<IssueLoad> loads;
+  std::vector<std::size_t> warp_load;
+  warp_load.reserve(kernel.block_warps.size());
+  for (const ProgramPtr& warp : kernel.block_warps) {
+    VITBIT_CHECK(warp != nullptr);
+    auto it = std::find(programs.begin(), programs.end(), warp.get());
+    if (it == programs.end()) {
+      loads.push_back(program_load(*warp, calib));
+      it = programs.insert(programs.end(), warp.get());
+    }
+    warp_load.push_back(static_cast<std::size_t>(it - programs.begin()));
+  }
+  const auto subcores = static_cast<std::size_t>(spec.subcores_per_sm);
+  std::vector<IssueLoad> per_subcore(subcores);
+  for (std::size_t b = 0; b < static_cast<std::size_t>(resident); ++b)
+    for (std::size_t i = 0; i < warp_load.size(); ++i)
+      per_subcore[home_subcore(i, b, subcores)] += loads[warp_load[i]];
+
+  std::uint64_t bound = 0;
+  IssueLoad sm;
+  for (const IssueLoad& sc : per_subcore) {
+    bound = std::max(bound, sc.instructions);
+    for (const ExecUnit unit : {ExecUnit::kIntPipe, ExecUnit::kFpPipe,
+                                ExecUnit::kSfu, ExecUnit::kTensor})
+      bound = std::max(bound, sc.port_cycles(unit));
+    sm += sc;
+  }
+  return std::max(bound, sm.port_cycles(ExecUnit::kLsu));
 }
 
 LaunchResult extrapolate(const LaunchGeometry& geometry, const SmStats& sm,

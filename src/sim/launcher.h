@@ -11,6 +11,11 @@
 // The SM slice depends only on the block's warp programs and the resident
 // count, so callers timing many kernels (core::time_inferences) simulate
 // each distinct slice once and extrapolate it per kernel.
+//
+// slice_cycle_lower_bound reads the same programs without simulating them
+// and never exceeds simulate_sm's cycles. extrapolate is monotone in the
+// slice's cycles, so extrapolating the bound bounds the kernel total; the
+// tuner uses it to skip candidates that cannot beat the best one found.
 #pragma once
 
 #include <cstdint>
@@ -125,6 +130,22 @@ LaunchGeometry launch_geometry(const KernelGeometry& kernel,
 SmStats simulate_sm(const KernelSpec& kernel, int resident,
                     const arch::OrinSpec& spec,
                     const arch::Calibration& calib);
+
+// A lower bound on simulate_sm(kernel, resident, spec, calib).cycles, read
+// from the block's programs alone. SmSim::run ends one cycle past the last
+// issue, so the bound is the largest of:
+//  - issue: the instructions homed on one sub-core (home_subcore), since a
+//    sub-core issues at most one per cycle;
+//  - pipes: per sub-core INT, FP, SFU and TC pipe, and for the SM-wide LSU,
+//    the occupancies (issue_occupancy) the unit dispatches, summed, minus
+//    the largest plus one: each issue waits out the previous one's busy
+//    window, and nothing waits for the last one's.
+// Instructions after a warp's first EXIT never issue and are not counted.
+// There is no memory-latency term: EXIT waits only for register writes,
+// and the trailing stores write none.
+std::uint64_t slice_cycle_lower_bound(const KernelSpec& kernel, int resident,
+                                      const arch::OrinSpec& spec,
+                                      const arch::Calibration& calib);
 
 // Scales one simulated SM slice (`sm`, run at geometry.resident_blocks) to
 // the whole grid and adds the launch overhead.

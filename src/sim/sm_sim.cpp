@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/int_math.h"
 
 namespace vitbit::sim {
 
@@ -82,10 +81,8 @@ void SmSim::add_block(const std::vector<ProgramPtr>& block_warps,
     w.reg_ready.assign(block_warps[i]->num_regs, 0);
     w.pending.resize(block_warps[i]->num_regs);
     w.block = block_id;
-    // Stagger blocks across sub-cores so co-resident blocks with
-    // heterogeneous warp roles spread each role over all sub-cores.
-    const std::size_t sc_id =
-        (i + static_cast<std::size_t>(block_id)) % subcores_.size();
+    const std::size_t sc_id = home_subcore(
+        i, static_cast<std::size_t>(block_id), subcores_.size());
     Subcore& sc = subcores_[sc_id];
     w.subcore = static_cast<std::uint32_t>(sc_id);
     w.slot = static_cast<std::uint32_t>(sc.warp_ids.size());
@@ -181,32 +178,21 @@ SmSim::issue_slot(Subcore& sc, std::size_t idx, std::uint64_t cycle,
   }
 
   // ---- Issue ----
-  std::uint32_t occupancy = info.issue_cycles;
+  const std::uint32_t occupancy = issue_occupancy(in, info, calib_);
   std::uint64_t result_ready = cycle + info.latency;
   switch (in.op) {
     case Opcode::kImma:
     case Opcode::kHmma: {
-      // Tensor-core occupancy is a calibration parameter (sustained
-      // dense-MMA rate), not a fixed ISA property.
-      occupancy = static_cast<std::uint32_t>(calib_.imma_occupancy_cycles);
       result_ready = cycle + occupancy + 8;
       break;
     }
     case Opcode::kLds:
     case Opcode::kSts: {
-      occupancy = std::max<std::uint32_t>(
-          1, ceil_div<std::uint32_t>(in.bytes,
-                                     static_cast<std::uint32_t>(
-                                         calib_.lsu_bytes_per_cycle)));
       result_ready = cycle + calib_.smem_latency_cycles;
       break;
     }
     case Opcode::kLdg:
     case Opcode::kStg: {
-      occupancy = std::max<std::uint32_t>(
-          1, ceil_div<std::uint32_t>(in.bytes,
-                                     static_cast<std::uint32_t>(
-                                         calib_.lsu_bytes_per_cycle)));
       if (gmem_ && in.operand != kNoOperand) {
         // Addressed mode: the shared memory system (L2 + DRAM) decides.
         const std::uint64_t addr =

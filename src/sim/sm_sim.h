@@ -35,17 +35,44 @@
 // speedup above a committed floor.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "arch/calibration.h"
 #include "arch/orin_spec.h"
 #include "common/bitset64.h"
+#include "common/int_math.h"
 #include "sim/program.h"
 #include "sim/stats.h"
 
 namespace vitbit::sim {
+
+// The sub-core warp `warp` of the SM's `block`-th resident block lives on.
+// Blocks are staggered so co-resident blocks with heterogeneous warp roles
+// spread each role over all sub-cores.
+inline std::size_t home_subcore(std::size_t warp, std::size_t block,
+                                std::size_t subcores) {
+  return (warp + block) % subcores;
+}
+
+// Cycles `in` holds its unit's dispatch port (`info` = op_info(in.op)): the
+// ISA table's issue cycles, except that the tensor-core MMAs (IMMA, HMMA)
+// hold the core for the calibrated sustained dense-MMA rate (a calibration
+// parameter, not an ISA property) and the memory ops (LDG, STG, LDS, STS)
+// stream their bytes through the LSU.
+inline std::uint32_t issue_occupancy(const Instr& in, const OpInfo& info,
+                                     const arch::Calibration& calib) {
+  if (info.unit == ExecUnit::kTensor)
+    return static_cast<std::uint32_t>(calib.imma_occupancy_cycles);
+  if (info.unit == ExecUnit::kLsu)
+    return std::max<std::uint32_t>(
+        1, ceil_div<std::uint32_t>(in.bytes, static_cast<std::uint32_t>(
+                                                 calib.lsu_bytes_per_cycle)));
+  return info.issue_cycles;
+}
 
 // Pluggable global-memory service for addressed accesses: given a physical
 // address, transfer size and current cycle, returns the completion cycle.

@@ -33,21 +33,32 @@ double best_of(int repeats, Out& out, const Fn& fn) {
   return best;
 }
 
+// The reference once, then every engine against it: one reference output
+// is every engine's bit-identity oracle, one reference time every
+// engine's speedup denominator.
 template <typename Mat, typename RefFn, typename EngineFn>
-GemmMeasurement measure(const GemmShapeSpec& shape, int repeats,
-                        const Mat& a, const Mat& b, const RefFn& ref,
-                        const EngineFn& engine) {
+std::vector<GemmMeasurement> measure(const GemmShapeSpec& shape, int repeats,
+                                     std::span<const GemmEngine> engines,
+                                     const Mat& a, const Mat& b,
+                                     const RefFn& ref,
+                                     const EngineFn& engine) {
   VITBIT_CHECK(repeats >= 1);
-  GemmMeasurement out;
-  Mat c_ref, c_engine;
-  out.ref_seconds = best_of(repeats, c_ref, [&] { return ref(a, b); });
-  out.engine_seconds =
-      best_of(repeats, c_engine, [&] { return engine(a, b); });
-  out.ref_gflops = gflops(shape, out.ref_seconds);
-  out.engine_gflops = gflops(shape, out.engine_seconds);
-  out.speedup =
-      out.ref_gflops > 0.0 ? out.engine_gflops / out.ref_gflops : 0.0;
-  out.max_abs_diff = static_cast<double>(max_abs_diff(c_engine, c_ref));
+  Mat c_ref;
+  const double ref_seconds =
+      best_of(repeats, c_ref, [&] { return ref(a, b); });
+  std::vector<GemmMeasurement> out;
+  for (const GemmEngine e : engines) {
+    GemmMeasurement m;
+    Mat c_engine;
+    m.ref_seconds = ref_seconds;
+    m.engine_seconds =
+        best_of(repeats, c_engine, [&] { return engine(e, a, b); });
+    m.ref_gflops = gflops(shape, m.ref_seconds);
+    m.engine_gflops = gflops(shape, m.engine_seconds);
+    m.speedup = m.ref_gflops > 0.0 ? m.engine_gflops / m.ref_gflops : 0.0;
+    m.max_abs_diff = static_cast<double>(max_abs_diff(c_engine, c_ref));
+    out.push_back(m);
+  }
   return out;
 }
 
@@ -79,36 +90,36 @@ MatrixF32 run_engine_f32(GemmEngine engine, const MatrixF32& a,
 
 }  // namespace
 
-GemmMeasurement measure_gemm_int(const GemmShapeSpec& shape, int repeats,
-                                 std::uint64_t seed, ThreadPool* pool,
-                                 GemmEngine engine) {
+std::vector<GemmMeasurement> measure_gemm_int(
+    const GemmShapeSpec& shape, int repeats, std::uint64_t seed,
+    ThreadPool* pool, std::span<const GemmEngine> engines) {
   Rng rng(seed);
   MatrixI32 a(shape.m, shape.k), b(shape.k, shape.n);
   fill_uniform(a, rng, -127, 127);
   fill_uniform(b, rng, -127, 127);
   return measure(
-      shape, repeats, a, b,
+      shape, repeats, engines, a, b,
       [](const MatrixI32& x, const MatrixI32& y) {
         return gemm_ref_int(x, y);
       },
-      [pool, engine](const MatrixI32& x, const MatrixI32& y) {
+      [pool](GemmEngine engine, const MatrixI32& x, const MatrixI32& y) {
         return run_engine_int(engine, x, y, pool);
       });
 }
 
-GemmMeasurement measure_gemm_f32(const GemmShapeSpec& shape, int repeats,
-                                 std::uint64_t seed, ThreadPool* pool,
-                                 GemmEngine engine) {
+std::vector<GemmMeasurement> measure_gemm_f32(
+    const GemmShapeSpec& shape, int repeats, std::uint64_t seed,
+    ThreadPool* pool, std::span<const GemmEngine> engines) {
   Rng rng(seed);
   MatrixF32 a(shape.m, shape.k), b(shape.k, shape.n);
   for (auto& v : a.flat()) v = static_cast<float>(rng.normal());
   for (auto& v : b.flat()) v = static_cast<float>(rng.normal());
   return measure(
-      shape, repeats, a, b,
+      shape, repeats, engines, a, b,
       [](const MatrixF32& x, const MatrixF32& y) {
         return gemm_ref_f32(x, y);
       },
-      [pool, engine](const MatrixF32& x, const MatrixF32& y) {
+      [pool](GemmEngine engine, const MatrixF32& x, const MatrixF32& y) {
         return run_engine_f32(engine, x, y, pool);
       });
 }

@@ -1,7 +1,8 @@
 // Host-side GEMM measurement shared by bench/host_gemm and the
-// check_regression host-GEMM gate: times the reference triple loop against
-// a candidate engine (blocked or simd) on one shape and verifies
-// bit-identity of the outputs.
+// check_regression host-GEMM gate: times the reference triple loop once,
+// then each candidate engine (blocked or simd) on the same shape and
+// operands, verifying every engine's output bit for bit against that one
+// reference output.
 //
 // Timing is best-of-`repeats` wall-clock per engine (min absorbs scheduler
 // noise far better than the mean on loaded CI machines). Everything other
@@ -11,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "tensor/gemm_dispatch.h"
@@ -37,16 +40,17 @@ struct GemmMeasurement {
 };
 
 // Int path: operands are int8-range values (the quantized-inference shape
-// of the workload), drawn from Rng(seed). `engine` is the candidate timed
-// against the reference loop (kRef measures the reference against itself,
-// useful only as a sanity check).
-GemmMeasurement measure_gemm_int(const GemmShapeSpec& shape, int repeats,
-                                 std::uint64_t seed, ThreadPool* pool,
-                                 GemmEngine engine = GemmEngine::kBlocked);
+// of the workload), drawn from Rng(seed). Result i times engines[i]
+// against the one reference timing, which every result carries as its
+// ref_seconds (kRef measures the reference against itself, useful only as
+// a sanity check).
+std::vector<GemmMeasurement> measure_gemm_int(
+    const GemmShapeSpec& shape, int repeats, std::uint64_t seed,
+    ThreadPool* pool, std::span<const GemmEngine> engines);
 
 // f32 path: standard-normal operands.
-GemmMeasurement measure_gemm_f32(const GemmShapeSpec& shape, int repeats,
-                                 std::uint64_t seed, ThreadPool* pool,
-                                 GemmEngine engine = GemmEngine::kBlocked);
+std::vector<GemmMeasurement> measure_gemm_f32(
+    const GemmShapeSpec& shape, int repeats, std::uint64_t seed,
+    ThreadPool* pool, std::span<const GemmEngine> engines);
 
 }  // namespace vitbit

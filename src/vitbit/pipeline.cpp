@@ -1,8 +1,11 @@
 #include "vitbit/pipeline.h"
 
+#include <algorithm>
 #include <compare>
 #include <map>
+#include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "arch/energy_model.h"
 #include "common/check.h"
@@ -150,6 +153,24 @@ struct JobMisses {
   std::vector<const nn::KernelCall*> misses;
   std::vector<std::size_t> task_begin;  // misses.size() + 1 entries
 };
+
+// Tuning progress of one (job, CallKey): its tasks [begin, end) in `order`
+// are ranked by bound; [begin, next) are simulated and folded into the
+// best, [next, taken) are in the current wave.
+struct KeyState {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t next = 0;
+  std::size_t taken = 0;
+  std::size_t best = 0;  // task index of the winner so far
+  std::uint64_t best_cycles = 0;
+  bool closed = false;
+};
+
+// Fresh slices one key may add to a wave. A host-side schedule, like
+// SmSim's park threshold: any value gives identical results, and only the
+// number of slices simulated and of fan-outs changes.
+constexpr std::size_t kWaveFreshSlices = 4;
 
 // Per-kernel timings in log order from the winning launch of each miss.
 InferenceTiming assemble(const nn::KernelLog& log, Strategy strategy,
@@ -316,31 +337,123 @@ std::vector<InferenceTiming> time_inferences(
     }
   }
 
-  // Phase 2: one simulation per distinct slice, the one flat fan-out. Each
-  // worker builds its slice's block, simulates it and drops it.
-  const auto stats = parallel_map(pool, slices.size(), [&](std::size_t i) {
-    const SliceKey& key = slices[i];
-    return sim::simulate_sm(build_slice(key, spec, calib), key.resident, spec,
-                            calib);
-  });
+  // Phase 2: a lower bound on the total of every candidate of every key
+  // with more than one: one flat fan-out over their distinct slices, each
+  // worker building its slice's block, counting it and dropping it. Then
+  // each key's tasks in (bound total, candidate order). extrapolate is
+  // monotone in the slice's cycles, so a bound total never exceeds the
+  // simulated total.
+  std::vector<KeyState> keys;
+  for (const JobMisses& jm : job_misses)
+    for (std::size_t mi = 0; mi < jm.misses.size(); ++mi) {
+      VITBIT_CHECK(jm.task_begin[mi] < jm.task_begin[mi + 1]);
+      keys.push_back({jm.task_begin[mi], jm.task_begin[mi + 1],
+                      jm.task_begin[mi]});
+    }
+  std::vector<std::uint32_t> bounded;
+  {
+    std::vector<char> listed(slices.size(), 0);
+    for (const KeyState& key : keys) {
+      if (key.end - key.begin < 2) continue;
+      for (std::size_t t = key.begin; t < key.end; ++t)
+        if (!std::exchange(listed[tasks[t].slice], 1))
+          bounded.push_back(tasks[t].slice);
+    }
+  }
+  const auto bound_cycles =
+      parallel_map(pool, bounded.size(), [&](std::size_t i) {
+        const SliceKey& key = slices[bounded[i]];
+        return sim::slice_cycle_lower_bound(build_slice(key, spec, calib),
+                                            key.resident, spec, calib);
+      });
+  std::vector<std::uint64_t> slice_bound(slices.size(), 0);
+  for (std::size_t i = 0; i < bounded.size(); ++i)
+    slice_bound[bounded[i]] = bound_cycles[i];
+  std::vector<std::uint64_t> task_bound(tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    sim::SmStats bound;
+    bound.cycles = slice_bound[tasks[t].slice];
+    task_bound[t] =
+        sim::extrapolate(tasks[t].geometry, bound, calib).total_cycles;
+  }
+  std::vector<std::size_t> order(tasks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (const KeyState& key : keys)
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(key.begin),
+              order.begin() + static_cast<std::ptrdiff_t>(key.end),
+              [&](std::size_t a, std::size_t b) {
+                return std::pair(task_bound[a], a) <
+                       std::pair(task_bound[b], b);
+              });
 
-  // Phase 3: extrapolate every task, keep each CallKey's fastest candidate
-  // with a (cycles, candidate-order) tie-break, assemble in log order.
+  // Phase 3: waves. Each open key takes its next candidates while their
+  // bound is <= its best total so far (the first wave has no best yet),
+  // up to kWaveFreshSlices slices no earlier wave or key has claimed. The
+  // wave's new slices are the one flat fan-out; then every taken task is
+  // extrapolated and kept if it beats the key's best by (cycles,
+  // candidate order). A key closes once its next bound exceeds its best:
+  // that candidate's true total does too, and so do all after it. A bound
+  // equal to the best is still simulated, so an earlier candidate with an
+  // equal total still wins the tie.
+  std::vector<sim::SmStats> stats(slices.size());
+  std::vector<char> claimed(slices.size(), 0);
+  std::vector<std::uint32_t> wave;
+  while (true) {
+    wave.clear();
+    bool any_open = false;
+    for (KeyState& key : keys) {
+      if (key.closed) continue;
+      any_open = true;
+      std::size_t fresh = 0;
+      key.taken = key.next;
+      while (key.taken < key.end && fresh < kWaveFreshSlices) {
+        const std::size_t t = order[key.taken];
+        if (key.next > key.begin && task_bound[t] > key.best_cycles) break;
+        if (!std::exchange(claimed[tasks[t].slice], 1)) {
+          wave.push_back(tasks[t].slice);
+          ++fresh;
+        }
+        ++key.taken;
+      }
+    }
+    if (!any_open) break;
+    const auto wave_stats =
+        parallel_map(pool, wave.size(), [&](std::size_t i) {
+          const SliceKey& key = slices[wave[i]];
+          return sim::simulate_sm(build_slice(key, spec, calib), key.resident,
+                                  spec, calib);
+        });
+    for (std::size_t i = 0; i < wave.size(); ++i)
+      stats[wave[i]] = wave_stats[i];
+    for (KeyState& key : keys) {
+      if (key.closed) continue;
+      for (; key.next < key.taken; ++key.next) {
+        const std::size_t t = order[key.next];
+        const std::uint64_t cycles =
+            sim::extrapolate(tasks[t].geometry, stats[tasks[t].slice], calib)
+                .total_cycles;
+        if (key.next == key.begin ||
+            std::pair(cycles, t) < std::pair(key.best_cycles, key.best)) {
+          key.best = t;
+          key.best_cycles = cycles;
+        }
+      }
+      key.closed = key.next == key.end ||
+                   task_bound[order[key.next]] > key.best_cycles;
+    }
+  }
+
+  // Assemble each job in log order from its keys' winners.
   std::vector<InferenceTiming> out;
   out.reserve(jobs.size());
+  std::size_t k = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const JobMisses& jm = job_misses[j];
-    std::vector<sim::LaunchResult> best(jm.misses.size());
-    for (std::size_t mi = 0; mi < jm.misses.size(); ++mi) {
-      const std::size_t begin = jm.task_begin[mi];
-      const std::size_t end = jm.task_begin[mi + 1];
-      VITBIT_CHECK(begin < end);
-      for (std::size_t t = begin; t < end; ++t) {
-        const Task& task = tasks[t];
-        auto r = sim::extrapolate(task.geometry, stats[task.slice], calib);
-        if (t == begin || r.total_cycles < best[mi].total_cycles)
-          best[mi] = std::move(r);
-      }
+    std::vector<sim::LaunchResult> best;
+    best.reserve(jm.misses.size());
+    for (std::size_t mi = 0; mi < jm.misses.size(); ++mi, ++k) {
+      const Task& task = tasks[keys[k].best];
+      best.push_back(sim::extrapolate(task.geometry, stats[task.slice], calib));
     }
     out.push_back(assemble(*jobs[j].log, jobs[j].strategy, jm, best, spec));
   }

@@ -119,16 +119,27 @@ struct InferenceJob {
 // warp programs at the launch's resident block count) extrapolated to its
 // grid. Slices are keyed exactly by the inputs that determine them — the
 // block plan, the GEMM's K-panels after split-K, the resident count — and
-// each distinct slice across all jobs is simulated once: the same K-panel
-// block recurs across GEMM shapes and batch sizes, an elementwise block
-// never depends on its extent, and every fused strategy's tuner tries the
-// pure tensor-core block. The distinct slices, numbered in order of first
-// appearance, are the one flat fan-out over `pool`; traces are built only
-// for them, inside the worker that simulates them.
+// each distinct slice across all jobs is simulated at most once: the same
+// K-panel block recurs across GEMM shapes and batch sizes, an elementwise
+// block never depends on its extent, and every fused strategy's tuner
+// tries the pure tensor-core block.
+//
+// A key with several candidates is tuned by bound. One flat fan-out over
+// `pool` computes sim::slice_cycle_lower_bound for each distinct slice of
+// such keys (building each block, counting it, dropping it), and each
+// candidate's bound total is that bound extrapolated to its grid. The
+// candidates are then simulated in waves, in (bound total, candidate
+// order): each wave takes, per open key, its next candidates whose bound
+// total is <= the key's best total so far, up to a fixed number of slices
+// not yet simulated, and simulates the wave's new slices in one flat
+// fan-out, building each block inside the worker that simulates it. A key
+// closes once its next bound total exceeds its best: no later candidate
+// can win or tie. The winners, and so every result, equal the exhaustive
+// sweep's; only losing slices are skipped.
 //
 // The result is bit-identical to timing each job alone, for every pool
-// size including `pool == nullptr` (serial). Nothing is cached across
-// calls.
+// size including `pool == nullptr` (serial), and the set of simulated
+// slices does not depend on the pool. Nothing is cached across calls.
 std::vector<InferenceTiming> time_inferences(
     const std::vector<InferenceJob>& jobs, const arch::OrinSpec& spec,
     const arch::Calibration& calib, ThreadPool* pool = nullptr);

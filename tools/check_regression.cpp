@@ -19,11 +19,11 @@
 //
 // Besides the simulated figures, the gate measures the blocked and simd
 // host GEMM engines (tensor/gemm_blocked.h, tensor/gemm_simd.h) against
-// the reference triple loop on one ViT-Base linear shape: bit-identity is
-// enforced exactly, and each engine's measured speedup must clear the
-// floor recorded in the baseline at --update time (--gemm-speedup-floor
-// for blocked, --simd-speedup-floor for simd; raw GFLOP/s are
-// machine-dependent and never diffed).
+// the reference triple loop, timed once per dtype, on one ViT-Base linear
+// shape: bit-identity is enforced exactly, and each engine's measured
+// speedup must clear the floor recorded in the baseline at --update time
+// (--gemm-speedup-floor for blocked, --simd-speedup-floor for simd; raw
+// GFLOP/s are machine-dependent and never diffed).
 //
 // The sim_loop gate times the bit-packed SmSim against the frozen
 // pre-packing SmSimRef on the fixed workload set of
@@ -38,15 +38,21 @@
 // host wall-clock recorded in the reports changes.
 //
 // Calibration overrides (for injecting drift in tests, and for asking
-// "would this calibration change trip the gate?"):
-//   --tc-macs=N           override Calibration::tc_macs_per_cycle
-//   --launch-overhead=N   override kernel_launch_overhead_cycles
+// "would this calibration change trip the gate?"); a value out of range
+// exits 2 before any gate runs:
+//   --tc-macs=N           override Calibration::tc_macs_per_cycle, N >= 1
+//   --launch-overhead=N   override kernel_launch_overhead_cycles, N >= 0
 #include <chrono>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/cli.h"
+#include "common/int_math.h"
 #include "common/thread_pool.h"
 #include "nn/vit_model.h"
 #include "report/baseline.h"
@@ -114,15 +120,28 @@ int run(int argc, char** argv) {
   const Cli cli(argc, argv);
   const arch::OrinSpec spec;
   arch::Calibration calib = arch::default_calibration();
-  if (cli.has("tc-macs")) {
-    calib.tc_macs_per_cycle = static_cast<int>(cli.get_int("tc-macs", 0));
-    // One IMMA is 4096 MACs; keep the derived occupancy consistent.
-    calib.imma_occupancy_cycles =
-        (4096 + calib.tc_macs_per_cycle - 1) / calib.tc_macs_per_cycle;
+  // Calibration overrides are range-checked as int64 before they narrow to
+  // int: --tc-macs=0 (or 2^32, which narrows to 0) divides by zero, a
+  // negative rate makes a negative IMMA occupancy, and a negative launch
+  // overhead wraps in sim::extrapolate's unsigned total.
+  for (const auto& [name, lo, field] :
+       {std::tuple<const char*, std::int64_t, int*>{
+            "tc-macs", 1, &calib.tc_macs_per_cycle},
+        {"launch-overhead", 0, &calib.kernel_launch_overhead_cycles}}) {
+    if (!cli.has(name)) continue;
+    const std::int64_t v = cli.get_int(name, lo);
+    if (v < lo || v > std::numeric_limits<int>::max()) {
+      std::cerr << "check_regression: --" << name << " must be in [" << lo
+                << ", " << std::numeric_limits<int>::max() << "], got "
+                << cli.get(name, "") << "\n";
+      return 2;
+    }
+    *field = static_cast<int>(v);
   }
-  if (cli.has("launch-overhead"))
-    calib.kernel_launch_overhead_cycles =
-        static_cast<int>(cli.get_int("launch-overhead", 0));
+  // One IMMA is 4096 MACs; keep the derived occupancy consistent.
+  if (cli.has("tc-macs"))
+    calib.imma_occupancy_cycles = static_cast<int>(
+        ceil_div<std::int64_t>(4096, calib.tc_macs_per_cycle));
 
   const std::string dir = cli.get("baselines", "baselines");
   const int layers = static_cast<int>(cli.get_int("layers", 2));
@@ -434,14 +453,19 @@ int run(int argc, char** argv) {
     fresh.tool = "check_regression";
     fresh.meta = report::build_metadata();
     fresh.meta["figure"] = "host_gemm";
-    for (const auto& [engine, floor] :
-         {std::pair<GemmEngine, double>{GemmEngine::kBlocked, gemm_floor},
-          {GemmEngine::kSimd, simd_floor}}) {
+    // The reference is timed once per dtype; both engines share it as
+    // their bit-identity oracle and speedup denominator.
+    const GemmEngine engines[] = {GemmEngine::kBlocked, GemmEngine::kSimd};
+    const double floors[] = {gemm_floor, simd_floor};
+    const auto int_runs = measure_gemm_int(shape, repeats, 42, &pool, engines);
+    const auto f32_runs = measure_gemm_f32(shape, repeats, 42, &pool, engines);
+    for (std::size_t e = 0; e < std::size(engines); ++e) {
+      const GemmEngine engine = engines[e];
+      const double floor = floors[e];
       for (const auto& [dtype, m] :
-           {std::pair<const char*, GemmMeasurement>{
-                "int32",
-                measure_gemm_int(shape, repeats, 42, &pool, engine)},
-            {"f32", measure_gemm_f32(shape, repeats, 42, &pool, engine)}}) {
+           {std::pair<const char*, const GemmMeasurement&>{"int32",
+                                                           int_runs[e]},
+            {"f32", f32_runs[e]}}) {
         report::GemmPointReport p;
         p.name = shape.name;
         p.dtype = dtype;
