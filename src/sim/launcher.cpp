@@ -94,8 +94,7 @@ struct IssueLoad {
   // previous one's busy window ends, the last one's is never waited for.
   std::uint64_t port_cycles(ExecUnit unit) const {
     const auto u = static_cast<std::size_t>(unit);
-    return occupancy_sum[u] == 0 ? 0
-                                 : occupancy_sum[u] - occupancy_max[u] + 1;
+    return occupancy_sum[u] == 0 ? 0 : occupancy_sum[u] - occupancy_max[u] + 1;
   }
 };
 
@@ -135,7 +134,7 @@ std::uint64_t slice_cycle_lower_bound(const KernelSpec& kernel, int resident,
   }
   const auto subcores = static_cast<std::size_t>(spec.subcores_per_sm);
   std::vector<IssueLoad> per_subcore(subcores);
-  for (std::size_t b = 0; b < static_cast<std::size_t>(resident); ++b)
+  for (int b = 0; b < resident; ++b)
     for (std::size_t i = 0; i < warp_load.size(); ++i)
       per_subcore[home_subcore(i, b, subcores)] += loads[warp_load[i]];
 
@@ -143,9 +142,10 @@ std::uint64_t slice_cycle_lower_bound(const KernelSpec& kernel, int resident,
   IssueLoad sm;
   for (const IssueLoad& sc : per_subcore) {
     bound = std::max(bound, sc.instructions);
-    for (const ExecUnit unit : {ExecUnit::kIntPipe, ExecUnit::kFpPipe,
-                                ExecUnit::kSfu, ExecUnit::kTensor})
-      bound = std::max(bound, sc.port_cycles(unit));
+    bound = std::max(bound, sc.port_cycles(ExecUnit::kIntPipe));
+    bound = std::max(bound, sc.port_cycles(ExecUnit::kFpPipe));
+    bound = std::max(bound, sc.port_cycles(ExecUnit::kSfu));
+    bound = std::max(bound, sc.port_cycles(ExecUnit::kTensor));
     sm += sc;
   }
   return std::max(bound, sm.port_cycles(ExecUnit::kLsu));

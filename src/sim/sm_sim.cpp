@@ -81,8 +81,7 @@ void SmSim::add_block(const std::vector<ProgramPtr>& block_warps,
     w.reg_ready.assign(block_warps[i]->num_regs, 0);
     w.pending.resize(block_warps[i]->num_regs);
     w.block = block_id;
-    const std::size_t sc_id = home_subcore(
-        i, static_cast<std::size_t>(block_id), subcores_.size());
+    const std::size_t sc_id = home_subcore(i, block_id, subcores_.size());
     Subcore& sc = subcores_[sc_id];
     w.subcore = static_cast<std::uint32_t>(sc_id);
     w.slot = static_cast<std::uint32_t>(sc.warp_ids.size());

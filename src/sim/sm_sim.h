@@ -53,9 +53,9 @@ namespace vitbit::sim {
 // The sub-core warp `warp` of the SM's `block`-th resident block lives on.
 // Blocks are staggered so co-resident blocks with heterogeneous warp roles
 // spread each role over all sub-cores.
-inline std::size_t home_subcore(std::size_t warp, std::size_t block,
+inline std::size_t home_subcore(std::size_t warp, int block,
                                 std::size_t subcores) {
-  return (warp + block) % subcores;
+  return (warp + static_cast<std::size_t>(block)) % subcores;
 }
 
 // Cycles `in` holds its unit's dispatch port (`info` = op_info(in.op)): the
@@ -67,10 +67,10 @@ inline std::uint32_t issue_occupancy(const Instr& in, const OpInfo& info,
                                      const arch::Calibration& calib) {
   if (info.unit == ExecUnit::kTensor)
     return static_cast<std::uint32_t>(calib.imma_occupancy_cycles);
-  if (info.unit == ExecUnit::kLsu)
-    return std::max<std::uint32_t>(
-        1, ceil_div<std::uint32_t>(in.bytes, static_cast<std::uint32_t>(
-                                                 calib.lsu_bytes_per_cycle)));
+  if (info.unit == ExecUnit::kLsu) {
+    const auto rate = static_cast<std::uint32_t>(calib.lsu_bytes_per_cycle);
+    return std::max<std::uint32_t>(1, ceil_div(in.bytes, rate));
+  }
   return info.issue_cycles;
 }
 

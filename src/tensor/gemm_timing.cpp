@@ -40,12 +40,10 @@ template <typename Mat, typename RefFn, typename EngineFn>
 std::vector<GemmMeasurement> measure(const GemmShapeSpec& shape, int repeats,
                                      std::span<const GemmEngine> engines,
                                      const Mat& a, const Mat& b,
-                                     const RefFn& ref,
-                                     const EngineFn& engine) {
+                                     const RefFn& ref, const EngineFn& engine) {
   VITBIT_CHECK(repeats >= 1);
   Mat c_ref;
-  const double ref_seconds =
-      best_of(repeats, c_ref, [&] { return ref(a, b); });
+  const double ref_seconds = best_of(repeats, c_ref, [&] { return ref(a, b); });
   std::vector<GemmMeasurement> out;
   for (const GemmEngine e : engines) {
     GemmMeasurement m;

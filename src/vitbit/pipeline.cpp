@@ -346,9 +346,10 @@ std::vector<InferenceTiming> time_inferences(
   std::vector<KeyState> keys;
   for (const JobMisses& jm : job_misses)
     for (std::size_t mi = 0; mi < jm.misses.size(); ++mi) {
-      VITBIT_CHECK(jm.task_begin[mi] < jm.task_begin[mi + 1]);
-      keys.push_back({jm.task_begin[mi], jm.task_begin[mi + 1],
-                      jm.task_begin[mi]});
+      const std::size_t begin = jm.task_begin[mi];
+      const std::size_t end = jm.task_begin[mi + 1];
+      VITBIT_CHECK(begin < end);
+      keys.push_back({begin, end, begin});
     }
   std::vector<std::uint32_t> bounded;
   {
@@ -360,31 +361,29 @@ std::vector<InferenceTiming> time_inferences(
           bounded.push_back(tasks[t].slice);
     }
   }
-  const auto bound_cycles =
-      parallel_map(pool, bounded.size(), [&](std::size_t i) {
-        const SliceKey& key = slices[bounded[i]];
-        return sim::slice_cycle_lower_bound(build_slice(key, spec, calib),
-                                            key.resident, spec, calib);
-      });
-  std::vector<std::uint64_t> slice_bound(slices.size(), 0);
+  const auto bounds = parallel_map(pool, bounded.size(), [&](std::size_t i) {
+    const SliceKey& key = slices[bounded[i]];
+    return sim::slice_cycle_lower_bound(build_slice(key, spec, calib),
+                                        key.resident, spec, calib);
+  });
+  std::vector<sim::SmStats> bound_stats(slices.size());
   for (std::size_t i = 0; i < bounded.size(); ++i)
-    slice_bound[bounded[i]] = bound_cycles[i];
+    bound_stats[bounded[i]].cycles = bounds[i];
+  // Task t's total when its slice runs `slice`.
+  const auto total = [&](std::size_t t, const sim::SmStats& slice) {
+    return sim::extrapolate(tasks[t].geometry, slice, calib).total_cycles;
+  };
   std::vector<std::uint64_t> task_bound(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    sim::SmStats bound;
-    bound.cycles = slice_bound[tasks[t].slice];
-    task_bound[t] =
-        sim::extrapolate(tasks[t].geometry, bound, calib).total_cycles;
-  }
+  for (std::size_t t = 0; t < tasks.size(); ++t)
+    task_bound[t] = total(t, bound_stats[tasks[t].slice]);
+  const auto by_bound = [&](std::size_t a, std::size_t b) {
+    return std::pair(task_bound[a], a) < std::pair(task_bound[b], b);
+  };
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   for (const KeyState& key : keys)
     std::sort(order.begin() + static_cast<std::ptrdiff_t>(key.begin),
-              order.begin() + static_cast<std::ptrdiff_t>(key.end),
-              [&](std::size_t a, std::size_t b) {
-                return std::pair(task_bound[a], a) <
-                       std::pair(task_bound[b], b);
-              });
+              order.begin() + static_cast<std::ptrdiff_t>(key.end), by_bound);
 
   // Phase 3: waves. Each open key takes its next candidates while their
   // bound is <= its best total so far (the first wave has no best yet),
@@ -417,29 +416,26 @@ std::vector<InferenceTiming> time_inferences(
       }
     }
     if (!any_open) break;
-    const auto wave_stats =
-        parallel_map(pool, wave.size(), [&](std::size_t i) {
-          const SliceKey& key = slices[wave[i]];
-          return sim::simulate_sm(build_slice(key, spec, calib), key.resident,
-                                  spec, calib);
-        });
+    const auto wave_stats = parallel_map(pool, wave.size(), [&](std::size_t i) {
+      const SliceKey& key = slices[wave[i]];
+      return sim::simulate_sm(build_slice(key, spec, calib), key.resident,
+                              spec, calib);
+    });
     for (std::size_t i = 0; i < wave.size(); ++i)
       stats[wave[i]] = wave_stats[i];
     for (KeyState& key : keys) {
       if (key.closed) continue;
       for (; key.next < key.taken; ++key.next) {
         const std::size_t t = order[key.next];
-        const std::uint64_t cycles =
-            sim::extrapolate(tasks[t].geometry, stats[tasks[t].slice], calib)
-                .total_cycles;
+        const std::uint64_t cycles = total(t, stats[tasks[t].slice]);
         if (key.next == key.begin ||
             std::pair(cycles, t) < std::pair(key.best_cycles, key.best)) {
           key.best = t;
           key.best_cycles = cycles;
         }
       }
-      key.closed = key.next == key.end ||
-                   task_bound[order[key.next]] > key.best_cycles;
+      const bool swept = key.next == key.end;
+      key.closed = swept || task_bound[order[key.next]] > key.best_cycles;
     }
   }
 

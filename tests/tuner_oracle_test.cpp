@@ -31,6 +31,16 @@ const arch::Calibration& kCalib = arch::default_calibration();
 
 using GemmLaunchKey = std::tuple<int, int, int, int, trace::GemmBlockPlan>;
 
+// The tuner's candidate plans for `job`'s GEMMs and for its elementwise
+// `call`, in candidate order.
+std::vector<trace::GemmBlockPlan> gemm_plans(const core::InferenceJob& job) {
+  return core::gemm_candidates(job.strategy, job.config, kCalib);
+}
+std::vector<trace::ElementwisePlan> ew_plans(const core::InferenceJob& job,
+                                             const nn::KernelCall& call) {
+  return core::elementwise_candidates(job.strategy, call, job.config, kCalib);
+}
+
 // Every candidate launch of every job, each distinct one simulated once.
 class ExhaustiveTuner {
  public:
@@ -39,12 +49,10 @@ class ExhaustiveTuner {
     for (const auto& job : jobs)
       for (const auto& call : job.log->calls()) {
         if (call.kind == nn::KernelKind::kGemm) {
-          for (const auto& plan :
-               core::gemm_candidates(job.strategy, job.config, kCalib))
+          for (const auto& plan : gemm_plans(job))
             gemm_.emplace(gemm_key(call, plan), sim::LaunchResult{});
         } else {
-          for (const auto& plan : core::elementwise_candidates(
-                   job.strategy, call, job.config, kCalib))
+          for (const auto& plan : ew_plans(job, call))
             elementwise_.emplace(plan, sim::LaunchResult{});
         }
       }
@@ -74,12 +82,10 @@ class ExhaustiveTuner {
                                 const nn::KernelCall& call) const {
     std::vector<const sim::LaunchResult*> launches;
     if (call.kind == nn::KernelKind::kGemm) {
-      for (const auto& plan :
-           core::gemm_candidates(job.strategy, job.config, kCalib))
+      for (const auto& plan : gemm_plans(job))
         launches.push_back(&gemm_.at(gemm_key(call, plan)));
     } else {
-      for (const auto& plan : core::elementwise_candidates(
-               job.strategy, call, job.config, kCalib))
+      for (const auto& plan : ew_plans(job, call))
         launches.push_back(&elementwise_.at(plan));
     }
     const sim::LaunchResult* winner = launches.front();
@@ -112,23 +118,21 @@ void expect_exhaustive(const core::InferenceJob& job,
     const sim::LaunchResult& r = oracle.best(job, calls[i]);
     const core::KernelTiming& t = got.kernels[i];
     const arch::EnergyModel energy;
+    const double dram_nj =
+        energy.dram_nj_per_byte * static_cast<double>(r.sm.dram_bytes);
     const double dyn_nj =
-        (energy.sm_dynamic_nj(r.sm) +
-         energy.dram_nj_per_byte * static_cast<double>(r.sm.dram_bytes)) *
-        r.grid_scale();
+        (energy.sm_dynamic_nj(r.sm) + dram_nj) * r.grid_scale();
     const double stat_nj =
         energy.static_nj(kSpec, static_cast<double>(r.total_cycles));
+    const int units = kSpec.subcores_per_sm;
     EXPECT_EQ(t.name, calls[i].name);
     EXPECT_EQ(t.kind, calls[i].kind);
     EXPECT_EQ(t.cycles, r.total_cycles);
     EXPECT_EQ(t.instructions, r.grid_instructions);
     EXPECT_EQ(t.ipc, r.sm.ipc());
-    EXPECT_EQ(t.int_util,
-              r.sm.utilization(sim::ExecUnit::kIntPipe, kSpec.subcores_per_sm));
-    EXPECT_EQ(t.fp_util,
-              r.sm.utilization(sim::ExecUnit::kFpPipe, kSpec.subcores_per_sm));
-    EXPECT_EQ(t.tc_util,
-              r.sm.utilization(sim::ExecUnit::kTensor, kSpec.subcores_per_sm));
+    EXPECT_EQ(t.int_util, r.sm.utilization(sim::ExecUnit::kIntPipe, units));
+    EXPECT_EQ(t.fp_util, r.sm.utilization(sim::ExecUnit::kFpPipe, units));
+    EXPECT_EQ(t.tc_util, r.sm.utilization(sim::ExecUnit::kTensor, units));
     EXPECT_EQ(t.energy_mj, (dyn_nj + stat_nj) * 1e-6);
     EXPECT_TRUE(t.sm == r.sm);
     total += r.total_cycles;
@@ -178,11 +182,8 @@ TEST(TunerOracle, PrunedMatchesExhaustiveAloneAndInOneCall) {
   const ExhaustiveTuner oracle(jobs, pool);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     SCOPED_TRACE("alone, job " + std::to_string(j));
-    const core::InferenceJob& job = jobs[j];
-    expect_exhaustive(job,
-                      core::time_inference(*job.log, job.strategy, job.config,
-                                           kSpec, kCalib, &pool),
-                      oracle);
+    const auto alone = core::time_inferences({jobs[j]}, kSpec, kCalib, &pool);
+    expect_exhaustive(jobs[j], alone.front(), oracle);
   }
   const auto timings = core::time_inferences(jobs, kSpec, kCalib, &pool);
   ASSERT_EQ(timings.size(), jobs.size());

@@ -47,12 +47,10 @@
 #include <iostream>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/cli.h"
-#include "common/int_math.h"
 #include "common/thread_pool.h"
 #include "nn/vit_model.h"
 #include "report/baseline.h"
@@ -124,24 +122,26 @@ int run(int argc, char** argv) {
   // int: --tc-macs=0 (or 2^32, which narrows to 0) divides by zero, a
   // negative rate makes a negative IMMA occupancy, and a negative launch
   // overhead wraps in sim::extrapolate's unsigned total.
-  for (const auto& [name, lo, field] :
-       {std::tuple<const char*, std::int64_t, int*>{
-            "tc-macs", 1, &calib.tc_macs_per_cycle},
-        {"launch-overhead", 0, &calib.kernel_launch_overhead_cycles}}) {
-    if (!cli.has(name)) continue;
+  const auto read_override = [&](const char* name, std::int64_t lo,
+                                 int& field) {
+    if (!cli.has(name)) return true;
     const std::int64_t v = cli.get_int(name, lo);
     if (v < lo || v > std::numeric_limits<int>::max()) {
       std::cerr << "check_regression: --" << name << " must be in [" << lo
                 << ", " << std::numeric_limits<int>::max() << "], got "
                 << cli.get(name, "") << "\n";
-      return 2;
+      return false;
     }
-    *field = static_cast<int>(v);
-  }
-  // One IMMA is 4096 MACs; keep the derived occupancy consistent.
+    field = static_cast<int>(v);
+    return true;
+  };
+  if (!read_override("tc-macs", 1, calib.tc_macs_per_cycle) ||
+      !read_override("launch-overhead", 0, calib.kernel_launch_overhead_cycles))
+    return 2;
+  // One IMMA is 4096 MACs; keep the derived occupancy consistent. This is
+  // ceil(4096 / tc-macs) in a form that cannot overflow.
   if (cli.has("tc-macs"))
-    calib.imma_occupancy_cycles = static_cast<int>(
-        ceil_div<std::int64_t>(4096, calib.tc_macs_per_cycle));
+    calib.imma_occupancy_cycles = 4095 / calib.tc_macs_per_cycle + 1;
 
   const std::string dir = cli.get("baselines", "baselines");
   const int layers = static_cast<int>(cli.get_int("layers", 2));
@@ -457,15 +457,14 @@ int run(int argc, char** argv) {
     // their bit-identity oracle and speedup denominator.
     const GemmEngine engines[] = {GemmEngine::kBlocked, GemmEngine::kSimd};
     const double floors[] = {gemm_floor, simd_floor};
-    const auto int_runs = measure_gemm_int(shape, repeats, 42, &pool, engines);
-    const auto f32_runs = measure_gemm_f32(shape, repeats, 42, &pool, engines);
+    const auto mi = measure_gemm_int(shape, repeats, 42, &pool, engines);
+    const auto mf = measure_gemm_f32(shape, repeats, 42, &pool, engines);
     for (std::size_t e = 0; e < std::size(engines); ++e) {
       const GemmEngine engine = engines[e];
       const double floor = floors[e];
       for (const auto& [dtype, m] :
-           {std::pair<const char*, const GemmMeasurement&>{"int32",
-                                                           int_runs[e]},
-            {"f32", f32_runs[e]}}) {
+           {std::pair<const char*, const GemmMeasurement&>{"int32", mi[e]},
+            {"f32", mf[e]}}) {
         report::GemmPointReport p;
         p.name = shape.name;
         p.dtype = dtype;
