@@ -45,6 +45,7 @@ std::vector<GemmMeasurement> measure(const GemmShapeSpec& shape, int repeats,
   Mat c_ref;
   const double ref_seconds = best_of(repeats, c_ref, [&] { return ref(a, b); });
   std::vector<GemmMeasurement> out;
+  out.reserve(engines.size());
   for (const GemmEngine e : engines) {
     GemmMeasurement m;
     Mat c_engine;
