@@ -32,7 +32,7 @@
 
 #include "bench/bench_util.h"
 #include "common/cli.h"
-#include "serve/sched/sched.h"
+#include "serve/cluster.h"
 
 namespace vitbit {
 namespace {

@@ -26,7 +26,7 @@
 
 #include "bench/bench_util.h"
 #include "common/cli.h"
-#include "serve/server.h"
+#include "serve/cluster.h"
 
 namespace vitbit {
 namespace {

@@ -25,8 +25,6 @@
 #include "nn/vit_model.h"
 #include "report/run_report.h"
 #include "serve/cluster.h"
-#include "serve/sched/sched.h"
-#include "serve/server.h"
 #include "sim/gpu_sim.h"
 #include "swar/layout.h"
 #include "tensor/gemm_dispatch.h"
@@ -196,7 +194,7 @@ int cmd_report(const Cli& cli, ThreadPool& pool) {
   return 0;
 }
 
-// Serving-simulator rate sweep (serve/server.h): open-loop arrivals into
+// Serving-simulator rate sweep (serve/cluster.h): open-loop arrivals into
 // the dynamic batcher, TC vs VitBit goodput and tail latency per rate,
 // with optional deterministic fault injection (serve/faults.h). --json
 // writes the schema-versioned serve_points report.

@@ -32,17 +32,20 @@ std::uint64_t exp_phase_us(Rng& rng, double mean_s) {
 }  // namespace
 
 void FaultConfig::validate() const {
-  VITBIT_CHECK_MSG(replica_mtbf_s >= 0.0, "replica_mtbf_s must be >= 0");
+  VITBIT_CHECK_MSG(std::isfinite(replica_mtbf_s) && replica_mtbf_s >= 0.0,
+                   "replica_mtbf_s must be finite and >= 0");
   if (replica_mtbf_s > 0.0)
-    VITBIT_CHECK_MSG(replica_mttr_s > 0.0,
-                     "replica_mttr_s must be > 0 when failures are enabled");
+    VITBIT_CHECK_MSG(std::isfinite(replica_mttr_s) && replica_mttr_s > 0.0,
+                     "replica_mttr_s must be positive finite when failures "
+                     "are enabled");
   VITBIT_CHECK_MSG(batch_failure_prob >= 0.0 && batch_failure_prob <= 1.0,
                    "batch_failure_prob must be in [0, 1]");
   VITBIT_CHECK_MSG(latency_spike_prob >= 0.0 && latency_spike_prob <= 1.0,
                    "latency_spike_prob must be in [0, 1]");
   if (latency_spike_prob > 0.0)
-    VITBIT_CHECK_MSG(latency_spike_mult >= 1.0,
-                     "latency_spike_mult must be >= 1");
+    VITBIT_CHECK_MSG(
+        std::isfinite(latency_spike_mult) && latency_spike_mult >= 1.0,
+        "latency_spike_mult must be finite and >= 1");
   VITBIT_CHECK_MSG(max_retries >= 0, "max_retries must be >= 0");
   VITBIT_CHECK_MSG(retry_backoff_us >= 1, "retry_backoff_us must be >= 1");
   VITBIT_CHECK_MSG(degrade_below_live >= 0, "degrade_below_live must be >= 0");

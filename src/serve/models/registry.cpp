@@ -157,6 +157,32 @@ ModelRegistry::ModelRegistry(const std::vector<std::string>& names,
     tables_.push_back(std::move(tables.front()));
 }
 
+ModelRegistry::ModelRegistry(std::vector<std::string> names,
+                             std::vector<LatencyTable> tables,
+                             const SwapCostConfig& swap,
+                             std::uint64_t cold_swap_us)
+    : names_(std::move(names)),
+      tables_(std::move(tables)),
+      cold_swap_us_(names_.size(), cold_swap_us),
+      swap_(swap) {
+  VITBIT_CHECK_MSG(!names_.empty(), "model registry needs >= 1 model");
+  VITBIT_CHECK_MSG(tables_.size() == names_.size(),
+                   tables_.size() << " tables for " << names_.size()
+                                  << " models");
+  swap_.validate();
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    const auto& lat = tables_[i].batch_latency_us;
+    VITBIT_CHECK_MSG(lat.size() >= 2 && *std::min_element(lat.begin() + 1,
+                                                          lat.end()) >= 1,
+                     "model " << names_[i]
+                              << " needs a latency of >= 1 us per batch size");
+    for (std::size_t j = i + 1; j < names_.size(); ++j)
+      VITBIT_CHECK_MSG(names_[i] != names_[j],
+                       "duplicate zoo model: " << names_[i]);
+  }
+  strategy_ = tables_.front().strategy;
+}
+
 const std::string& ModelRegistry::name(int m) const {
   VITBIT_CHECK(m >= 0 && m < num_models());
   return names_[static_cast<std::size_t>(m)];

@@ -65,6 +65,13 @@ class ModelRegistry {
                 core::Strategy strategy, const arch::OrinSpec& spec,
                 const arch::Calibration& calib, int max_batch,
                 const SwapCostConfig& swap, ThreadPool* pool = nullptr);
+  // Prebuilt tables, model m being names[m] over tables[m] — the single-
+  // model sweeps' ViT (its layer count is not a zoo entry) and synthetic
+  // tables in tests. Every cold swap costs `cold_swap_us`.
+  ModelRegistry(std::vector<std::string> names,
+                std::vector<LatencyTable> tables,
+                const SwapCostConfig& swap = {},
+                std::uint64_t cold_swap_us = 1);
 
   int num_models() const { return static_cast<int>(names_.size()); }
   const std::string& name(int m) const;

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "common/check.h"
-#include "common/cli.h"
-#include "common/thread_pool.h"
-#include "serve/fleet_loop.h"
 
 namespace vitbit::serve {
 
@@ -16,62 +12,17 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-std::string fmt_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
-
-bool known_mode(const std::string& mode) {
-  return mode == "fifo" || mode == "cb" || mode == "cb-pre";
-}
-
-// Comma-split without the uniqueness constraint of parse_name_list —
-// per-class arrival-kind lists legitimately repeat ("poisson,poisson").
-std::vector<std::string> split_list(const std::string& spec,
-                                    const char* what) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const auto comma = spec.find(',', pos);
-    std::string item = spec.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    VITBIT_CHECK_MSG(!item.empty(),
-                     "empty entry in " << what << " list: " << spec);
-    out.push_back(std::move(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::string join_list(const std::vector<std::string>& items) {
-  std::string out;
-  for (const auto& s : items) {
-    if (!out.empty()) out += ",";
-    out += s;
-  }
-  return out;
-}
-
-std::string join_nums(const std::vector<double>& items) {
-  std::string out;
-  for (const double v : items) {
-    if (!out.empty()) out += ",";
-    out += fmt_num(v);
-  }
-  return out;
-}
-
 }  // namespace
 
 void SchedConfig::validate() const {
-  VITBIT_CHECK_MSG(known_mode(mode),
-                   "unknown scheduler mode: " << mode
-                                              << " (want fifo|cb|cb-pre)");
+  VITBIT_CHECK_MSG(mode == "fifo" || mode == "timeout" || mode == "cb" ||
+                       mode == "cb-pre",
+                   "unknown scheduler mode: "
+                       << mode << " (want fifo|timeout|cb|cb-pre)");
   VITBIT_CHECK_MSG(num_gpus >= 1, "num_gpus must be >= 1");
   VITBIT_CHECK_MSG(max_batch >= 1, "max_batch must be >= 1");
   VITBIT_CHECK_MSG(queue_capacity >= 1, "queue_capacity must be >= 1");
+  VITBIT_CHECK_MSG(batch_timeout_us >= 1, "batch_timeout_us must be >= 1");
   VITBIT_CHECK_MSG(iters >= 1, "iters must be >= 1");
   VITBIT_CHECK_MSG(slo_us >= 1, "slo_us must be >= 1");
   VITBIT_CHECK_MSG(!classes.empty(), "scheduler needs >= 1 class");
@@ -82,18 +33,25 @@ void SchedConfig::validate() const {
     VITBIT_CHECK_MSG(classes[c].slo_us >= 1,
                      "class " << classes[c].name << " slo_us must be >= 1");
   }
+  faults.validate();
+  VITBIT_CHECK_MSG(faults.degrade_below_live <= num_gpus,
+                   "degrade_below_live " << faults.degrade_below_live
+                                         << " exceeds num_gpus " << num_gpus);
 }
 
 SchedSim::SchedSim(const ModelRegistry& registry, const SchedConfig& cfg,
-                   PercentileMode percentiles, const AutoscaleConfig& autoscale)
+                   PercentileMode percentiles, const AutoscaleConfig& autoscale,
+                   const ModelRegistry* fallback)
     : registry_(registry),
+      fallback_(fallback),
       cfg_(cfg),
       as_(autoscale),
-      preemptive_(cfg.mode == "cb-pre"),
       replicas_(static_cast<std::size_t>(
           autoscale.enabled() ? autoscale.max_replicas : cfg.num_gpus)),
+      faults_(cfg.faults, static_cast<int>(replicas_.size())),
       class_queues_(cfg.classes.size()),
       served_(cfg.classes.size(), 0),
+      flush_wake_us_(kNever),
       total_(percentiles,
              percentiles == PercentileMode::kSketch ? cfg.slo_us : 0),
       per_class_(
@@ -108,12 +66,24 @@ SchedSim::SchedSim(const ModelRegistry& registry, const SchedConfig& cfg,
                  percentiles) {
   cfg_.validate();
   as_.validate();
-  for (int m = 0; m < registry_.num_models(); ++m)
-    VITBIT_CHECK_MSG(registry_.table(m).max_batch() >= cfg_.max_batch,
-                     "model " << registry_.name(m)
-                              << " latency table covers batches up to "
-                              << registry_.table(m).max_batch()
-                              << ", scheduler needs " << cfg_.max_batch);
+  mode_ = cfg_.mode == "fifo"      ? Mode::kFifo
+          : cfg_.mode == "timeout" ? Mode::kTimeout
+          : cfg_.mode == "cb"      ? Mode::kCb
+                                   : Mode::kCbPre;
+  const bool degrade = cfg_.faults.degrade_below_live > 0;
+  VITBIT_CHECK_MSG(!degrade || fallback_ != nullptr,
+                   "degrade_below_live > 0 requires a fallback registry");
+  VITBIT_CHECK_MSG(
+      !degrade || fallback_->num_models() == registry_.num_models(),
+      "fallback registry holds " << fallback_->num_models() << " models, not "
+                                 << registry_.num_models());
+  for (const auto* reg : {&registry_, degrade ? fallback_ : &registry_})
+    for (int m = 0; m < reg->num_models(); ++m)
+      VITBIT_CHECK_MSG(reg->table(m).max_batch() >= cfg_.max_batch,
+                       "model " << reg->name(m)
+                                << " latency table covers batches up to "
+                                << reg->table(m).max_batch()
+                                << ", scheduler needs " << cfg_.max_batch);
   enabled_ = as_.enabled() ? std::clamp(cfg_.num_gpus, as_.min_replicas,
                                         as_.max_replicas)
                            : cfg_.num_gpus;
@@ -130,16 +100,80 @@ std::size_t SchedSim::total_depth() const {
   return n;
 }
 
+void SchedSim::enqueue(const Request& r) {
+  if (whole_batch())
+    fifo_queue_.push_back(r);
+  else
+    class_queues_[static_cast<std::size_t>(r.cls)].push_back(r);
+}
+
+void SchedSim::fail_batch(Replica& rep, std::uint64_t t) {
+  total_.on_batch_failure();
+  for (const auto& res : rep.batch) {
+    Request r = res.req;
+    const int attempt = r.attempt + 1;
+    const bool budget = attempt <= cfg_.faults.max_retries;
+    const std::uint64_t ready =
+        budget ? t + faults_.retry_delay_us(attempt) : 0;
+    if (!budget || ready > r.arrival_us + cfg_.slo_us) {
+      each_sink(r, [](MetricsSink& s) { s.on_shed(); });
+      continue;
+    }
+    each_sink(r, [](MetricsSink& s) { s.on_retry(); });
+    r.attempt = attempt;
+    retries_.push_back({ready, r});
+    std::push_heap(retries_.begin(), retries_.end(), RetryLater{});
+  }
+  rep.batch.clear();
+  rep.running = false;
+}
+
+int SchedSim::live_enabled() const {
+  int n = 0;
+  for (int g = 0; g < enabled_; ++g)
+    if (faults_.up(g)) ++n;
+  return n;
+}
+
 void SchedSim::begin_step(std::uint64_t now) {
-  // Iteration (fifo: whole-batch) completions due at `now`, lowest
-  // replica index first: record the executed iteration, then retire
-  // residents whose last slice this was — against the total, class, and
-  // model sinks — leaving the replica at a boundary for dispatch().
+  // 1. Replica fault transitions due at `now` (lowest index first). A
+  // replica going down aborts its running batch onto the retry path; the
+  // partial busy time still counts against utilization.
+  for (int g = 0; g < faults_.num_replicas(); ++g) {
+    while (faults_.next_transition_us(g) <= now) {
+      faults_.advance(g);
+      touch(now);
+      auto& rep = replicas_[static_cast<std::size_t>(g)];
+      if (!faults_.up(g) && rep.running) {
+        total_.on_batch(rep.batch.size(), now - rep.iter_start_us);
+        fail_batch(rep, now);
+      }
+    }
+  }
+  if (cfg_.faults.degrade_below_live > 0) {
+    const bool want = live_enabled() < cfg_.faults.degrade_below_live;
+    if (want && !degraded_) {
+      total_.on_failover();
+      degraded_ = true;
+      degraded_since_ = now;
+    } else if (!want && degraded_) {
+      total_.add_degraded_us(now - degraded_since_);
+      degraded_ = false;
+    }
+  }
+
+  // 2. Iteration (fifo/timeout: whole-batch) completions due at `now`,
+  // lowest replica index first: record the executed iteration, then
+  // retire residents whose last slice this was.
   for (auto& rep : replicas_) {
     if (!rep.running || rep.iter_done_us > now) continue;
     total_.on_batch(rep.batch.size(), rep.iter_done_us - rep.iter_start_us);
     rep.running = false;
     touch(now);
+    if (rep.fail) {
+      fail_batch(rep, now);
+      continue;
+    }
     std::vector<Resident> keep;
     keep.reserve(rep.batch.size());
     for (auto& res : rep.batch) {
@@ -148,11 +182,7 @@ void SchedSim::begin_step(std::uint64_t now) {
         continue;
       }
       const auto& r = res.req;
-      total_.on_completion(r.arrival_us, now);
-      per_class_.at(static_cast<std::size_t>(r.cls))
-          .on_completion(r.arrival_us, now);
-      per_model_.at(static_cast<std::size_t>(r.model))
-          .on_completion(r.arrival_us, now);
+      each_sink(r, [&](MetricsSink& s) { s.on_completion(r.arrival_us, now); });
       ++tick_completed_[static_cast<std::size_t>(r.cls)];
       if (now - r.arrival_us >
           cfg_.classes[static_cast<std::size_t>(r.cls)].slo_us)
@@ -172,20 +202,31 @@ void SchedSim::admit(std::uint64_t now, const Request& r) {
                    "request model " << r.model << " outside the "
                                     << registry_.num_models()
                                     << "-model registry");
-  total_.on_offered();
-  per_class_.at(static_cast<std::size_t>(r.cls)).on_offered();
-  per_model_.at(static_cast<std::size_t>(r.model)).on_offered();
+  each_sink(r, [](MetricsSink& s) { s.on_offered(); });
   if (total_depth() >= static_cast<std::size_t>(cfg_.queue_capacity)) {
-    total_.on_drop();
-    per_class_.at(static_cast<std::size_t>(r.cls)).on_drop();
-    per_model_.at(static_cast<std::size_t>(r.model)).on_drop();
+    each_sink(r, [](MetricsSink& s) { s.on_drop(); });
     return;
   }
-  if (cfg_.mode == "fifo")
-    fifo_queue_.push_back(r);
-  else
-    class_queues_[static_cast<std::size_t>(r.cls)].push_back(r);
+  enqueue(r);
   total_.on_queue_depth(now, total_depth());
+}
+
+void SchedSim::admit_due_retries(std::uint64_t now) {
+  // A full queue sheds retries rather than dropping them — the request
+  // was already admitted once and now exits the system for good.
+  while (!retries_.empty() && retries_.front().ready_us <= now) {
+    std::pop_heap(retries_.begin(), retries_.end(), RetryLater{});
+    const Request r = retries_.back().req;
+    retries_.pop_back();
+    touch(now);
+    if (total_depth() >= static_cast<std::size_t>(cfg_.queue_capacity)) {
+      each_sink(r, [](MetricsSink& s) { s.on_shed(); });
+      continue;
+    }
+    each_sink(r, [](MetricsSink& s) { s.on_requeue(); });
+    enqueue(r);
+    total_.on_queue_depth(now, total_depth());
+  }
 }
 
 bool wrr_prefers(double weight_c, std::uint64_t served_c, double weight_b,
@@ -260,8 +301,7 @@ void SchedSim::activate_model(Replica& rep, int model) {
   std::uint64_t cost = 0;
   const auto it = std::find(rep.cache.begin(), rep.cache.end(), model);
   if (rep.model < 0 && rep.cache.empty()) {
-    // First load: weights are staged before traffic (free), matching the
-    // single-model tiers this scheduler must reproduce bit for bit.
+    // First load: weights are staged before traffic (free).
   } else if (it != rep.cache.end()) {
     cost = registry_.warm_swap_us();
     ++model_swaps_;
@@ -281,14 +321,18 @@ void SchedSim::activate_model(Replica& rep, int model) {
 }
 
 void SchedSim::start_iteration(Replica& rep, std::uint64_t now) {
-  const auto lat = registry_.table(rep.model).latency_us(rep.batch.size());
+  // Degraded mode charges new iterations to the fallback tables.
+  const auto& reg = degraded_ ? *fallback_ : registry_;
+  const auto lat = reg.table(rep.model).latency_us(rep.batch.size());
   std::uint64_t busy =
-      cfg_.mode == "fifo"
-          ? lat
-          : std::max<std::uint64_t>(
-                1, lat / static_cast<std::uint64_t>(cfg_.iters));
+      whole_batch() ? lat
+                    : std::max<std::uint64_t>(
+                          1, lat / static_cast<std::uint64_t>(cfg_.iters));
+  const auto fate = faults_.draw_batch_fate();
+  if (fate.spike) busy = faults_.spiked_latency_us(busy);
   busy += rep.pending_swap_us;
   rep.pending_swap_us = 0;
+  rep.fail = fate.fail;
   rep.running = true;
   rep.iter_start_us = now;
   rep.iter_done_us = now + busy;
@@ -357,24 +401,39 @@ void SchedSim::fill_wrr(Replica& rep, std::uint64_t now) {
   }
 }
 
-void SchedSim::dispatch_fifo(std::uint64_t now) {
-  // The pre-scheduler baseline: whole same-model prefix batches onto
-  // idle replicas, lowest replica index first — the greedy flush policy
-  // of serve/batcher.h restated over per-model latency tables.
+void SchedSim::dispatch_whole(std::uint64_t now) {
+  // Whole same-model prefix batches onto idle live replicas, lowest
+  // replica index first. The flush rule runs before every pop: fifo
+  // always dispatches; timeout waits for a full batch or for the head
+  // request's deadline, whose wake time bounds the idle stretch.
+  flush_wake_us_ = kNever;
+  const auto max_batch = static_cast<std::size_t>(cfg_.max_batch);
   while (!fifo_queue_.empty()) {
     Replica* idle = nullptr;
     for (int g = 0; g < enabled_; ++g) {
       auto& rep = replicas_[static_cast<std::size_t>(g)];
-      if (rep.batch.empty() && !rep.running) {
+      if (faults_.up(g) && rep.batch.empty() && !rep.running) {
         idle = &rep;
         break;
       }
     }
     if (idle == nullptr) break;
     const int model = fifo_queue_.front().model;
+    std::size_t n = 0;
+    while (n < fifo_queue_.size() && n < max_batch &&
+           fifo_queue_[n].model == model)
+      ++n;
+    if (mode_ == Mode::kTimeout && n < max_batch) {
+      const auto deadline =
+          fifo_queue_.front().arrival_us + cfg_.batch_timeout_us;
+      if (now < deadline) {
+        flush_wake_us_ = deadline;
+        break;
+      }
+    }
     std::vector<Resident> batch;
-    while (!fifo_queue_.empty() && fifo_queue_.front().model == model &&
-           batch.size() < static_cast<std::size_t>(cfg_.max_batch)) {
+    batch.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       batch.push_back({fifo_queue_.front(), 1, join_seq_++});
       fifo_queue_.pop_front();
     }
@@ -386,15 +445,15 @@ void SchedSim::dispatch_fifo(std::uint64_t now) {
 }
 
 void SchedSim::dispatch_cb(std::uint64_t now) {
-  // Every replica standing at an iteration boundary (or idle) refills:
-  // finished residents already left in begin_step, queued same-model
-  // requests join, and the next iteration is scheduled from the current
-  // batch size. An emptied replica may switch models (swap charged to
-  // the first iteration of the new batch).
+  // Every live replica standing at an iteration boundary (or idle)
+  // refills: finished residents already left in begin_step, queued
+  // same-model requests join, and the next iteration is scheduled from
+  // the current batch size. An emptied replica may switch models (swap
+  // charged to the first iteration of the new batch).
   for (int g = 0; g < enabled_; ++g) {
     auto& rep = replicas_[static_cast<std::size_t>(g)];
-    if (rep.running) continue;  // mid-iteration
-    if (preemptive_) admit_urgent(rep, now);
+    if (rep.running || !faults_.up(g)) continue;
+    if (mode_ == Mode::kCbPre) admit_urgent(rep, now);
     fill_wrr(rep, now);
     if (rep.batch.empty()) continue;  // nothing eligible; replica idles
     start_iteration(rep, now);
@@ -402,8 +461,8 @@ void SchedSim::dispatch_cb(std::uint64_t now) {
 }
 
 void SchedSim::dispatch(std::uint64_t now) {
-  if (cfg_.mode == "fifo")
-    dispatch_fifo(now);
+  if (whole_batch())
+    dispatch_whole(now);
   else
     dispatch_cb(now);
 }
@@ -415,9 +474,9 @@ void SchedSim::accrue_replica_time(std::uint64_t now) {
 }
 
 std::uint64_t SchedSim::cooldown_expiry_us(std::uint64_t t) const {
-  // Saturating t + cooldown, same contract as ShardSim: a near-uint64-max
-  // cooldown means "never scale again", not an overflow past zero that
-  // re-arms at the very next tick.
+  // Saturating t + cooldown: a near-uint64-max cooldown means "never
+  // scale again", not an overflow past zero that re-arms at the very
+  // next tick — including the first tick after virtual time 0.
   return t > kNever - as_.cooldown_us ? kNever : t + as_.cooldown_us;
 }
 
@@ -472,8 +531,26 @@ void SchedSim::maybe_autoscale(std::uint64_t now) {
   }
 }
 
+std::uint64_t SchedSim::next_internal_event_us() const {
+  std::uint64_t t = flush_wake_us_;
+  if (!retries_.empty()) t = std::min(t, retries_.front().ready_us);
+  for (const auto& rep : replicas_)
+    if (rep.running) t = std::min(t, rep.iter_done_us);
+  return t;
+}
+
 std::uint64_t SchedSim::next_timer_us() const {
-  return as_.enabled() ? next_autoscale_us_ : kNever;
+  std::uint64_t t = as_.enabled() ? next_autoscale_us_ : kNever;
+  for (int g = 0; g < faults_.num_replicas(); ++g)
+    t = std::min(t, faults_.next_transition_us(g));
+  return t;
+}
+
+bool SchedSim::idle() const {
+  if (total_depth() != 0 || !retries_.empty()) return false;
+  for (const auto& rep : replicas_)
+    if (!rep.batch.empty()) return false;
+  return true;
 }
 
 std::size_t SchedSim::load() const {
@@ -514,21 +591,11 @@ const MetricsSink& SchedSim::model_sink(std::size_t m) const {
   return per_model_.at(m);
 }
 
-std::uint64_t SchedSim::next_internal_event_us() const {
-  std::uint64_t t = kNever;
-  for (const auto& rep : replicas_)
-    if (rep.running) t = std::min(t, rep.iter_done_us);
-  return t;
-}
-
-bool SchedSim::idle() const {
-  if (total_depth() != 0) return false;
-  for (const auto& rep : replicas_)
-    if (!rep.batch.empty()) return false;
-  return true;
-}
-
 SchedMetrics SchedSim::finalize(std::uint64_t end_us) {
+  if (degraded_) {
+    total_.add_degraded_us(end_us - degraded_since_);
+    degraded_ = false;
+  }
   if (as_.enabled()) {
     // Exact available-replica-time under autoscaling; without it the
     // sink falls back to num_gpus * end_us (the fixed-pool case).
@@ -544,336 +611,6 @@ SchedMetrics SchedSim::finalize(std::uint64_t end_us) {
   m.cold_swaps = cold_swaps_;
   m.swap_us = swap_us_;
   return m;
-}
-
-namespace {
-
-// The one driving loop behind both simulate_sched overloads; `Source`
-// exposes has_next / peek_arrival_us / next (WorkloadStream shape).
-// Since the sched/cluster unification this is the shared fleet loop
-// degenerated to one shard and a constant route — the event sequence
-// (begin_step, admit arrivals, dispatch, advance) is identical to the
-// pre-unification scheduler loop, which the committed sched_sweep
-// baseline pins byte for byte.
-template <typename Source>
-SchedMetrics drive_sched(Source& source, const ModelRegistry& registry,
-                         const SchedConfig& cfg, PercentileMode percentiles) {
-  SchedSim sim(registry, cfg, percentiles);
-  const std::vector<SchedSim*> shards = {&sim};
-  const std::uint64_t end = drive_fleet_loop(
-      source, shards,
-      [](const Request&, const std::vector<std::size_t>&) { return 0; });
-  auto m = sim.finalize(end);
-  VITBIT_CHECK_MSG(m.total.offered == m.total.completed + m.total.dropped,
-                   "request conservation violated at drain: offered "
-                       << m.total.offered << " != completed "
-                       << m.total.completed << " + dropped "
-                       << m.total.dropped);
-  for (std::size_t c = 0; c < m.per_class.size(); ++c)
-    VITBIT_CHECK_MSG(m.per_class[c].offered ==
-                         m.per_class[c].completed + m.per_class[c].dropped,
-                     "class " << c << " conservation violated at drain");
-  return m;
-}
-
-// Vector-of-requests adapter with the WorkloadStream surface.
-struct VectorSource {
-  const std::vector<Request>& workload;
-  std::size_t next_idx = 0;
-
-  bool has_next() const { return next_idx < workload.size(); }
-  std::uint64_t peek_arrival_us() const {
-    return workload[next_idx].arrival_us;
-  }
-  Request next() { return workload[next_idx++]; }
-};
-
-}  // namespace
-
-SchedMetrics simulate_sched(const std::vector<Request>& workload,
-                            const ModelRegistry& registry,
-                            const SchedConfig& cfg,
-                            PercentileMode percentiles) {
-  VectorSource source{workload};
-  return drive_sched(source, registry, cfg, percentiles);
-}
-
-SchedMetrics simulate_sched(const MixedWorkloadConfig& workload,
-                            const ModelRegistry& registry,
-                            const SchedConfig& cfg,
-                            PercentileMode percentiles) {
-  MixedWorkloadStream stream(workload);
-  return drive_sched(stream, registry, cfg, percentiles);
-}
-
-void SchedSweepConfig::validate() const {
-  VITBIT_CHECK_MSG(!model_names.empty(), "sweep needs >= 1 model");
-  VITBIT_CHECK_MSG(!modes.empty(), "sweep needs >= 1 mode");
-  for (const auto& m : modes)
-    VITBIT_CHECK_MSG(known_mode(m), "unknown scheduler mode: "
-                                        << m << " (want fifo|cb|cb-pre)");
-  VITBIT_CHECK_MSG(!rates_rps.empty(), "sweep needs >= 1 rate");
-  VITBIT_CHECK_MSG(workload.classes.size() == sched.classes.size(),
-                   "traffic classes (" << workload.classes.size()
-                                       << ") and scheduling classes ("
-                                       << sched.classes.size()
-                                       << ") must pair up");
-  sched.validate();
-  swap.validate();
-}
-
-std::vector<SchedPoint> run_sched_sweep(const SchedSweepConfig& cfg,
-                                        const arch::OrinSpec& spec,
-                                        const arch::Calibration& calib,
-                                        ThreadPool* pool) {
-  cfg.validate();
-  // Phase 1: one memoized latency table per zoo model, through the
-  // shared validated builder.
-  const ModelRegistry registry(cfg.model_names, cfg.strategy, spec, calib,
-                               cfg.sched.max_batch, cfg.swap, pool);
-  // Phase 2: the event loop per (mode, rate) point. The workload is
-  // regenerated per point from the shared seed, so every mode at one
-  // rate faces the byte-identical request stream.
-  const auto n_modes = cfg.modes.size();
-  const auto n_rates = cfg.rates_rps.size();
-  return parallel_map(pool, n_modes * n_rates, [&](std::size_t i) {
-    const std::size_t mi = i / n_rates;
-    const std::size_t r = i % n_rates;
-    MixedWorkloadConfig w = cfg.workload;
-    w.rate_rps = cfg.rates_rps[r];
-    w.num_models = static_cast<int>(cfg.model_names.size());
-    SchedConfig s = cfg.sched;
-    s.mode = cfg.modes[mi];
-    SchedPoint point;
-    point.mode = s.mode;
-    point.rate_rps = w.rate_rps;
-    point.metrics = simulate_sched(w, registry, s, cfg.percentiles);
-    return point;
-  });
-}
-
-Table sched_table(const SchedSweepConfig& cfg,
-                  const std::vector<SchedPoint>& points) {
-  Table t("continuous-batching scheduler — mode sweep over " +
-          join_list(cfg.model_names));
-  std::vector<std::string> header = {"mode",    "rate (req/s)", "goodput",
-                                     "p99 (ms)", "drop %",      "preempt",
-                                     "swaps"};
-  for (const auto& c : cfg.sched.classes)
-    header.push_back(c.name + " p99 (ms)");
-  t.header(std::move(header));
-  for (const auto& p : points) {
-    auto& row = t.row();
-    row.cell(p.mode)
-        .cell(p.rate_rps, 1)
-        .cell(p.metrics.total.goodput_rps, 1)
-        .cell(static_cast<double>(p.metrics.total.p99_us) / 1e3, 3)
-        .cell(p.metrics.total.drop_rate * 100.0, 2)
-        .cell(static_cast<double>(p.metrics.preemptions), 0)
-        .cell(static_cast<double>(p.metrics.model_swaps), 0);
-    for (const auto& cm : p.metrics.per_class)
-      row.cell(static_cast<double>(cm.p99_us) / 1e3, 3);
-  }
-  return t;
-}
-
-SchedSweepConfig sched_config_from_cli(const Cli& cli) {
-  SchedSweepConfig cfg;
-  cfg.model_names = parse_name_list(cli.get("models", "vit-b"), "model");
-
-  const std::string strat = cli.get("strategy", "VitBit");
-  bool found = false;
-  for (const auto s : core::all_strategies())
-    if (strat == core::strategy_name(s)) {
-      cfg.strategy = s;
-      found = true;
-      break;
-    }
-  VITBIT_CHECK_MSG(found, "unknown strategy: " << strat);
-
-  cfg.modes = parse_name_list(cli.get("modes", "fifo,cb,cb-pre"), "mode");
-  if (cli.has("rates"))
-    cfg.rates_rps = parse_rate_list(cli.get("rates", ""));
-  else if (cli.has("rate"))
-    cfg.rates_rps = {cli.get_double("rate", 0.0)};
-
-  const auto class_names =
-      parse_name_list(cli.get("classes", "default"), "class");
-  const auto n = class_names.size();
-  auto per_class = [&](const char* flag, std::vector<double> vals,
-                       const char* what) {
-    if (vals.size() == 1 && n > 1) vals.assign(n, vals[0]);
-    VITBIT_CHECK_MSG(vals.size() == n, "--" << flag << " has " << vals.size()
-                                            << " entries for " << n << " "
-                                            << what);
-    return vals;
-  };
-  const auto weights = per_class(
-      "weights", cli.has("weights") ? parse_weight_list(cli.get("weights", ""))
-                                    : std::vector<double>{1.0},
-      "classes");
-  const auto slos = per_class(
-      "slos-us",
-      cli.has("slos-us") ? parse_number_list(cli.get("slos-us", ""), "slo",
-                                             /*require_positive=*/true)
-                         : std::vector<double>{50000.0},
-      "classes");
-  const auto shares = per_class(
-      "shares",
-      cli.has("shares") ? parse_fraction_list(cli.get("shares", ""), "share")
-                        : std::vector<double>{1.0},
-      "classes");
-  auto arrivals = split_list(cli.get("arrivals", "poisson"), "arrival");
-  if (arrivals.size() == 1 && n > 1) arrivals.assign(n, arrivals[0]);
-  VITBIT_CHECK_MSG(arrivals.size() == n, "--arrivals has " << arrivals.size()
-                                                           << " entries for "
-                                                           << n
-                                                           << " classes");
-
-  cfg.sched.classes.clear();
-  cfg.workload.classes.clear();
-  const std::vector<double> shared_mix =
-      cli.has("mix") ? parse_fraction_list(cli.get("mix", ""), "mix")
-                     : std::vector<double>{};
-  for (std::size_t c = 0; c < n; ++c) {
-    ClassSpec spec;
-    spec.name = class_names[c];
-    spec.weight = weights[c];
-    spec.slo_us = static_cast<std::uint64_t>(std::llround(slos[c]));
-    cfg.sched.classes.push_back(std::move(spec));
-
-    ClassTraffic traffic;
-    traffic.kind = arrival_kind_from_name(arrivals[c]);
-    traffic.rate_share = shares[c];
-    traffic.burst_on_s = cli.get_double("burst-on-s", traffic.burst_on_s);
-    traffic.burst_off_s = cli.get_double("burst-off-s", traffic.burst_off_s);
-    const std::string mix_flag = "mix" + std::to_string(c);
-    if (cli.has(mix_flag))
-      traffic.model_mix = parse_fraction_list(cli.get(mix_flag, ""), "mix");
-    else
-      traffic.model_mix = shared_mix;
-    if (!traffic.model_mix.empty())
-      VITBIT_CHECK_MSG(traffic.model_mix.size() == cfg.model_names.size(),
-                       "class " << class_names[c] << " model mix has "
-                                << traffic.model_mix.size()
-                                << " entries for " << cfg.model_names.size()
-                                << " models");
-    cfg.workload.classes.push_back(std::move(traffic));
-  }
-
-  cfg.workload.duration_s = cli.get_double("duration-s", 2.0);
-  cfg.workload.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-
-  cfg.sched.max_batch = static_cast<int>(cli.get_int("max-batch", 8));
-  cfg.sched.queue_capacity =
-      static_cast<int>(cli.get_int("queue-capacity", 64));
-  cfg.sched.num_gpus = static_cast<int>(cli.get_int("num-gpus", 1));
-  cfg.sched.iters = static_cast<int>(cli.get_int("iters", 4));
-  cfg.sched.slo_us = static_cast<std::uint64_t>(cli.get_int("slo-us", 50000));
-
-  cfg.swap.cache_models = static_cast<int>(cli.get_int("cache-models", 1));
-  cfg.swap.load_gbps = cli.get_double("load-gbps", cfg.swap.load_gbps);
-  cfg.swap.warm_swap_us =
-      static_cast<std::uint64_t>(cli.get_int("warm-swap-us", 200));
-
-  cfg.percentiles = cli.get_bool("exact", false) ? PercentileMode::kExact
-                                                 : PercentileMode::kSketch;
-
-  cfg.validate();
-  return cfg;
-}
-
-report::RunReport make_sched_report(const SchedSweepConfig& cfg,
-                                    const std::vector<SchedPoint>& points,
-                                    const std::string& tool, int threads) {
-  report::RunReport rep;
-  rep.tool = tool;
-  rep.meta = report::build_metadata();
-  rep.meta["models"] = join_list(cfg.model_names);
-  rep.meta["strategy"] = core::strategy_name(cfg.strategy);
-  rep.meta["modes"] = join_list(cfg.modes);
-  {
-    std::vector<std::string> names, arrivals;
-    std::vector<double> weights, slos, shares;
-    for (const auto& c : cfg.sched.classes) {
-      names.push_back(c.name);
-      weights.push_back(c.weight);
-      slos.push_back(static_cast<double>(c.slo_us));
-    }
-    for (std::size_t c = 0; c < cfg.workload.classes.size(); ++c) {
-      const auto& t = cfg.workload.classes[c];
-      arrivals.push_back(arrival_kind_name(t.kind));
-      shares.push_back(t.rate_share);
-      rep.meta["mix" + std::to_string(c)] = join_nums(t.model_mix);
-    }
-    rep.meta["classes"] = join_list(names);
-    rep.meta["weights"] = join_nums(weights);
-    rep.meta["slos_us"] = join_nums(slos);
-    rep.meta["shares"] = join_nums(shares);
-    rep.meta["arrivals"] = join_list(arrivals);
-  }
-  rep.meta["duration_s"] = fmt_num(cfg.workload.duration_s);
-  rep.meta["seed"] = std::to_string(cfg.workload.seed);
-  rep.meta["max_batch"] = std::to_string(cfg.sched.max_batch);
-  rep.meta["queue_capacity"] = std::to_string(cfg.sched.queue_capacity);
-  rep.meta["num_gpus"] = std::to_string(cfg.sched.num_gpus);
-  rep.meta["iters"] = std::to_string(cfg.sched.iters);
-  rep.meta["slo_us"] = std::to_string(cfg.sched.slo_us);
-  rep.meta["cache_models"] = std::to_string(cfg.swap.cache_models);
-  rep.meta["load_gbps"] = fmt_num(cfg.swap.load_gbps);
-  rep.meta["warm_swap_us"] = std::to_string(cfg.swap.warm_swap_us);
-  rep.meta["percentiles"] =
-      cfg.percentiles == PercentileMode::kExact ? "exact" : "sketch";
-  rep.threads = threads;
-
-  auto fill = [](report::SchedPointReport& sp, const ServeMetrics& m) {
-    sp.offered = m.offered;
-    sp.completed = m.completed;
-    sp.dropped = m.dropped;
-    sp.batches = m.batches;
-    sp.mean_batch_size = m.mean_batch_size;
-    sp.drop_rate = m.drop_rate;
-    sp.throughput_rps = m.throughput_rps;
-    sp.goodput_rps = m.goodput_rps;
-    sp.mean_queue_depth = m.mean_queue_depth;
-    sp.max_queue_depth = m.max_queue_depth;
-    sp.p50_us = m.p50_us;
-    sp.p90_us = m.p90_us;
-    sp.p95_us = m.p95_us;
-    sp.p99_us = m.p99_us;
-  };
-  for (const auto& p : points) {
-    report::SchedPointReport all;
-    all.mode = p.mode;
-    all.scope = "all";
-    all.group = "all";
-    all.rate_rps = p.rate_rps;
-    fill(all, p.metrics.total);
-    all.utilization = p.metrics.total.utilization;
-    all.preemptions = p.metrics.preemptions;
-    all.model_swaps = p.metrics.model_swaps;
-    all.swap_us = p.metrics.swap_us;
-    rep.sched_points.push_back(std::move(all));
-    for (std::size_t c = 0; c < p.metrics.per_class.size(); ++c) {
-      report::SchedPointReport sp;
-      sp.mode = p.mode;
-      sp.scope = "class";
-      sp.group = cfg.sched.classes[c].name;
-      sp.rate_rps = p.rate_rps;
-      fill(sp, p.metrics.per_class[c]);
-      rep.sched_points.push_back(std::move(sp));
-    }
-    for (std::size_t m = 0; m < p.metrics.per_model.size(); ++m) {
-      report::SchedPointReport sp;
-      sp.mode = p.mode;
-      sp.scope = "model";
-      sp.group = cfg.model_names[m];
-      sp.rate_rps = p.rate_rps;
-      fill(sp, p.metrics.per_model[m]);
-      rep.sched_points.push_back(std::move(sp));
-    }
-  }
-  return rep;
 }
 
 }  // namespace vitbit::serve

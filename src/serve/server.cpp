@@ -17,12 +17,6 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-std::string fmt_rate(double rate) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", rate);
-  return buf;
-}
-
 // A timed inference in integer virtual microseconds at the spec clock
 // (clock_ghz cycles per nanosecond).
 std::uint64_t latency_us_of(const core::InferenceTiming& t,
@@ -433,78 +427,6 @@ ServeMetrics simulate_server(const std::vector<Request>& workload,
   return m;
 }
 
-std::vector<SweepPoint> run_rate_sweep(const SweepConfig& cfg,
-                                       const arch::OrinSpec& spec,
-                                       const arch::Calibration& calib,
-                                       ThreadPool* pool) {
-  VITBIT_CHECK_MSG(!cfg.strategies.empty(), "sweep needs >= 1 strategy");
-  VITBIT_CHECK_MSG(!cfg.rates_rps.empty(), "sweep needs >= 1 rate");
-  cfg.server.validate();
-
-  // Phase 1: memoized latency tables through the shared validated
-  // builder. The fallback strategy rides along only when degraded-mode
-  // failover is enabled and it is not already being swept (the common
-  // TC-next-to-VitBit sweep costs no extra simulations).
-  const bool degrade_on = cfg.server.faults.degrade_below_live > 0;
-  auto to_build = cfg.strategies;
-  std::size_t fallback_idx = 0;
-  if (degrade_on) {
-    const auto it =
-        std::find(to_build.begin(), to_build.end(), cfg.fallback_strategy);
-    fallback_idx = static_cast<std::size_t>(it - to_build.begin());
-    if (it == to_build.end()) to_build.push_back(cfg.fallback_strategy);
-  }
-  const auto tables =
-      build_latency_tables(cfg.model, to_build, cfg.strategy_cfg, spec, calib,
-                           cfg.server.batcher.max_batch_size, pool);
-  const LatencyTable* fallback = degrade_on ? &tables[fallback_idx] : nullptr;
-
-  // Phase 2: the event loop per (strategy, rate) point. Workloads are
-  // regenerated per point from the shared seed, so both strategies at one
-  // rate face identical request streams.
-  const auto n_strategies = cfg.strategies.size();
-  const auto n_rates = cfg.rates_rps.size();
-  return parallel_map(pool, n_strategies * n_rates, [&](std::size_t i) {
-    const std::size_t s = i / n_rates;
-    const std::size_t r = i % n_rates;
-    WorkloadConfig w = cfg.workload;
-    w.rate_rps = cfg.rates_rps[r];
-    SweepPoint point;
-    point.strategy = cfg.strategies[s];
-    point.rate_rps = cfg.rates_rps[r];
-    point.metrics = simulate_server(generate_workload(w), tables[s],
-                                    cfg.server, fallback);
-    return point;
-  });
-}
-
-Table sweep_table(const SweepConfig& cfg,
-                  const std::vector<SweepPoint>& points) {
-  Table t("serving simulation — " + std::string("rate sweep, ") +
-          arrival_kind_name(cfg.workload.kind) + " arrivals, policy=" +
-          cfg.server.policy);
-  std::vector<std::string> header = {"rate (req/s)"};
-  for (const auto s : cfg.strategies) {
-    const std::string name = core::strategy_name(s);
-    header.push_back(name + " goodput");
-    header.push_back(name + " p99 (ms)");
-    header.push_back(name + " drop %");
-  }
-  t.header(std::move(header));
-  const auto n_rates = cfg.rates_rps.size();
-  for (std::size_t r = 0; r < n_rates; ++r) {
-    auto& row = t.row();
-    row.cell(cfg.rates_rps[r], 1);
-    for (std::size_t s = 0; s < cfg.strategies.size(); ++s) {
-      const auto& m = points[s * n_rates + r].metrics;
-      row.cell(m.goodput_rps, 1)
-          .cell(static_cast<double>(m.p99_us) / 1e3, 3)
-          .cell(m.drop_rate * 100.0, 2);
-    }
-  }
-  return t;
-}
-
 std::vector<double> parse_number_list(const std::string& spec,
                                       const char* what,
                                       bool require_positive) {
@@ -574,118 +496,26 @@ std::vector<double> parse_fraction_list(const std::string& spec,
   return out;
 }
 
-SweepConfig sweep_config_from_cli(const Cli& cli) {
-  SweepConfig cfg;
-  cfg.model = nn::vit_base();
-  cfg.model.num_layers =
-      static_cast<int>(cli.get_int("layers", cfg.model.num_layers));
-
-  if (cli.has("rates"))
-    cfg.rates_rps = parse_rate_list(cli.get("rates", ""));
-  else if (cli.has("rate"))
-    cfg.rates_rps = {cli.get_double("rate", 0.0)};
-  cfg.workload.kind = arrival_kind_from_name(cli.get("arrival", "poisson"));
-  cfg.workload.duration_s = cli.get_double("duration-s", 2.0);
-  cfg.workload.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-
-  cfg.server.policy = cli.get("policy", "timeout");
-  cfg.server.batcher.max_batch_size =
-      static_cast<int>(cli.get_int("max-batch", 8));
-  cfg.server.batcher.batch_timeout_us =
-      static_cast<std::uint64_t>(cli.get_int("batch-timeout-us", 2000));
-  cfg.server.batcher.queue_capacity =
-      static_cast<int>(cli.get_int("queue-capacity", 64));
-  cfg.server.num_gpus = static_cast<int>(cli.get_int("num-gpus", 1));
-  cfg.server.slo_us = static_cast<std::uint64_t>(cli.get_int("slo-us", 50000));
-
-  auto& f = cfg.server.faults;
-  f.seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
-  f.replica_mtbf_s = cli.get_double("mtbf-s", 0.0);
-  f.replica_mttr_s = cli.get_double("mttr-s", 0.05);
-  f.batch_failure_prob = cli.get_double("batch-fail-prob", 0.0);
-  f.latency_spike_prob = cli.get_double("spike-prob", 0.0);
-  f.latency_spike_mult = cli.get_double("spike-mult", 4.0);
-  f.max_retries = static_cast<int>(cli.get_int("max-retries", 2));
-  f.retry_backoff_us =
-      static_cast<std::uint64_t>(cli.get_int("retry-backoff-us", 1000));
-  f.degrade_below_live = static_cast<int>(cli.get_int("degrade-below", 0));
-
-  const std::string fb = cli.get("fallback", "TC");
-  bool found = false;
-  for (const auto s : core::all_strategies())
-    if (fb == core::strategy_name(s)) {
-      cfg.fallback_strategy = s;
-      found = true;
-      break;
-    }
-  VITBIT_CHECK_MSG(found, "unknown fallback strategy: " << fb);
-
-  cfg.server.validate();
-  return cfg;
+template <typename T>
+T get_flag(const Cli& cli, const std::string& name, T def, T lo) {
+  constexpr auto hi = static_cast<std::int64_t>(std::min<std::uint64_t>(
+      std::numeric_limits<T>::max(), std::numeric_limits<std::int64_t>::max()));
+  const std::int64_t v = cli.get_int(name, static_cast<std::int64_t>(def));
+  VITBIT_CHECK_MSG(v >= static_cast<std::int64_t>(lo) && v <= hi,
+                   "--" << name << " must be in [" << lo << ", " << hi
+                        << "], got " << cli.get(name, ""));
+  return static_cast<T>(v);
 }
 
-report::RunReport make_serve_report(const SweepConfig& cfg,
-                                    const std::vector<SweepPoint>& points,
-                                    const std::string& tool, int threads) {
-  report::RunReport rep;
-  rep.tool = tool;
-  rep.meta = report::build_metadata();
-  rep.meta["model"] = "vit";
-  rep.meta["layers"] = std::to_string(cfg.model.num_layers);
-  rep.meta["arrival"] = arrival_kind_name(cfg.workload.kind);
-  rep.meta["duration_s"] = fmt_rate(cfg.workload.duration_s);
-  rep.meta["seed"] = std::to_string(cfg.workload.seed);
-  rep.meta["policy"] = cfg.server.policy;
-  rep.meta["max_batch_size"] =
-      std::to_string(cfg.server.batcher.max_batch_size);
-  rep.meta["batch_timeout_us"] =
-      std::to_string(cfg.server.batcher.batch_timeout_us);
-  rep.meta["queue_capacity"] =
-      std::to_string(cfg.server.batcher.queue_capacity);
-  rep.meta["num_gpus"] = std::to_string(cfg.server.num_gpus);
-  rep.meta["slo_us"] = std::to_string(cfg.server.slo_us);
-  const auto& f = cfg.server.faults;
-  rep.meta["fault_seed"] = std::to_string(f.seed);
-  rep.meta["mtbf_s"] = fmt_rate(f.replica_mtbf_s);
-  rep.meta["mttr_s"] = fmt_rate(f.replica_mttr_s);
-  rep.meta["batch_fail_prob"] = fmt_rate(f.batch_failure_prob);
-  rep.meta["spike_prob"] = fmt_rate(f.latency_spike_prob);
-  rep.meta["spike_mult"] = fmt_rate(f.latency_spike_mult);
-  rep.meta["max_retries"] = std::to_string(f.max_retries);
-  rep.meta["retry_backoff_us"] = std::to_string(f.retry_backoff_us);
-  rep.meta["degrade_below_live"] = std::to_string(f.degrade_below_live);
-  rep.meta["fallback"] = core::strategy_name(cfg.fallback_strategy);
-  rep.threads = threads;
-  for (const auto& p : points) {
-    report::ServePointReport sp;
-    sp.strategy = core::strategy_name(p.strategy);
-    sp.policy = cfg.server.policy;
-    sp.arrival = arrival_kind_name(cfg.workload.kind);
-    sp.rate_rps = p.rate_rps;
-    sp.offered = p.metrics.offered;
-    sp.completed = p.metrics.completed;
-    sp.dropped = p.metrics.dropped;
-    sp.batch_failures = p.metrics.batch_failures;
-    sp.retries = p.metrics.retries;
-    sp.requeued = p.metrics.requeued;
-    sp.shed = p.metrics.shed;
-    sp.failovers = p.metrics.failovers;
-    sp.degraded_s = p.metrics.degraded_s;
-    sp.batches = p.metrics.batches;
-    sp.mean_batch_size = p.metrics.mean_batch_size;
-    sp.drop_rate = p.metrics.drop_rate;
-    sp.throughput_rps = p.metrics.throughput_rps;
-    sp.goodput_rps = p.metrics.goodput_rps;
-    sp.utilization = p.metrics.utilization;
-    sp.mean_queue_depth = p.metrics.mean_queue_depth;
-    sp.max_queue_depth = p.metrics.max_queue_depth;
-    sp.p50_us = p.metrics.p50_us;
-    sp.p90_us = p.metrics.p90_us;
-    sp.p95_us = p.metrics.p95_us;
-    sp.p99_us = p.metrics.p99_us;
-    rep.serve_points.push_back(std::move(sp));
-  }
-  return rep;
+template int get_flag<int>(const Cli&, const std::string&, int, int);
+template std::uint64_t get_flag<std::uint64_t>(const Cli&, const std::string&,
+                                               std::uint64_t, std::uint64_t);
+
+core::Strategy parse_strategy(const std::string& name, const char* what) {
+  for (const auto s : core::all_strategies())
+    if (name == core::strategy_name(s)) return s;
+  VITBIT_CHECK_MSG(false, "unknown " << what << ": " << name);
+  return core::Strategy::kTC;
 }
 
 }  // namespace vitbit::serve

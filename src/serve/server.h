@@ -269,44 +269,6 @@ ServeMetrics simulate_server(const std::vector<Request>& workload,
                              const ServerConfig& cfg,
                              const LatencyTable* fallback = nullptr);
 
-// A (strategy x arrival-rate) sweep over one model and server config.
-struct SweepConfig {
-  nn::VitConfig model;
-  core::StrategyConfig strategy_cfg;
-  std::vector<core::Strategy> strategies = {core::Strategy::kTC,
-                                            core::Strategy::kVitBit};
-  std::vector<double> rates_rps = {100, 200, 300, 400, 500};
-  // rate_rps is overridden per sweep point; kind/duration/seed are shared
-  // so both strategies face byte-identical request streams.
-  WorkloadConfig workload;
-  ServerConfig server;
-  // Degraded-mode strategy when server.faults.degrade_below_live > 0: its
-  // latency table is memoized alongside the swept strategies (no extra
-  // simulations when it is already one of them, the common TC-next-to-
-  // VitBit case) and swapped in while live replicas are below threshold.
-  core::Strategy fallback_strategy = core::Strategy::kTC;
-};
-
-struct SweepPoint {
-  core::Strategy strategy = core::Strategy::kTC;
-  double rate_rps = 0.0;
-  ServeMetrics metrics;
-};
-
-// Phase 1 memoizes the latency tables (every (strategy, batch-size)
-// inference in one time_inferences call); phase 2 runs the event loop per
-// (strategy, rate) point. Both phases fan out over `pool` and assemble in
-// index order, so results are bit-identical for every pool size.
-std::vector<SweepPoint> run_rate_sweep(const SweepConfig& cfg,
-                                       const arch::OrinSpec& spec,
-                                       const arch::Calibration& calib,
-                                       ThreadPool* pool = nullptr);
-
-// Console rendering: one row per rate, TC and VitBit goodput / p99 / drop
-// columns side by side (column pairs follow cfg.strategies order).
-Table sweep_table(const SweepConfig& cfg,
-                  const std::vector<SweepPoint>& points);
-
 // "100,200,400" -> {100, 200, 400}; every entry must be a finite number
 // (throws CheckError otherwise, including on "inf" and entries that
 // overflow double), strictly positive when `require_positive`, and
@@ -337,20 +299,16 @@ std::vector<double> parse_weight_list(const std::string& spec);
 std::vector<double> parse_fraction_list(const std::string& spec,
                                         const char* what);
 
-// Shared flag set of serve_sim and `vitbit_cli serve`: model/workload/
-// server knobs (--layers, --rates/--rate, --arrival, --duration-s,
-// --seed, --policy, --max-batch, --batch-timeout-us, --queue-capacity,
-// --num-gpus, --slo-us) plus the fault-injection knobs (--fault-seed,
-// --mtbf-s, --mttr-s, --batch-fail-prob, --spike-prob, --spike-mult,
-// --max-retries, --retry-backoff-us, --degrade-below, --fallback).
-// Validates the assembled config before returning.
-SweepConfig sweep_config_from_cli(const Cli& cli);
+// Reads integer flag --name (default `def`) and range-checks the int64
+// value against [lo, the largest T] before it narrows, so an out-of-range
+// value throws CheckError instead of wrapping. Every integer knob of the
+// serving CLIs goes through it; seeds do not, since any 64-bit pattern is
+// a valid seed. Defined for int and std::uint64_t.
+template <typename T>
+T get_flag(const Cli& cli, const std::string& name, T def, T lo);
 
-// Schema-versioned run report carrying one ServePointReport per sweep
-// point plus the sweep's full knob set in meta (the baseline gate requires
-// meta to match exactly). host_wall_seconds is left 0 for the caller.
-report::RunReport make_serve_report(const SweepConfig& cfg,
-                                    const std::vector<SweepPoint>& points,
-                                    const std::string& tool, int threads);
+// Strategy by its core::strategy_name; throws CheckError naming `what`
+// ("strategy", "fallback strategy") on an unknown name.
+core::Strategy parse_strategy(const std::string& name, const char* what);
 
 }  // namespace vitbit::serve

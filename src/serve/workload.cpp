@@ -12,6 +12,10 @@ std::uint64_t to_us(double seconds) {
   return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
 }
 
+// Rates, durations and phase means: an infinite one would never end the
+// stream.
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
 }  // namespace
 
 const char* arrival_kind_name(ArrivalKind kind) {
@@ -36,13 +40,21 @@ ArrivalKind arrival_kind_from_name(const std::string& name) {
   return ArrivalKind::kPoisson;
 }
 
+void WorkloadConfig::validate() const {
+  VITBIT_CHECK_MSG(positive_finite(rate_rps),
+                   "workload rate must be positive finite");
+  VITBIT_CHECK_MSG(positive_finite(duration_s),
+                   "workload duration must be positive finite");
+  VITBIT_CHECK_MSG(kind != ArrivalKind::kBursty ||
+                       (positive_finite(burst_on_s) &&
+                        positive_finite(burst_off_s)),
+                   "bursty phase means must be positive finite");
+}
+
 WorkloadStream::WorkloadStream(const WorkloadConfig& cfg)
     : cfg_(cfg), rng_(cfg.seed) {
-  VITBIT_CHECK_MSG(cfg_.rate_rps > 0.0, "workload rate must be > 0");
-  VITBIT_CHECK_MSG(cfg_.duration_s > 0.0, "workload duration must be > 0");
+  cfg_.validate();
   if (cfg_.kind == ArrivalKind::kBursty) {
-    VITBIT_CHECK_MSG(cfg_.burst_on_s > 0.0 && cfg_.burst_off_s > 0.0,
-                     "bursty phase means must be > 0");
     // Scale the on-phase rate so the duty-cycled average is rate_rps.
     on_rate_ = cfg_.rate_rps * (cfg_.burst_on_s + cfg_.burst_off_s) /
                cfg_.burst_on_s;
@@ -116,13 +128,20 @@ std::vector<Request> generate_workload(const WorkloadConfig& cfg) {
 
 void MixedWorkloadConfig::validate() const {
   VITBIT_CHECK_MSG(!classes.empty(), "mixed workload needs >= 1 class");
-  VITBIT_CHECK_MSG(rate_rps > 0.0, "mixed workload rate must be > 0");
-  VITBIT_CHECK_MSG(duration_s > 0.0, "mixed workload duration must be > 0");
+  VITBIT_CHECK_MSG(positive_finite(rate_rps),
+                   "mixed workload rate must be positive finite");
+  VITBIT_CHECK_MSG(positive_finite(duration_s),
+                   "mixed workload duration must be positive finite");
   VITBIT_CHECK_MSG(num_models >= 1, "mixed workload needs >= 1 model");
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const auto& cls = classes[c];
-    VITBIT_CHECK_MSG(std::isfinite(cls.rate_share) && cls.rate_share > 0.0,
+    VITBIT_CHECK_MSG(positive_finite(cls.rate_share),
                      "class " << c << " rate share must be positive finite");
+    VITBIT_CHECK_MSG(cls.kind != ArrivalKind::kBursty ||
+                         (positive_finite(cls.burst_on_s) &&
+                          positive_finite(cls.burst_off_s)),
+                     "class " << c
+                              << " bursty phase means must be positive finite");
     if (!cls.model_mix.empty()) {
       VITBIT_CHECK_MSG(
           cls.model_mix.size() == static_cast<std::size_t>(num_models),

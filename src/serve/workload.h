@@ -35,6 +35,9 @@ struct WorkloadConfig {
   // Bursty-process phase means (ignored by the other kinds).
   double burst_on_s = 0.02;
   double burst_off_s = 0.08;
+
+  // Rate, duration, and (bursty) phase means must be positive finite.
+  void validate() const;
 };
 
 struct Request {

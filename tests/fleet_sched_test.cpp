@@ -1,8 +1,7 @@
-// Scheduled-fleet tests (serve/cluster.h simulate_fleet_sched): the
-// one-shard pin against simulate_sched in every mode, warm routing's
-// cold-swap reduction against jsq at identical offered traffic, spread
-// placement's warm-start benefit, the preemption-aware autoscale
-// signals, byte-determinism of sweeps across pool sizes,
+// Scheduled-fleet tests (serve/cluster.h simulate_fleet_sched): warm
+// routing's cold-swap reduction against jsq at identical offered
+// traffic, spread placement's warm-start benefit, the preemption-aware
+// autoscale signals, byte-determinism of sweeps across pool sizes,
 // fleet_sched_points report round-trips, and the layered CLI parsing
 // shared with bench/fleet_sched_sim and `vitbit_cli fleet-sched`.
 #include <gtest/gtest.h>
@@ -35,29 +34,6 @@ Cli make_cli(const std::vector<std::string>& flags) {
   return Cli(static_cast<int>(argv.size()), argv.data());
 }
 
-// Field-by-field ServeMetrics equality — the one-shard pin must be
-// exact, not within tolerance.
-void expect_metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.batches, b.batches);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_DOUBLE_EQ(a.mean_batch_size, b.mean_batch_size);
-  EXPECT_DOUBLE_EQ(a.duration_s, b.duration_s);
-  EXPECT_DOUBLE_EQ(a.throughput_rps, b.throughput_rps);
-  EXPECT_DOUBLE_EQ(a.goodput_rps, b.goodput_rps);
-  EXPECT_DOUBLE_EQ(a.drop_rate, b.drop_rate);
-  EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
-  EXPECT_DOUBLE_EQ(a.mean_queue_depth, b.mean_queue_depth);
-  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
-  EXPECT_EQ(a.p50_us, b.p50_us);
-  EXPECT_EQ(a.p90_us, b.p90_us);
-  EXPECT_EQ(a.p95_us, b.p95_us);
-  EXPECT_EQ(a.p99_us, b.p99_us);
-  EXPECT_EQ(a.max_us, b.max_us);
-}
-
 MixedWorkloadConfig mixed_workload(double rate) {
   MixedWorkloadConfig w;
   w.rate_rps = rate;
@@ -82,39 +58,6 @@ SchedConfig two_class_config(const std::string& mode) {
                 ClassSpec{"batch", 1.0, 500'000}};
   sc.slo_us = 50'000;
   return sc;
-}
-
-TEST(FleetSched, OneShardReproducesSimulateSchedInEveryMode) {
-  // The unification pin: one shard, jsq routing, no autoscaling, kNone
-  // placement must reproduce the standalone scheduler bit for bit —
-  // aggregate, every class, every model, and the swap/preempt counters.
-  const auto reg = make_registry({"vit-tiny", "cnn-small"}, 4);
-  const auto w = mixed_workload(300'000.0);
-  for (const std::string mode : {"fifo", "cb", "cb-pre"}) {
-    const auto sc = two_class_config(mode);
-    const auto direct = simulate_sched(w, reg, sc, PercentileMode::kExact);
-
-    FleetSchedConfig fc;
-    fc.num_shards = 1;
-    fc.route = RoutePolicy::kJsq;
-    fc.shard = sc;
-    fc.percentiles = PercentileMode::kExact;
-    const auto fleet = simulate_fleet_sched(w, reg, fc);
-
-    expect_metrics_equal(fleet.total.total, direct.total);
-    ASSERT_EQ(fleet.total.per_class.size(), direct.per_class.size()) << mode;
-    for (std::size_t c = 0; c < direct.per_class.size(); ++c)
-      expect_metrics_equal(fleet.total.per_class[c], direct.per_class[c]);
-    ASSERT_EQ(fleet.total.per_model.size(), direct.per_model.size()) << mode;
-    for (std::size_t m = 0; m < direct.per_model.size(); ++m)
-      expect_metrics_equal(fleet.total.per_model[m], direct.per_model[m]);
-    EXPECT_EQ(fleet.total.preemptions, direct.preemptions) << mode;
-    EXPECT_EQ(fleet.total.model_swaps, direct.model_swaps) << mode;
-    EXPECT_EQ(fleet.total.cold_swaps, direct.cold_swaps) << mode;
-    EXPECT_EQ(fleet.total.swap_us, direct.swap_us) << mode;
-    EXPECT_EQ(fleet.scale_ups, 0u) << mode;
-    EXPECT_EQ(fleet.scale_downs, 0u) << mode;
-  }
 }
 
 TEST(FleetSched, WarmRoutingEliminatesColdSwapsUnderSpreadPlacement) {

@@ -14,7 +14,7 @@
 #include "common/cli.h"
 #include "common/thread_pool.h"
 #include "report/run_report.h"
-#include "serve/sched/sched.h"
+#include "serve/cluster.h"
 
 namespace vitbit::serve {
 namespace {
@@ -26,6 +26,16 @@ ModelRegistry make_registry(const std::vector<std::string>& names,
                             SwapCostConfig swap = SwapCostConfig{}) {
   return ModelRegistry(names, core::Strategy::kVitBit, kSpec,
                        arch::default_calibration(), max_batch, swap);
+}
+
+// One shard with exact percentiles: the scheduler on its own.
+SchedMetrics run_shard(const std::vector<Request>& workload,
+                       const ModelRegistry& reg, const SchedConfig& sc) {
+  FleetSchedConfig fc;
+  fc.num_shards = 1;
+  fc.shard = sc;
+  fc.percentiles = PercentileMode::kExact;
+  return simulate_fleet_sched(workload, reg, fc).total;
 }
 
 Cli make_cli(const std::vector<std::string>& flags) {
@@ -75,7 +85,7 @@ TEST(SchedSim, FifoPinMatchesSingleModelGreedyServer) {
     sc.max_batch = 4;
     sc.queue_capacity = 16;
     sc.slo_us = 20'000;
-    const auto sched = simulate_sched(workload, reg, sc);
+    const auto sched = run_shard(workload, reg, sc);
 
     ServerConfig sv;
     sv.policy = "greedy";
@@ -126,7 +136,7 @@ TEST(SchedSim, ConservationHoldsInEveryMode) {
   const auto w = mixed_workload(300'000.0);
   const auto workload = generate_mixed_workload(w);
   for (const std::string mode : {"fifo", "cb", "cb-pre"}) {
-    const auto m = simulate_sched(workload, reg, two_class_config(mode));
+    const auto m = run_shard(workload, reg, two_class_config(mode));
     EXPECT_EQ(m.total.offered, workload.size()) << mode;
     EXPECT_EQ(m.total.offered, m.total.completed + m.total.dropped) << mode;
     EXPECT_EQ(m.total.shed, 0u) << mode;
@@ -146,9 +156,12 @@ TEST(SchedSim, StreamingOverloadMatchesVectorForm) {
   const auto reg = make_registry({"vit-tiny", "cnn-small"}, 4);
   const auto w = mixed_workload(200'000.0);
   const auto cfg = two_class_config("cb-pre");
-  const auto from_vector =
-      simulate_sched(generate_mixed_workload(w), reg, cfg);
-  const auto from_stream = simulate_sched(w, reg, cfg);
+  const auto from_vector = run_shard(generate_mixed_workload(w), reg, cfg);
+  FleetSchedConfig fc;
+  fc.num_shards = 1;
+  fc.shard = cfg;
+  fc.percentiles = PercentileMode::kExact;
+  const auto from_stream = simulate_fleet_sched(w, reg, fc).total;
   expect_metrics_equal(from_vector.total, from_stream.total);
   EXPECT_EQ(from_vector.preemptions, from_stream.preemptions);
   EXPECT_EQ(from_vector.model_swaps, from_stream.model_swaps);
@@ -167,9 +180,9 @@ TEST(SchedSim, PreemptionProtectsHighPriorityTail) {
   auto cfg = two_class_config("fifo");
   cfg.classes[0].weight = 1.0;
   cfg.classes[0].slo_us = 250;
-  const auto fifo = simulate_sched(workload, reg, cfg);
+  const auto fifo = run_shard(workload, reg, cfg);
   cfg.mode = "cb-pre";
-  const auto pre = simulate_sched(workload, reg, cfg);
+  const auto pre = run_shard(workload, reg, cfg);
   EXPECT_EQ(fifo.preemptions, 0u);
   EXPECT_GT(pre.preemptions, 0u);
   EXPECT_LT(pre.per_class[0].p99_us, fifo.per_class[0].p99_us);
@@ -192,8 +205,8 @@ TEST(SchedSim, WeightCacheTurnsColdSwapsWarm) {
   const auto w = mixed_workload(150'000.0);
   const auto workload = generate_mixed_workload(w);
   const auto cfg = two_class_config("cb");
-  const auto cold = simulate_sched(workload, cold_reg, cfg);
-  const auto warm = simulate_sched(workload, warm_reg, cfg);
+  const auto cold = run_shard(workload, cold_reg, cfg);
+  const auto warm = run_shard(workload, warm_reg, cfg);
   EXPECT_GT(cold.model_swaps, 0u);
   EXPECT_GT(warm.model_swaps, 0u);
   EXPECT_GT(cold.swap_us, warm.swap_us);
@@ -275,7 +288,7 @@ TEST(SchedSim, SameModelPreemptionChargesNoSwap) {
       {0, 0, 0, /*cls=*/1, /*model=*/0},
       {1, 1, 0, /*cls=*/0, /*model=*/0},
   };
-  const auto m = simulate_sched(workload, reg, sc);
+  const auto m = run_shard(workload, reg, sc);
   EXPECT_EQ(m.total.completed, 2u);
   EXPECT_EQ(m.preemptions, 1u);
   EXPECT_EQ(m.model_swaps, 0u);
@@ -314,7 +327,7 @@ TEST(SchedSim, CrossModelUrgencyCannotPreemptAndPricesLruExactly) {
   for (const int cache_models : {1, 2}) {
     const auto reg = make_registry({"vit-tiny", "cnn-small"}, 4,
                                    cache_models == 1 ? one_slot : two_slots);
-    const auto m = simulate_sched(workload, reg, sc);
+    const auto m = run_shard(workload, reg, sc);
     EXPECT_EQ(m.total.completed, 3u) << cache_models;
     EXPECT_EQ(m.preemptions, 0u) << cache_models;
     EXPECT_EQ(m.model_swaps, 2u) << cache_models;

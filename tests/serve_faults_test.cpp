@@ -15,7 +15,7 @@
 #include "nn/vit_model.h"
 #include "report/run_report.h"
 #include "serve/faults.h"
-#include "serve/server.h"
+#include "serve/cluster.h"
 
 namespace vitbit::serve {
 namespace {
@@ -279,7 +279,7 @@ TEST(FaultSweep, ReportByteIdenticalAcrossThreadCounts) {
   cfg.workload.kind = ArrivalKind::kBursty;
   cfg.workload.duration_s = 0.2;
   cfg.workload.seed = 42;
-  cfg.server.batcher.max_batch_size = 2;
+  cfg.server.max_batch = 2;
   cfg.server.num_gpus = 2;
   cfg.server.faults.seed = 11;
   cfg.server.faults.replica_mtbf_s = 0.05;
@@ -323,7 +323,7 @@ TEST(FaultFree, SweepReproducesPreFaultSimulatorBitForBit) {
   cfg.rates_rps = {500, 2000};
   cfg.workload.duration_s = 0.2;
   cfg.workload.seed = 42;
-  cfg.server.batcher.max_batch_size = 2;
+  cfg.server.max_batch = 2;
   const arch::OrinSpec spec;
   const auto& calib = arch::default_calibration();
   const auto points = run_rate_sweep(cfg, spec, calib, nullptr);

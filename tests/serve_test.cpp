@@ -11,7 +11,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "nn/vit_model.h"
-#include "serve/server.h"
+#include "serve/cluster.h"
 
 namespace vitbit::serve {
 namespace {
@@ -242,7 +242,7 @@ TEST(Server, RateSweepReportByteIdenticalAcrossThreadCounts) {
   cfg.rates_rps = {500, 2000};
   cfg.workload.duration_s = 0.2;
   cfg.workload.seed = 42;
-  cfg.server.batcher.max_batch_size = 2;
+  cfg.server.max_batch = 2;
   const arch::OrinSpec spec;
   const auto& calib = arch::default_calibration();
 

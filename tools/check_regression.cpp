@@ -56,8 +56,6 @@
 #include "report/baseline.h"
 #include "report/run_report.h"
 #include "serve/cluster.h"
-#include "serve/sched/sched.h"
-#include "serve/server.h"
 #include "sim/gpu_sim.h"
 #include "sim/sim_loop_timing.h"
 #include "tensor/gemm_timing.h"
@@ -251,8 +249,8 @@ int run(int argc, char** argv) {
     scfg.rates_rps = {1000, 8000};
     scfg.workload.duration_s = 0.25;
     scfg.workload.seed = 7;
-    scfg.server.batcher.max_batch_size = 4;
-    scfg.server.batcher.queue_capacity = 32;
+    scfg.server.max_batch = 4;
+    scfg.server.queue_capacity = 32;
     const auto serve_start = std::chrono::steady_clock::now();
     const auto points = serve::run_rate_sweep(scfg, spec, calib, &pool);
     auto fresh =
@@ -276,8 +274,8 @@ int run(int argc, char** argv) {
     scfg.rates_rps = {2000, 6000};
     scfg.workload.duration_s = 0.25;
     scfg.workload.seed = 7;
-    scfg.server.batcher.max_batch_size = 4;
-    scfg.server.batcher.queue_capacity = 32;
+    scfg.server.max_batch = 4;
+    scfg.server.queue_capacity = 32;
     scfg.server.num_gpus = 2;
     scfg.server.faults.seed = 11;
     scfg.server.faults.replica_mtbf_s = 0.05;
@@ -310,8 +308,8 @@ int run(int argc, char** argv) {
     fcfg.workload.duration_s = 0.25;
     fcfg.workload.seed = 7;
     fcfg.fleet.num_shards = 4;
-    fcfg.fleet.shard.batcher.max_batch_size = 4;
-    fcfg.fleet.shard.batcher.queue_capacity = 32;
+    fcfg.fleet.shard.max_batch = 4;
+    fcfg.fleet.shard.queue_capacity = 32;
     fcfg.fleet.autoscale.min_replicas = 1;
     fcfg.fleet.autoscale.max_replicas = 2;
     fcfg.fleet.autoscale.interval_us = 20000;
