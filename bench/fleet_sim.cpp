@@ -1,5 +1,5 @@
 // Extension bench: sharded fleet sweep. Routes an open-loop request
-// stream across many batcher+server shards under a balancing policy and
+// stream across many single-model shards under a balancing policy and
 // reports, per arrival rate, goodput, p99, drop rate, and the per-shard
 // utilization spread of round-robin next to join-shortest-queue and
 // power-of-two-choices — the classic load-balancing comparison, run on

@@ -1,5 +1,5 @@
 // Extension bench: serving simulation rate sweep. Replays an open-loop
-// request stream against the dynamic batcher and reports, per arrival
+// request stream against one batching shard and reports, per arrival
 // rate, the goodput (completions within the SLO per second), p99 latency,
 // and drop rate of the tensor-core baseline next to VitBit — where the
 // paper's kernel-level speedup becomes user-visible capacity.

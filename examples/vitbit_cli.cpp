@@ -195,7 +195,7 @@ int cmd_report(const Cli& cli, ThreadPool& pool) {
 }
 
 // Serving-simulator rate sweep (serve/cluster.h): open-loop arrivals into
-// the dynamic batcher, TC vs VitBit goodput and tail latency per rate,
+// one batching shard, TC vs VitBit goodput and tail latency per rate,
 // with optional deterministic fault injection (serve/faults.h). --json
 // writes the schema-versioned serve_points report.
 int cmd_serve(const Cli& cli, ThreadPool& pool) {

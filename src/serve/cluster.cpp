@@ -1121,88 +1121,4 @@ report::RunReport make_fleet_sched_report(
   return rep;
 }
 
-// ---------------------------------------------------------------------------
-// Classic fleet over ShardSim, kept until the differential test retires.
-
-namespace {
-
-std::uint64_t legacy_shard_fault_seed(std::uint64_t seed, int shard) {
-  return seed + 0xbf58476d1ce4e5b9ull * (static_cast<std::uint64_t>(shard) + 1);
-}
-
-}  // namespace
-
-void FleetConfig::validate() const {
-  VITBIT_CHECK_MSG(num_shards >= 1, "fleet needs >= 1 shard");
-  shard.validate();
-  autoscale.validate();
-  if (autoscale.enabled())
-    VITBIT_CHECK_MSG(shard.faults.degrade_below_live <= autoscale.max_replicas,
-                     "degrade_below_live exceeds max_replicas");
-}
-
-FleetMetrics simulate_fleet(const WorkloadConfig& workload,
-                            const LatencyTable& latency,
-                            const FleetConfig& cfg,
-                            const LatencyTable* fallback) {
-  cfg.validate();
-  const auto n = static_cast<std::size_t>(cfg.num_shards);
-  std::vector<std::unique_ptr<ShardSim>> shards;
-  shards.reserve(n);
-  for (int s = 0; s < cfg.num_shards; ++s) {
-    ServerConfig sc = cfg.shard;
-    sc.faults.seed = legacy_shard_fault_seed(cfg.shard.faults.seed, s);
-    shards.push_back(std::make_unique<ShardSim>(latency, sc, fallback,
-                                                cfg.percentiles,
-                                                cfg.autoscale));
-  }
-  Router router(cfg.route, cfg.route_seed, cfg.num_shards);
-  WorkloadStream stream(workload);
-  std::vector<ShardSim*> shard_ptrs;
-  for (auto& sh : shards) shard_ptrs.push_back(sh.get());
-  const std::uint64_t end = drive_fleet_loop(
-      stream, shard_ptrs,
-      [&router](const Request& r, const std::vector<std::size_t>& loads) {
-        return router.route(r, loads);
-      });
-  FleetMetrics fm;
-  for (auto& sh : shards) {
-    fm.per_shard.push_back(sh->finalize(sh->last_activity_us()));
-    fm.scale_ups += sh->scale_ups();
-    fm.scale_downs += sh->scale_downs();
-  }
-  fm.total = aggregate_shard_metrics(fm.per_shard, end);
-  if (cfg.percentiles == PercentileMode::kSketch) {
-    LatencySketch merged;
-    for (auto& sh : shards) merged.merge(sh->sink().sketch());
-    fm.total.p50_us = merged.percentile_us(50.0);
-    fm.total.p90_us = merged.percentile_us(90.0);
-    fm.total.p95_us = merged.percentile_us(95.0);
-    fm.total.p99_us = merged.percentile_us(99.0);
-    fm.total.max_us = merged.max_us();
-  } else {
-    std::vector<std::uint64_t> all;
-    for (auto& sh : shards) {
-      const auto& v = sh->sink().latencies();
-      all.insert(all.end(), v.begin(), v.end());
-    }
-    std::sort(all.begin(), all.end());
-    fm.total.p50_us = percentile_nearest_rank(all, 50.0);
-    fm.total.p90_us = percentile_nearest_rank(all, 90.0);
-    fm.total.p95_us = percentile_nearest_rank(all, 95.0);
-    fm.total.p99_us = percentile_nearest_rank(all, 99.0);
-    fm.total.max_us = percentile_nearest_rank(all, 100.0);
-  }
-  bool have_util = false;
-  for (const auto& s : fm.per_shard) {
-    if (s.end_us == 0) continue;
-    fm.shard_util_min = have_util ? std::min(fm.shard_util_min, s.utilization)
-                                  : s.utilization;
-    fm.shard_util_max = have_util ? std::max(fm.shard_util_max, s.utilization)
-                                  : s.utilization;
-    have_util = true;
-  }
-  return fm;
-}
-
 }  // namespace vitbit::serve

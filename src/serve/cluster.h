@@ -27,40 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "common/table.h"
 #include "nn/vit_config.h"
 #include "report/run_report.h"
 #include "serve/router.h"
 #include "serve/sched/sched.h"
 
 namespace vitbit::serve {
-
-struct FleetConfig {
-  int num_shards = 4;
-  RoutePolicy route = RoutePolicy::kJsq;
-  // Seed of the router's per-request random streams (random / po2c).
-  std::uint64_t route_seed = 1;
-  // Per-shard server knobs. Each shard derives its own fault stream from
-  // shard.faults.seed and its shard index, so shards fail independently.
-  ServerConfig shard;
-  AutoscaleConfig autoscale;
-  PercentileMode percentiles = PercentileMode::kSketch;
-
-  void validate() const;
-};
-
-struct FleetMetrics {
-  ServeMetrics total;
-  std::vector<ServeMetrics> per_shard;
-  std::uint64_t scale_ups = 0;
-  std::uint64_t scale_downs = 0;
-  double shard_util_min = 0.0;
-  double shard_util_max = 0.0;
-};
-
-FleetMetrics simulate_fleet(const WorkloadConfig& workload,
-                            const LatencyTable& latency,
-                            const FleetConfig& cfg,
-                            const LatencyTable* fallback = nullptr);
 
 // Aggregates per-shard metrics into one fleet-level ServeMetrics. Counts
 // add. Ratios are weighted by each shard's virtual-time span, never

@@ -1,14 +1,10 @@
-// The one global virtual-time event loop behind every serving tier: the
-// single-shard scheduler (serve/sched), the classic fleet
-// (serve/cluster.h simulate_fleet), and the class-aware scheduled fleet
-// (simulate_fleet_sched). Extracted so the determinism contract is
-// enforced in exactly one place: shards step in index order at every
-// timestamp (begin_step, then autoscale decisions, then arrivals routed
-// on live loads, then due retries, then dispatch), and time advances to
-// the earliest next event anywhere. A tier with no retries or timers
-// exposes no-op hooks and the loop degenerates to the tier's original
-// event sequence byte for byte — sched_test and the committed
-// fleet_sweep / sched_sweep baselines pin that equivalence.
+// The one global virtual-time event loop behind every serving sweep,
+// driven by simulate_fleet_sched (serve/cluster.h) over SchedSim shards
+// (serve/sched). The determinism contract lives here: shards step in
+// index order at every timestamp (begin_step, then autoscale decisions,
+// then arrivals routed on live loads, then due retries, then dispatch),
+// and time advances to the earliest next event anywhere. The five
+// committed serving baselines pin the event sequence byte for byte.
 #pragma once
 
 #include <algorithm>

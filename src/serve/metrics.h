@@ -7,13 +7,13 @@
 //
 // Two percentile modes:
 //   kExact   store every latency and sort once at finalize — exact
-//            nearest-rank percentiles, O(completed) memory. The
-//            single-server path (serve/server.h) and its committed
-//            baselines use this.
+//            nearest-rank percentiles, O(completed) memory. The serve
+//            sweep (serve/cluster.h) and its committed baselines use
+//            this.
 //   kSketch  stream latencies through a P² sketch (serve/sketch.h) —
 //            estimated percentiles, O(1) memory independent of the
-//            request count. The fleet tier (serve/cluster.h) uses this so
-//            sweeps reach 10^7+ requests; serve_sketch_test bounds the
+//            request count. The fleet and zoo sweeps default to it so
+//            they reach 10^7+ requests; serve_sketch_test bounds the
 //            estimation error against kExact.
 #pragma once
 

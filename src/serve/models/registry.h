@@ -43,8 +43,7 @@ std::vector<std::string> zoo_model_names();
 // last `cache_models` served models resident (LRU); activating a cached
 // model costs warm_swap_us, a cold switch costs weight_bytes streamed at
 // load_gbps (>= 1 us). A replica's very first load is free — weights are
-// staged before traffic, exactly like the pre-scheduler single-model
-// server, which keeps single-model configs bit-identical to it.
+// staged before traffic.
 struct SwapCostConfig {
   double load_gbps = 8.0;
   std::uint64_t warm_swap_us = 200;

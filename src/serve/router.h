@@ -31,8 +31,7 @@ namespace vitbit::serve {
 //                classes, keeping them off the warm shards); falls back
 //                to plain jsq when no shard is eligible. Deterministic —
 //                no random draws. Through the mask-free route() overload
-//                (the classic fleet path has no warmth signal) it
-//                degrades to jsq exactly.
+//                (no warmth signal) it degrades to jsq exactly.
 enum class RoutePolicy { kRandom, kRoundRobin, kJsq, kPo2c, kWarm };
 
 const char* route_policy_name(RoutePolicy policy);
@@ -48,7 +47,7 @@ class Router {
   Router(RoutePolicy policy, std::uint64_t seed, int num_shards);
 
   // Destination shard for `req` given the current per-shard loads
-  // (queued + in-flight requests, ShardSim::load). `loads` must have one
+  // (queued + resident requests, SchedSim::load). `loads` must have one
   // entry per shard. kWarm has no warmth signal on this overload and
   // behaves as jsq.
   int route(const Request& req, const std::vector<std::size_t>& loads) const;

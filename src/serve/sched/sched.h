@@ -51,6 +51,7 @@
 #include "serve/faults.h"
 #include "serve/metrics.h"
 #include "serve/models/registry.h"
+#include "serve/workload.h"
 
 namespace vitbit::serve {
 

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
 #include "common/check.h"
 #include "common/cli.h"
-#include "common/thread_pool.h"
 #include "nn/vit_model.h"
 
 namespace vitbit::serve {
 
 namespace {
-
-constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 // A timed inference in integer virtual microseconds at the spec clock
 // (clock_ghz cycles per nanosecond).
@@ -84,28 +80,6 @@ std::vector<LatencyTable> build_latency_tables(
   return std::move(tables.front());
 }
 
-LatencyTable build_latency_table(const nn::VitConfig& model,
-                                 core::Strategy strategy,
-                                 const core::StrategyConfig& cfg,
-                                 const arch::OrinSpec& spec,
-                                 const arch::Calibration& calib, int max_batch,
-                                 ThreadPool* pool) {
-  return build_latency_tables(model, {strategy}, cfg, spec, calib, max_batch,
-                              pool)
-      .front();
-}
-
-void ServerConfig::validate() const {
-  batcher.validate();
-  VITBIT_CHECK_MSG(num_gpus >= 1, "num_gpus must be >= 1");
-  VITBIT_CHECK_MSG(slo_us >= 1, "slo_us must be >= 1");
-  faults.validate();
-  VITBIT_CHECK_MSG(faults.degrade_below_live <= num_gpus,
-                   "degrade_below_live " << faults.degrade_below_live
-                                         << " exceeds num_gpus " << num_gpus);
-  make_policy(policy);  // throws on an unknown name
-}
-
 void AutoscaleConfig::validate() const {
   VITBIT_CHECK_MSG(min_replicas >= 1, "min_replicas must be >= 1");
   VITBIT_CHECK_MSG(max_replicas >= min_replicas,
@@ -122,309 +96,6 @@ void AutoscaleConfig::validate() const {
                    "up_preempt_per_s must be finite and >= 0");
   VITBIT_CHECK_MSG(std::isfinite(up_slo_miss_rate) && up_slo_miss_rate >= 0.0,
                    "up_slo_miss_rate must be finite and >= 0");
-}
-
-ShardSim::ShardSim(const LatencyTable& latency, const ServerConfig& cfg,
-                   const LatencyTable* fallback, PercentileMode mode,
-                   const AutoscaleConfig& autoscale)
-    : latency_(latency),
-      fallback_(fallback),
-      cfg_(cfg),
-      as_(autoscale),
-      policy_(make_policy(cfg.policy)),
-      queue_(cfg.batcher.queue_capacity),
-      sink_(mode, mode == PercentileMode::kSketch ? cfg.slo_us : 0),
-      faults_(cfg.faults,
-              autoscale.enabled() ? autoscale.max_replicas : cfg.num_gpus),
-      running_(static_cast<std::size_t>(
-          autoscale.enabled() ? autoscale.max_replicas : cfg.num_gpus)),
-      policy_wake_us_(kNever) {
-  cfg_.validate();
-  as_.validate();
-  VITBIT_CHECK_MSG(latency_.max_batch() >= cfg_.batcher.max_batch_size,
-                   "latency table covers batches up to "
-                       << latency_.max_batch() << ", batcher needs "
-                       << cfg_.batcher.max_batch_size);
-  if (cfg_.faults.degrade_below_live > 0) {
-    VITBIT_CHECK_MSG(fallback_ != nullptr,
-                     "degrade_below_live > 0 requires a fallback table");
-    VITBIT_CHECK_MSG(fallback_->max_batch() >= cfg_.batcher.max_batch_size,
-                     "fallback table covers batches up to "
-                         << fallback_->max_batch() << ", batcher needs "
-                         << cfg_.batcher.max_batch_size);
-  }
-  enabled_ = as_.enabled() ? std::clamp(cfg_.num_gpus, as_.min_replicas,
-                                        as_.max_replicas)
-                           : cfg_.num_gpus;
-  // The first evaluation lands one interval in; t = 0 has no signal yet.
-  next_autoscale_us_ = as_.interval_us;
-}
-
-// Routes a failed or aborted batch through the retry budget: each request
-// either schedules its next attempt after exponential backoff or is shed
-// when the budget or its SLO deadline is exhausted.
-void ShardSim::fail_batch(std::uint64_t t, std::vector<Request>&& batch) {
-  sink_.on_batch_failure();
-  for (auto& r : batch) {
-    const int attempt = r.attempt + 1;
-    if (attempt > cfg_.faults.max_retries) {
-      sink_.on_shed();
-      continue;
-    }
-    const std::uint64_t ready = t + faults_.retry_delay_us(attempt);
-    if (ready > r.arrival_us + cfg_.slo_us) {
-      sink_.on_shed();
-      continue;
-    }
-    sink_.on_retry();
-    r.attempt = attempt;
-    retries_.push_back({ready, r});
-    std::push_heap(retries_.begin(), retries_.end(), RetryLater{});
-  }
-}
-
-void ShardSim::accrue_replica_time(std::uint64_t now) {
-  replica_time_integral_us_ += static_cast<std::uint64_t>(enabled_) *
-                               (now - last_enabled_change_us_);
-  last_enabled_change_us_ = now;
-}
-
-int ShardSim::live_enabled() const {
-  int n = 0;
-  for (int g = 0; g < enabled_; ++g)
-    if (faults_.up(g)) ++n;
-  return n;
-}
-
-void ShardSim::begin_step(std::uint64_t now) {
-  // 1. Replica fault transitions due at `now` (lowest index first). A
-  // replica going down aborts its in-flight batch onto the retry path;
-  // the partial busy time still counts against utilization. Disabled
-  // replicas keep their schedules ticking but never hold work.
-  const int capacity = static_cast<int>(running_.size());
-  for (int g = 0; g < capacity; ++g) {
-    while (faults_.next_transition_us(g) <= now) {
-      faults_.advance(g);
-      touch(now);
-      auto& fl = running_[static_cast<std::size_t>(g)];
-      if (!faults_.up(g) && fl.active) {
-        sink_.on_batch(fl.batch.size(), now - fl.started_us);
-        in_flight_requests_ -= fl.batch.size();
-        fail_batch(now, std::move(fl.batch));
-        fl = InFlight{};
-      }
-    }
-  }
-  if (cfg_.faults.degrade_below_live > 0) {
-    const bool want = live_enabled() < cfg_.faults.degrade_below_live;
-    if (want && !degraded_) {
-      sink_.on_failover();
-      degraded_ = true;
-      degraded_since_ = now;
-    } else if (!want && degraded_) {
-      sink_.add_degraded_us(now - degraded_since_);
-      degraded_ = false;
-    }
-  }
-
-  // 2. Batch completions due at `now` (lowest replica index first).
-  // Failed batches requeue; successful ones record per-request latency.
-  for (auto& fl : running_) {
-    if (!fl.active || fl.done_us > now) continue;
-    sink_.on_batch(fl.batch.size(), fl.done_us - fl.started_us);
-    in_flight_requests_ -= fl.batch.size();
-    touch(now);
-    if (fl.fail) {
-      fail_batch(fl.done_us, std::move(fl.batch));
-    } else {
-      for (const auto& r : fl.batch)
-        sink_.on_completion(r.arrival_us, fl.done_us);
-    }
-    fl = InFlight{};
-  }
-}
-
-void ShardSim::maybe_autoscale(std::uint64_t now) {
-  if (!as_.enabled()) return;
-  while (next_autoscale_us_ <= now) {
-    const std::uint64_t t = next_autoscale_us_;
-    next_autoscale_us_ += as_.interval_us;
-    if (t < cooldown_until_us_) continue;
-    const std::size_t depth = queue_.depth();
-    const bool hot =
-        depth > as_.up_queue_depth ||
-        (as_.up_p99_us > 0 && sink_.running_p99_us() > as_.up_p99_us);
-    if (hot && enabled_ < as_.max_replicas) {
-      accrue_replica_time(t);
-      ++enabled_;
-      ++scale_ups_;
-      cooldown_until_us_ = cooldown_expiry_us(t);
-      touch(t);
-      continue;
-    }
-    // Only a fully idle top replica is retired — never abort work.
-    if (!hot && depth <= as_.down_queue_depth &&
-        enabled_ > as_.min_replicas &&
-        !running_[static_cast<std::size_t>(enabled_ - 1)].active) {
-      accrue_replica_time(t);
-      --enabled_;
-      ++scale_downs_;
-      cooldown_until_us_ = cooldown_expiry_us(t);
-      touch(t);
-    }
-  }
-}
-
-std::uint64_t ShardSim::cooldown_expiry_us(std::uint64_t t) const {
-  // Saturating t + cooldown: a near-uint64-max cooldown (for instance a
-  // negative CLI value wrapped through the unsigned cast) must mean
-  // "never scale again", not overflow past zero and re-arm at the very
-  // next decision tick — including the first tick after virtual time 0.
-  return t > kNever - as_.cooldown_us ? kNever : t + as_.cooldown_us;
-}
-
-void ShardSim::admit(std::uint64_t now, const Request& r) {
-  touch(now);
-  sink_.on_offered();
-  if (queue_.offer(r))
-    sink_.on_queue_depth(now, queue_.depth());
-  else
-    sink_.on_drop();
-}
-
-void ShardSim::admit_due_retries(std::uint64_t now) {
-  // A full queue sheds retries rather than dropping them — the request
-  // was already admitted once and now exits the system for good.
-  while (!retries_.empty() && retries_.front().ready_us <= now) {
-    std::pop_heap(retries_.begin(), retries_.end(), RetryLater{});
-    const Request r = retries_.back().req;
-    retries_.pop_back();
-    touch(now);
-    if (queue_.offer(r)) {
-      sink_.on_requeue();
-      sink_.on_queue_depth(now, queue_.depth());
-    } else {
-      sink_.on_shed();
-    }
-  }
-}
-
-void ShardSim::dispatch(std::uint64_t now) {
-  // Dispatch onto idle live enabled replicas (lowest index first) while
-  // the policy agrees; its wake time bounds the idle stretch otherwise.
-  // Degraded mode charges new batches to the fallback table.
-  policy_wake_us_ = kNever;
-  while (!queue_.empty()) {
-    int idle = -1;
-    for (int g = 0; g < enabled_; ++g)
-      if (faults_.up(g) && !running_[static_cast<std::size_t>(g)].active) {
-        idle = g;
-        break;
-      }
-    if (idle < 0) break;
-    const auto decision = policy_->decide(now, queue_.depth(),
-                                          queue_.front().arrival_us,
-                                          cfg_.batcher);
-    if (!decision.dispatch) {
-      VITBIT_CHECK_MSG(decision.wake_us > now,
-                       "policy wait must wake strictly in the future");
-      policy_wake_us_ = decision.wake_us;
-      break;
-    }
-    auto batch = queue_.pop_batch(
-        static_cast<std::size_t>(cfg_.batcher.max_batch_size));
-    sink_.on_queue_depth(now, queue_.depth());
-    const LatencyTable& table = degraded_ ? *fallback_ : latency_;
-    const auto fate = faults_.draw_batch_fate();
-    std::uint64_t busy = table.latency_us(batch.size());
-    if (fate.spike) busy = faults_.spiked_latency_us(busy);
-    auto& fl = running_[static_cast<std::size_t>(idle)];
-    fl.active = true;
-    fl.fail = fate.fail;
-    fl.started_us = now;
-    fl.done_us = now + busy;
-    in_flight_requests_ += batch.size();
-    touch(now);
-    fl.batch = std::move(batch);
-  }
-}
-
-std::uint64_t ShardSim::next_internal_event_us() const {
-  std::uint64_t t = policy_wake_us_;
-  if (!retries_.empty()) t = std::min(t, retries_.front().ready_us);
-  for (const auto& fl : running_)
-    if (fl.active) t = std::min(t, fl.done_us);
-  return t;
-}
-
-std::uint64_t ShardSim::next_timer_us() const {
-  std::uint64_t t = kNever;
-  const int capacity = static_cast<int>(running_.size());
-  for (int g = 0; g < capacity; ++g)
-    t = std::min(t, faults_.next_transition_us(g));
-  if (as_.enabled()) t = std::min(t, next_autoscale_us_);
-  return t;
-}
-
-bool ShardSim::idle() const {
-  return queue_.empty() && retries_.empty() && in_flight_requests_ == 0;
-}
-
-ServeMetrics ShardSim::finalize(std::uint64_t end_us) {
-  if (degraded_) {
-    sink_.add_degraded_us(end_us - degraded_since_);
-    degraded_ = false;
-  }
-  if (as_.enabled()) {
-    accrue_replica_time(end_us);
-    sink_.add_replica_time_us(replica_time_integral_us_);
-  }
-  return sink_.finalize(cfg_.num_gpus, end_us, cfg_.slo_us);
-}
-
-ServeMetrics simulate_server(const std::vector<Request>& workload,
-                             const LatencyTable& latency,
-                             const ServerConfig& cfg,
-                             const LatencyTable* fallback) {
-  // The one-shard special case of the fleet loop (serve/cluster.h), kept
-  // as the canonical single-server entry point. The step order below is
-  // the determinism contract; reports are byte-identical to the
-  // pre-ShardSim loop.
-  ShardSim sim(latency, cfg, fallback);
-  std::size_t next_arrival = 0;
-  std::uint64_t now = 0;
-  std::uint64_t end = 0;
-  while (true) {
-    sim.begin_step(now);
-    // Admissions due at `now`: fresh arrivals first (ties: arrivals land
-    // before dispatch decisions at the same timestamp), then retries
-    // whose backoff has elapsed, in (ready time, request id) order.
-    while (next_arrival < workload.size() &&
-           workload[next_arrival].arrival_us <= now)
-      sim.admit(now, workload[next_arrival++]);
-    sim.admit_due_retries(now);
-    sim.dispatch(now);
-    // Advance to the next event: an arrival, a retry coming due, a batch
-    // completion, the policy's wake-up, or a fault transition. Fault
-    // transitions only keep the loop alive while work remains — the
-    // infinite up/down schedule must not outlive the last request.
-    std::uint64_t t_next = sim.next_internal_event_us();
-    if (next_arrival < workload.size())
-      t_next = std::min(t_next, workload[next_arrival].arrival_us);
-    if (next_arrival >= workload.size() && sim.idle()) break;  // drained
-    t_next = std::min(t_next, sim.next_timer_us());
-    VITBIT_CHECK_MSG(t_next != kNever && t_next > now,
-                     "event loop failed to advance");
-    now = t_next;
-    end = std::max(end, now);
-  }
-
-  const auto m = sim.finalize(end);
-  VITBIT_CHECK_MSG(m.offered == m.completed + m.dropped + m.shed,
-                   "request conservation violated at drain: offered "
-                       << m.offered << " != completed " << m.completed
-                       << " + dropped " << m.dropped << " + shed " << m.shed);
-  return m;
 }
 
 std::vector<double> parse_number_list(const std::string& spec,

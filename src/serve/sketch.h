@@ -1,9 +1,9 @@
 // Constant-memory streaming percentile sketches for the serving fleet.
 //
-// The single-server MetricsSink stores every completed-request latency and
-// sorts once at finalize — exact, but O(requests) memory, which caps rate
-// sweeps around 10^6 requests. The fleet tier (serve/cluster.h) targets
-// 10^7+ requests per sweep point, so its sinks estimate percentiles with
+// An exact MetricsSink stores every completed-request latency and sorts
+// once at finalize — exact, but O(requests) memory, which caps rate
+// sweeps around 10^6 requests. The fleet sweeps (serve/cluster.h) target
+// 10^7+ requests per sweep point, so their sinks estimate percentiles with
 // the P² algorithm (Jain & Chlamtac, CACM 1985): five markers per tracked
 // quantile, updated per observation with a piecewise-parabolic height
 // adjustment. Memory is O(1) per quantile and independent of the request

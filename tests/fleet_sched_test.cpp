@@ -267,6 +267,11 @@ TEST(FleetSchedCli, RejectsMalformedFlags) {
   EXPECT_THROW(fleet_sched_config_from_cli(make_cli(
                    {"--models=vit-tiny", "--cold-route-classes=-1"})),
                CheckError);
+  // Out-of-range fleet counts.
+  for (const char* flag : {"--shards=4294967298", "--max-replicas=0",
+                           "--cold-route-classes=2147483648"})
+    EXPECT_THROW(fleet_sched_config_from_cli(make_cli({flag})), CheckError)
+        << flag;
   // Unknown placement policy.
   EXPECT_THROW(fleet_sched_config_from_cli(make_cli(
                    {"--models=vit-tiny", "--placement=affinity"})),

@@ -1,8 +1,9 @@
 // Fleet-tier behavior: routing policy decisions (serve/router.h),
 // span-weighted shard aggregation and the end-to-end fleet loop
-// (serve/cluster.h), and the reactive autoscaler (serve/server.h). All
-// tables are tiny synthetic LatencyTables, so these pin pure queueing,
-// routing, and accounting behavior with no kernel simulation involved.
+// (serve/cluster.h), and the shard's reactive autoscaler (serve/sched).
+// All tables are tiny synthetic LatencyTables, so these pin pure
+// queueing, routing, and accounting behavior with no kernel simulation
+// involved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,7 @@
 #include "common/cli.h"
 #include "serve/cluster.h"
 #include "serve/router.h"
-#include "serve/server.h"
+#include "serve_util.h"
 
 namespace vitbit::serve {
 namespace {
@@ -27,11 +28,9 @@ Cli make_cli(const std::vector<std::string>& flags) {
   return Cli(static_cast<int>(argv.size()), argv.data());
 }
 
-// Synthetic two-batch table: batch 1 -> 100 us, batch 2 -> 150 us.
-LatencyTable tiny_table() {
-  LatencyTable t;
-  t.batch_latency_us = {0, 100, 150};
-  return t;
+const ModelRegistry& tiny_registry() {
+  static const ModelRegistry reg({"m"}, {tiny_table()});
+  return reg;
 }
 
 TEST(RoutePolicy, NamesRoundTrip) {
@@ -183,16 +182,32 @@ TEST(AggregateShardMetrics, IdleShardDoesNotPoisonAggregates) {
   EXPECT_DOUBLE_EQ(m.throughput_rps, solo.throughput_rps);
 }
 
-FleetConfig small_fleet(RoutePolicy route, PercentileMode mode) {
-  FleetConfig cfg;
+FleetSchedConfig small_fleet(RoutePolicy route, PercentileMode mode) {
+  FleetSchedConfig cfg;
   cfg.num_shards = 2;
   cfg.route = route;
   cfg.percentiles = mode;
-  cfg.shard.policy = "greedy";
-  cfg.shard.batcher.max_batch_size = 2;
-  cfg.shard.batcher.queue_capacity = 16;
+  cfg.shard.max_batch = 2;
+  cfg.shard.queue_capacity = 16;
   cfg.shard.slo_us = 50'000;
   return cfg;
+}
+
+// One-model fleet over the synthetic table, reported as the classic
+// fleet reads it: the aggregate, and each shard's total.
+struct Fleet {
+  ServeMetrics total;
+  std::vector<ServeMetrics> per_shard;
+  std::uint64_t scale_ups = 0;
+  double shard_util_min = 0.0;
+  double shard_util_max = 0.0;
+};
+
+Fleet run_fleet(const WorkloadConfig& w, const FleetSchedConfig& cfg) {
+  const auto m = simulate_fleet_sched(w, tiny_registry(), cfg);
+  Fleet f{m.total.total, {}, m.scale_ups, m.shard_util_min, m.shard_util_max};
+  for (const auto& s : m.per_shard) f.per_shard.push_back(s.total);
+  return f;
 }
 
 WorkloadConfig small_workload(double rate_rps) {
@@ -204,12 +219,10 @@ WorkloadConfig small_workload(double rate_rps) {
 }
 
 TEST(SimulateFleet, ConservesRequestsUnderEveryPolicy) {
-  const auto table = tiny_table();
   for (const auto route : {RoutePolicy::kRandom, RoutePolicy::kRoundRobin,
                            RoutePolicy::kJsq, RoutePolicy::kPo2c}) {
-    const auto m = simulate_fleet(small_workload(8'000),
-                                  table,
-                                  small_fleet(route, PercentileMode::kSketch));
+    const auto m = run_fleet(small_workload(8'000),
+                             small_fleet(route, PercentileMode::kSketch));
     ASSERT_EQ(m.per_shard.size(), 2u) << route_policy_name(route);
     EXPECT_GT(m.total.offered, 0u);
     EXPECT_EQ(m.total.offered,
@@ -220,11 +233,10 @@ TEST(SimulateFleet, ConservesRequestsUnderEveryPolicy) {
 }
 
 TEST(SimulateFleet, RerunsAreBitIdentical) {
-  const auto table = tiny_table();
   const auto cfg = small_fleet(RoutePolicy::kPo2c, PercentileMode::kSketch);
   const auto w = small_workload(12'000);
-  const auto a = simulate_fleet(w, table, cfg);
-  const auto b = simulate_fleet(w, table, cfg);
+  const auto a = run_fleet(w, cfg);
+  const auto b = run_fleet(w, cfg);
   EXPECT_EQ(a.total.completed, b.total.completed);
   EXPECT_EQ(a.total.dropped, b.total.dropped);
   EXPECT_EQ(a.total.p50_us, b.total.p50_us);
@@ -241,12 +253,11 @@ TEST(SimulateFleet, SketchPercentilesTrackExactMode) {
   // exactly (the modes only differ in how latencies are summarized) and
   // the sketch percentiles stay within the accuracy bound of exact
   // nearest-rank over the concatenated samples.
-  const auto table = tiny_table();
   const auto w = small_workload(16'000);
-  const auto exact = simulate_fleet(
-      w, table, small_fleet(RoutePolicy::kJsq, PercentileMode::kExact));
-  const auto sketch = simulate_fleet(
-      w, table, small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch));
+  const auto exact =
+      run_fleet(w, small_fleet(RoutePolicy::kJsq, PercentileMode::kExact));
+  const auto sketch =
+      run_fleet(w, small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch));
   EXPECT_EQ(exact.total.offered, sketch.total.offered);
   EXPECT_EQ(exact.total.completed, sketch.total.completed);
   EXPECT_EQ(exact.total.dropped, sketch.total.dropped);
@@ -269,11 +280,10 @@ TEST(SimulateFleet, JsqTailBeatsRandomUnderLoad) {
   // scan's. (Utilization spread is NOT a monotone quality signal at
   // overload — every policy saturates every shard — so the tail is the
   // discriminator here, as in the fleet_sim tables.)
-  const auto table = tiny_table();
   auto mk = [&](RoutePolicy route) {
     auto cfg = small_fleet(route, PercentileMode::kSketch);
     cfg.num_shards = 8;
-    return simulate_fleet(small_workload(85'000), table, cfg);
+    return run_fleet(small_workload(85'000), cfg);
   };
   const auto jsq = mk(RoutePolicy::kJsq);
   const auto rnd = mk(RoutePolicy::kRandom);
@@ -281,8 +291,8 @@ TEST(SimulateFleet, JsqTailBeatsRandomUnderLoad) {
   EXPECT_GT(rnd.total.p99_us, jsq.total.p99_us);
 }
 
-TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
-  // Hand-driven ShardSim against the synthetic table, pinning the exact
+TEST(ShardAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
+  // Hand-driven shard against the synthetic table, pinning the exact
   // scale-up and scale-down ticks. 10 simultaneous arrivals into one
   // enabled replica (greedy 2-batches, 150 us each): the tick at t=100
   // sees depth 8 > 4 and enables the second replica; the tick at t=400
@@ -294,12 +304,10 @@ TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = 100;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  SchedConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 16;
+  SchedSim sim(tiny_registry(), cfg, PercentileMode::kSketch, as);
   EXPECT_EQ(sim.enabled_replicas(), 1);
 
   sim.begin_step(0);
@@ -317,7 +325,7 @@ TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
     sim.admit_due_retries(now);
     sim.dispatch(now);
   }
-  const auto m = sim.finalize(now);
+  const auto m = sim.finalize(now).total;
   EXPECT_EQ(m.completed, 10u);
   EXPECT_EQ(m.dropped, 0u);
   EXPECT_EQ(sim.scale_ups(), 1u);
@@ -333,15 +341,13 @@ TEST(ShardSimAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
   EXPECT_GT(m.utilization, 0.5);
 }
 
-TEST(ShardSimAutoscale, FixedFleetNeverScales) {
+TEST(ShardAutoscale, FixedFleetNeverScales) {
   // Autoscaling disabled (max == min): the enabled window is pinned and
   // the counters stay zero no matter the load.
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 4;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch);
+  SchedConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 4;
+  SchedSim sim(tiny_registry(), cfg, PercentileMode::kSketch);
   sim.begin_step(0);
   for (std::uint64_t i = 0; i < 10; ++i) sim.admit(0, {i, 0});
   sim.dispatch(0);
@@ -368,8 +374,7 @@ TEST(SimulateFleet, AutoscaleReactsToABurst) {
   cfg.autoscale.up_queue_depth = 4;
   cfg.autoscale.down_queue_depth = 1;
   cfg.autoscale.cooldown_us = 10'000;
-  const auto m =
-      simulate_fleet(small_workload(30'000), tiny_table(), cfg);
+  const auto m = run_fleet(small_workload(30'000), cfg);
   EXPECT_GT(m.scale_ups, 0u);
   EXPECT_EQ(m.total.offered,
             m.total.completed + m.total.dropped + m.total.shed);
@@ -381,9 +386,9 @@ TEST(SimulateFleet, IdleShardIsExcludedFromUtilizationSpread) {
   // ties break to shard 0 — shard 1 never serves a request. The idle
   // shard's zero-width span must not drag shard_util_min to 0 (reporting
   // a maximally imbalanced fleet) or leak NaN into the aggregate.
-  const auto m = simulate_fleet(small_workload(100), tiny_table(),
-                                small_fleet(RoutePolicy::kJsq,
-                                            PercentileMode::kSketch));
+  const auto m = run_fleet(
+      small_workload(100),
+      small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch));
   ASSERT_EQ(m.per_shard.size(), 2u);
   EXPECT_GT(m.per_shard[0].completed, 0u);
   EXPECT_EQ(m.per_shard[1].offered, 0u);
@@ -395,7 +400,7 @@ TEST(SimulateFleet, IdleShardIsExcludedFromUtilizationSpread) {
   EXPECT_DOUBLE_EQ(m.shard_util_max, m.per_shard[0].utilization);
 }
 
-TEST(ShardSimAutoscale, NoDecisionTickAtVirtualTimeZero) {
+TEST(ShardAutoscale, NoDecisionTickAtVirtualTimeZero) {
   // The first evaluation lands one interval in: a deep queue at t = 0
   // must not trigger an instant scale-up (there is no load signal yet),
   // and the cooldown arithmetic must not underflow at time zero.
@@ -406,12 +411,10 @@ TEST(ShardSimAutoscale, NoDecisionTickAtVirtualTimeZero) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = 100;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  SchedConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 16;
+  SchedSim sim(tiny_registry(), cfg, PercentileMode::kSketch, as);
   sim.begin_step(0);
   for (std::uint64_t i = 0; i < 10; ++i) sim.admit(0, {i, 0});
   sim.maybe_autoscale(0);  // depth 10 > 4, but t = 0 is before any tick
@@ -419,7 +422,7 @@ TEST(ShardSimAutoscale, NoDecisionTickAtVirtualTimeZero) {
   EXPECT_EQ(sim.enabled_replicas(), 1);
 }
 
-TEST(ShardSimAutoscale, DrainPhaseReplicaSecondsAreExact) {
+TEST(ShardAutoscale, DrainPhaseReplicaSecondsAreExact) {
   // Pins the replica-time integral through a scale-down that happens
   // during the final drain (queue already empty, one batch still in
   // flight). 10 arrivals at t=0 into one replica, greedy 2-batches at
@@ -434,12 +437,10 @@ TEST(ShardSimAutoscale, DrainPhaseReplicaSecondsAreExact) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = 100;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  SchedConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 16;
+  SchedSim sim(tiny_registry(), cfg, PercentileMode::kSketch, as);
 
   sim.begin_step(0);
   sim.maybe_autoscale(0);
@@ -455,7 +456,7 @@ TEST(ShardSimAutoscale, DrainPhaseReplicaSecondsAreExact) {
     sim.dispatch(now);
   }
   EXPECT_EQ(now, 450u);
-  const auto m = sim.finalize(now);
+  const auto m = sim.finalize(now).total;
   EXPECT_EQ(m.completed, 10u);
   EXPECT_EQ(sim.scale_ups(), 1u);
   EXPECT_EQ(sim.scale_downs(), 1u);
@@ -463,7 +464,7 @@ TEST(ShardSimAutoscale, DrainPhaseReplicaSecondsAreExact) {
   EXPECT_DOUBLE_EQ(m.utilization, 1.0);
 }
 
-TEST(ShardSimAutoscale, HugeCooldownSaturatesInsteadOfWrapping) {
+TEST(ShardAutoscale, HugeCooldownSaturatesInsteadOfWrapping) {
   // A cooldown near uint64 max (what a negative CLI value would wrap to)
   // must mean "never act again", not overflow past zero and re-arm the
   // autoscaler at the very next tick. After the one scale-up the shard
@@ -475,12 +476,10 @@ TEST(ShardSimAutoscale, HugeCooldownSaturatesInsteadOfWrapping) {
   as.up_queue_depth = 4;
   as.down_queue_depth = 1;
   as.cooldown_us = std::numeric_limits<std::uint64_t>::max();
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 16;
-  const auto table = tiny_table();
-  ShardSim sim(table, cfg, nullptr, PercentileMode::kSketch, as);
+  SchedConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 16;
+  SchedSim sim(tiny_registry(), cfg, PercentileMode::kSketch, as);
 
   sim.begin_step(0);
   for (std::uint64_t i = 0; i < 10; ++i) sim.admit(0, {i, 0});
@@ -509,6 +508,12 @@ TEST(FleetCli, RejectsNegativeAutoscaleFlags) {
                CheckError);
   EXPECT_THROW(fleet_config_from_cli(make_cli({"--scale-up-depth=-2"})),
                CheckError);
+  // Shard and replica counts range-check before they narrow to int:
+  // 4294967298 used to run 2 shards.
+  for (const char* flag : {"--shards=4294967298", "--replicas=-4294967295",
+                           "--min-replicas=4294967297"})
+    EXPECT_THROW(fleet_config_from_cli(make_cli({flag})), CheckError)
+        << flag;
   // Sanity: the flags still work with legal values.
   const auto cfg = fleet_config_from_cli(
       make_cli({"--min-replicas=1", "--max-replicas=2",
@@ -517,7 +522,7 @@ TEST(FleetCli, RejectsNegativeAutoscaleFlags) {
 }
 
 TEST(FleetConfigValidate, RejectsBadShardCounts) {
-  FleetConfig cfg;
+  FleetSchedConfig cfg;
   cfg.num_shards = 0;
   EXPECT_THROW(cfg.validate(), CheckError);
 }

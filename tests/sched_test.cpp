@@ -1,7 +1,6 @@
-// Scheduler-tier tests (serve/sched/sched.h): the FIFO pin against the
-// single-model server, request conservation across every mode, the
-// cb-pre preemption benefit on the high-priority tail, model-swap
-// pricing under the LRU weight cache, byte-determinism of sweeps across
+// Scheduler-tier tests (serve/sched/sched.h): request conservation
+// across every mode, the cb-pre preemption benefit on the high-priority
+// tail, model-swap pricing under the LRU weight cache, byte-determinism of sweeps across
 // pool sizes, sched_points report round-trips, and the hardened CLI
 // parsing shared with bench/sched_sim and `vitbit_cli sched`.
 #include <gtest/gtest.h>
@@ -44,8 +43,8 @@ Cli make_cli(const std::vector<std::string>& flags) {
   return Cli(static_cast<int>(argv.size()), argv.data());
 }
 
-// Field-by-field ServeMetrics equality (the FIFO pin must be exact, not
-// within tolerance).
+// Field-by-field ServeMetrics equality (the streaming pin must be exact,
+// not within tolerance).
 void expect_metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.completed, b.completed);
@@ -65,44 +64,6 @@ void expect_metrics_equal(const ServeMetrics& a, const ServeMetrics& b) {
   EXPECT_EQ(a.p95_us, b.p95_us);
   EXPECT_EQ(a.p99_us, b.p99_us);
   EXPECT_EQ(a.max_us, b.max_us);
-}
-
-TEST(SchedSim, FifoPinMatchesSingleModelGreedyServer) {
-  // The regression anchor: with the all-default SchedConfig shape (fifo,
-  // one class, one model, iters ignored) the scheduler must reproduce
-  // simulate_server with the "greedy" flush policy bit for bit, on the
-  // very same latency table — at an unsaturated and a saturated rate.
-  const auto reg = make_registry({"vit-tiny"}, 4);
-  for (const double rate : {20'000.0, 400'000.0}) {
-    WorkloadConfig w;
-    w.rate_rps = rate;
-    w.duration_s = 0.05;
-    w.seed = 9;
-    const auto workload = generate_workload(w);
-
-    SchedConfig sc;
-    sc.mode = "fifo";
-    sc.max_batch = 4;
-    sc.queue_capacity = 16;
-    sc.slo_us = 20'000;
-    const auto sched = run_shard(workload, reg, sc);
-
-    ServerConfig sv;
-    sv.policy = "greedy";
-    sv.batcher.max_batch_size = 4;
-    sv.batcher.queue_capacity = 16;
-    sv.slo_us = 20'000;
-    const auto server = simulate_server(workload, reg.table(0), sv);
-
-    expect_metrics_equal(sched.total, server);
-    // Single class, single model: the breakdowns restate the total.
-    ASSERT_EQ(sched.per_class.size(), 1u);
-    ASSERT_EQ(sched.per_model.size(), 1u);
-    EXPECT_EQ(sched.per_class[0].completed, server.completed);
-    EXPECT_EQ(sched.per_model[0].completed, server.completed);
-    EXPECT_EQ(sched.preemptions, 0u);
-    EXPECT_EQ(sched.model_swaps, 0u);
-  }
 }
 
 MixedWorkloadConfig mixed_workload(double rate) {
@@ -439,6 +400,14 @@ TEST(SchedCli, RejectsMalformedFlags) {
   // Unknown scheduling mode.
   EXPECT_THROW(sched_config_from_cli(make_cli({"--modes=lifo"})),
                CheckError);
+  // Integer flags out of their range, instead of wrapping: an int knob,
+  // an unsigned knob, and the per-class SLO list (integers only).
+  for (const char* flag :
+       {"--max-batch=4294967297", "--num-gpus=0", "--iters=-1",
+        "--cache-models=4294967297", "--slo-us=-1", "--warm-swap-us=-1",
+        "--slos-us=1e30", "--slos-us=2000.5", "--rate=inf"})
+    EXPECT_THROW(sched_config_from_cli(make_cli({flag})), CheckError)
+        << flag;
   // Unknown zoo model surfaces at registry build with the catalog listed.
   auto cfg = sched_config_from_cli(make_cli({}));
   cfg.model_names = {"vit-nope"};

@@ -16,6 +16,7 @@
 #include "report/run_report.h"
 #include "serve/faults.h"
 #include "serve/cluster.h"
+#include "serve_util.h"
 
 namespace vitbit::serve {
 namespace {
@@ -148,26 +149,17 @@ TEST(FaultModel, SpikedLatencyScalesAndStaysPositive) {
   EXPECT_EQ(FaultModel(cfg, 1).spiked_latency_us(7), 7u);
 }
 
-// Synthetic constant-latency table: queueing and fault behavior only.
-LatencyTable flat_table(std::uint64_t us, int max_batch) {
-  LatencyTable t;
-  t.batch_latency_us.assign(static_cast<std::size_t>(max_batch) + 1, us);
-  t.batch_latency_us[0] = 0;
-  return t;
-}
-
 TEST(Retry, BudgetExhaustionShedsAfterBackedOffRetries) {
   // One request, every batch fails, generous SLO: attempt 1 fails at
   // t=100, retries at 1100 and 3200 (backoff 1000 then 2000), and the
   // third failure exceeds max_retries=2 -> shed. Exact event accounting.
   const std::vector<Request> w = {{0, 0}};
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 1;
+  SchedConfig cfg;
+  cfg.max_batch = 1;
   cfg.faults.batch_failure_prob = 1.0;
   cfg.faults.max_retries = 2;
   cfg.faults.retry_backoff_us = 1000;
-  const auto m = simulate_server(w, flat_table(100, 1), cfg);
+  const auto m = serve_one(w, flat_table(100, 1), cfg);
   EXPECT_EQ(m.offered, 1u);
   EXPECT_EQ(m.completed, 0u);
   EXPECT_EQ(m.dropped, 0u);
@@ -186,14 +178,13 @@ TEST(Retry, SloDeadlineShedsBeforeBudgetRunsOut) {
   // still makes the deadline, but the second would land at 3200 > 1500,
   // so the request is shed with budget remaining.
   const std::vector<Request> w = {{0, 0}};
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 1;
+  SchedConfig cfg;
+  cfg.max_batch = 1;
   cfg.slo_us = 1500;
   cfg.faults.batch_failure_prob = 1.0;
   cfg.faults.max_retries = 10;
   cfg.faults.retry_backoff_us = 1000;
-  const auto m = simulate_server(w, flat_table(100, 1), cfg);
+  const auto m = serve_one(w, flat_table(100, 1), cfg);
   EXPECT_EQ(m.completed, 0u);
   EXPECT_EQ(m.shed, 1u);
   EXPECT_EQ(m.batch_failures, 2u);
@@ -205,19 +196,17 @@ TEST(Retry, TransientFailureRateBelowOneEventuallyCompletes) {
   // p=0.5 batch failures with a deep retry budget and roomy SLO: most
   // requests complete after some retries, every request is accounted for
   // (the conservation invariant offered == completed + dropped + shed is
-  // also CHECK-enforced inside simulate_server at drain).
+  // also CHECK-enforced inside simulate_fleet_sched at drain).
   WorkloadConfig wl;
   wl.rate_rps = 500;
   wl.duration_s = 0.5;
   wl.seed = 13;
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 4;
+  SchedConfig cfg;
+  cfg.max_batch = 4;
   cfg.faults.batch_failure_prob = 0.5;
   cfg.faults.max_retries = 8;
   cfg.faults.retry_backoff_us = 100;
-  const auto m = simulate_server(generate_workload(wl), flat_table(200, 4),
-                                 cfg);
+  const auto m = serve_one(generate_workload(wl), flat_table(200, 4), cfg);
   EXPECT_GT(m.batch_failures, 0u);
   EXPECT_GT(m.requeued, 0u);
   EXPECT_GT(m.completed, m.offered / 2);
@@ -225,16 +214,14 @@ TEST(Retry, TransientFailureRateBelowOneEventuallyCompletes) {
 }
 
 TEST(Degrade, RequiresFallbackTable) {
-  ServerConfig cfg;
+  SchedConfig cfg;
   cfg.num_gpus = 2;
   cfg.faults.degrade_below_live = 2;
-  EXPECT_THROW(simulate_server({{0, 0}}, flat_table(100, 8), cfg),
-               CheckError);
+  EXPECT_THROW(serve_one({{0, 0}}, flat_table(100, 8), cfg), CheckError);
   // And the threshold cannot exceed the fleet size.
   cfg.faults.degrade_below_live = 3;
   const auto fb = flat_table(50, 8);
-  EXPECT_THROW(simulate_server({{0, 0}}, flat_table(100, 8), cfg, &fb),
-               CheckError);
+  EXPECT_THROW(serve_one({{0, 0}}, flat_table(100, 8), cfg, &fb), CheckError);
 }
 
 TEST(Degrade, ReplicaFailuresTriggerFailoverAndDegradedTime) {
@@ -246,17 +233,16 @@ TEST(Degrade, ReplicaFailuresTriggerFailoverAndDegradedTime) {
   wl.duration_s = 0.5;
   wl.seed = 5;
   const auto w = generate_workload(wl);
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 4;
+  SchedConfig cfg;
+  cfg.max_batch = 4;
   cfg.num_gpus = 2;
   cfg.faults.seed = 17;
   cfg.faults.replica_mtbf_s = 0.02;
   cfg.faults.replica_mttr_s = 0.01;
   cfg.faults.degrade_below_live = 2;
   const auto fallback = flat_table(100, 4);  // cheaper than the primary
-  const auto a = simulate_server(w, flat_table(400, 4), cfg, &fallback);
-  const auto b = simulate_server(w, flat_table(400, 4), cfg, &fallback);
+  const auto a = serve_one(w, flat_table(400, 4), cfg, &fallback);
+  const auto b = serve_one(w, flat_table(400, 4), cfg, &fallback);
   EXPECT_GT(a.failovers, 0u);
   EXPECT_GT(a.degraded_s, 0.0);
   EXPECT_GT(a.batch_failures, 0u);  // aborted in-flight batches

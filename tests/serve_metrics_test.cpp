@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "common/check.h"
-#include "serve/batcher.h"
 #include "serve/metrics.h"
-#include "serve/server.h"
+#include "serve_util.h"
 
 namespace vitbit::serve {
 namespace {
@@ -132,24 +131,15 @@ TEST(MetricsSink, FaultCountersDefaultToZero) {
   EXPECT_DOUBLE_EQ(m.degraded_s, 0.0);
 }
 
-// Synthetic one-replica table: batch 1 -> 100 us, batch 2 -> 150 us. No
-// kernel simulation involved, so the test pins pure queueing behavior.
-LatencyTable tiny_table() {
-  LatencyTable t;
-  t.batch_latency_us = {0, 100, 150};
-  return t;
-}
-
 TEST(ServeAccounting, DropsAtQueueSaturation) {
   // 10 simultaneous arrivals into capacity 2: the first two are admitted,
   // the other eight are load-shed, and exactly one 2-batch completes.
   std::vector<Request> workload;
   for (std::uint64_t i = 0; i < 10; ++i) workload.push_back({i, 0});
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 2;
-  const auto m = simulate_server(workload, tiny_table(), cfg);
+  SchedConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 2;
+  const auto m = serve_one(workload, tiny_table(), cfg);
   EXPECT_EQ(m.offered, 10u);
   EXPECT_EQ(m.completed, 2u);
   EXPECT_EQ(m.dropped, 8u);
@@ -164,11 +154,10 @@ TEST(ServeAccounting, DropsAtQueueSaturation) {
 
 TEST(ServeAccounting, NoDropsBelowCapacity) {
   const std::vector<Request> workload = {{0, 0}, {1, 400}, {2, 800}};
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 2;
-  cfg.batcher.queue_capacity = 4;
-  const auto m = simulate_server(workload, tiny_table(), cfg);
+  SchedConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 4;
+  const auto m = serve_one(workload, tiny_table(), cfg);
   EXPECT_EQ(m.offered, 3u);
   EXPECT_EQ(m.completed, 3u);
   EXPECT_EQ(m.dropped, 0u);

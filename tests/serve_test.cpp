@@ -1,20 +1,30 @@
-// Serving-simulator tests: workload generator reproducibility, batching
-// policy semantics, the bounded admission queue, the event loop, and the
-// tier-1 determinism acceptance — a rate sweep must serialize to
+// Serving-simulator tests: workload generator reproducibility and
+// validation, the shard's fifo and timeout flushes, the bounded admission
+// queue, the single-server event loop, the serve CLI's flag checks, and
+// the tier-1 determinism acceptance — a rate sweep must serialize to
 // byte-identical reports at every thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "common/thread_pool.h"
 #include "nn/vit_model.h"
 #include "serve/cluster.h"
+#include "serve_util.h"
 
 namespace vitbit::serve {
 namespace {
+
+Cli make_cli(const std::vector<std::string>& flags) {
+  std::vector<const char*> argv = {"serve_test"};
+  for (const auto& f : flags) argv.push_back(f.c_str());
+  return Cli(static_cast<int>(argv.size()), argv.data());
+}
 
 TEST(Workload, SameSeedSameStreamEveryKind) {
   for (const auto kind :
@@ -107,53 +117,108 @@ TEST(Workload, KindNamesRoundTrip) {
   EXPECT_THROW(arrival_kind_from_name("gaussian"), CheckError);
 }
 
+TEST(Workload, RejectsNonFiniteRatesAndDurations) {
+  // An infinite rate or duration never ends the stream: it must fail at
+  // construction, not grow the workload until the process is killed.
+  const double inf = std::numeric_limits<double>::infinity();
+  WorkloadConfig w;
+  w.rate_rps = inf;
+  EXPECT_THROW(WorkloadStream{w}, CheckError);
+  w = WorkloadConfig{};
+  w.duration_s = inf;
+  EXPECT_THROW(WorkloadStream{w}, CheckError);
+  w = WorkloadConfig{};
+  w.kind = ArrivalKind::kBursty;
+  w.burst_off_s = inf;
+  EXPECT_THROW(w.validate(), CheckError);
+  MixedWorkloadConfig m;
+  m.rate_rps = inf;
+  EXPECT_THROW(m.validate(), CheckError);
+  m = MixedWorkloadConfig{};
+  m.duration_s = inf;
+  EXPECT_THROW(m.validate(), CheckError);
+  m = MixedWorkloadConfig{};
+  m.classes[0].kind = ArrivalKind::kBursty;
+  m.classes[0].burst_on_s = inf;
+  EXPECT_THROW(m.validate(), CheckError);
+  // The CLIs reject them before any latency table is built.
+  EXPECT_THROW(sweep_config_from_cli(make_cli({"--rate=inf"})), CheckError);
+  EXPECT_THROW(sweep_config_from_cli(make_cli({"--duration-s=inf"})),
+               CheckError);
+  EXPECT_THROW(fleet_sched_config_from_cli(make_cli({"--rate=inf"})),
+               CheckError);
+  EXPECT_THROW(fleet_sched_config_from_cli(make_cli({"--duration-s=inf"})),
+               CheckError);
+}
+
 TEST(Batcher, GreedyAlwaysDispatches) {
-  const auto p = make_policy("greedy");
-  EXPECT_EQ(p->name(), "greedy");
-  BatcherConfig cfg;
-  EXPECT_TRUE(p->decide(0, 1, 0, cfg).dispatch);
-  EXPECT_TRUE(p->decide(1000, 100, 999, cfg).dispatch);
+  // fifo (the "greedy" flush) dispatches whatever is queued the moment a
+  // replica is idle: a lone request leaves at once, and three
+  // simultaneous ones ride one batch.
+  SchedConfig sc;
+  sc.max_batch = 4;
+  const auto one = serve_one({{0, 0}}, flat_table(100, 4), sc);
+  EXPECT_EQ(one.max_us, 100u);
+  const auto three = serve_one({{0, 0}, {1, 0}, {2, 0}}, flat_table(100, 4),
+                               sc);
+  EXPECT_EQ(three.batches, 1u);
+  EXPECT_DOUBLE_EQ(three.mean_batch_size, 3.0);
+  EXPECT_EQ(three.max_us, 100u);
 }
 
 TEST(Batcher, TimeoutPolicySemantics) {
-  const auto p = make_policy("timeout");
-  BatcherConfig cfg;
-  cfg.max_batch_size = 4;
-  cfg.batch_timeout_us = 2000;
+  SchedConfig sc;
+  sc.mode = "timeout";
+  sc.max_batch = 4;
+  sc.batch_timeout_us = 2000;
   // Full batch: dispatch regardless of age.
-  EXPECT_TRUE(p->decide(0, 4, 0, cfg).dispatch);
-  // Partial batch, oldest not yet timed out: wait until its deadline.
-  const auto wait = p->decide(/*now=*/500, /*depth=*/2, /*oldest=*/100, cfg);
-  EXPECT_FALSE(wait.dispatch);
-  EXPECT_EQ(wait.wake_us, 2100u);
-  // Deadline reached (or passed): flush the partial batch.
-  EXPECT_TRUE(p->decide(2100, 2, 100, cfg).dispatch);
-  EXPECT_TRUE(p->decide(5000, 1, 100, cfg).dispatch);
+  const auto full = serve_one({{0, 0}, {1, 0}, {2, 0}, {3, 0}},
+                              flat_table(100, 4), sc);
+  EXPECT_EQ(full.batches, 1u);
+  EXPECT_EQ(full.max_us, 100u);
+  // Partial batch: it waits for the head's deadline (100 + 2000), then
+  // flushes both requests together.
+  const auto partial = serve_one({{0, 100}, {1, 500}}, flat_table(100, 4), sc);
+  EXPECT_EQ(partial.batches, 1u);
+  EXPECT_DOUBLE_EQ(partial.mean_batch_size, 2.0);
+  EXPECT_EQ(partial.max_us, 2100u);  // head: 2200 - 100
+  EXPECT_EQ(partial.p50_us, 1700u);  // second: 2200 - 500
+  // Past the deadline at admission (the replica was busy): no wait.
+  const auto late = serve_one({{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}},
+                              flat_table(3000, 4), sc);
+  EXPECT_EQ(late.batches, 2u);
+  EXPECT_EQ(late.max_us, 6000u);
 }
 
 TEST(Batcher, UnknownPolicyAndBadConfigThrow) {
-  EXPECT_THROW(make_policy("lifo"), CheckError);
-  BatcherConfig bad;
-  bad.max_batch_size = 0;
+  SchedConfig bad;
+  bad.mode = "lifo";
   EXPECT_THROW(bad.validate(), CheckError);
-  bad = BatcherConfig{};
+  bad = SchedConfig{};
+  bad.max_batch = 0;
+  EXPECT_THROW(bad.validate(), CheckError);
+  bad = SchedConfig{};
   bad.queue_capacity = 0;
+  EXPECT_THROW(bad.validate(), CheckError);
+  bad = SchedConfig{};
+  bad.batch_timeout_us = 0;
   EXPECT_THROW(bad.validate(), CheckError);
 }
 
-TEST(Batcher, AdmissionQueueFifoAndDropAccounting) {
-  AdmissionQueue q(2);
-  EXPECT_TRUE(q.offer({0, 10}));
-  EXPECT_TRUE(q.offer({1, 20}));
-  EXPECT_FALSE(q.offer({2, 30}));  // full -> dropped
-  EXPECT_EQ(q.dropped(), 1u);
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.front().id, 0u);
-  const auto batch = q.pop_batch(8);  // capped by depth
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id, 0u);
-  EXPECT_EQ(batch[1].id, 1u);
-  EXPECT_TRUE(q.empty());
+TEST(Batcher, QueueFifoAndDropAccounting) {
+  // Capacity 2, one single-request replica: of four simultaneous
+  // arrivals two are admitted and two dropped, and the admitted pair is
+  // served in arrival order (100 us, then 200 us).
+  SchedConfig sc;
+  sc.max_batch = 1;
+  sc.queue_capacity = 2;
+  const auto m = serve_one({{0, 0}, {1, 0}, {2, 0}, {3, 0}},
+                           flat_table(100, 1), sc);
+  EXPECT_EQ(m.offered, 4u);
+  EXPECT_EQ(m.dropped, 2u);
+  EXPECT_EQ(m.completed, 2u);
+  EXPECT_EQ(m.p50_us, 100u);
+  EXPECT_EQ(m.max_us, 200u);
 }
 
 TEST(Server, LatencyTableBoundsChecked) {
@@ -185,25 +250,15 @@ TEST(Server, ParseRateList) {
   EXPECT_THROW(parse_rate_list("1e999"), CheckError);  // overflows to inf
 }
 
-// Synthetic constant-latency table: queueing behavior only, no kernel
-// simulation.
-LatencyTable flat_table(std::uint64_t us, int max_batch) {
-  LatencyTable t;
-  t.batch_latency_us.assign(static_cast<std::size_t>(max_batch) + 1, us);
-  t.batch_latency_us[0] = 0;
-  return t;
-}
-
 TEST(Server, SecondReplicaAbsorbsConcurrentBatches) {
   // Two simultaneous singleton dispatches: one replica serializes them
   // (makespan 200 us), two replicas overlap them (100 us).
   const std::vector<Request> w = {{0, 0}, {1, 0}};
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 1;
-  const auto serial = simulate_server(w, flat_table(100, 1), cfg);
+  SchedConfig cfg;
+  cfg.max_batch = 1;
+  const auto serial = serve_one(w, flat_table(100, 1), cfg);
   cfg.num_gpus = 2;
-  const auto dual = simulate_server(w, flat_table(100, 1), cfg);
+  const auto dual = serve_one(w, flat_table(100, 1), cfg);
   EXPECT_EQ(serial.completed, 2u);
   EXPECT_EQ(dual.completed, 2u);
   EXPECT_EQ(serial.max_us, 200u);
@@ -216,20 +271,43 @@ TEST(Server, P99NonDecreasingInArrivalRate) {
   // process harder can only deepen queueing, so the p99 latency at a fixed
   // seed must be non-decreasing in the arrival rate.
   const auto table = flat_table(1000, 4);  // capacity 4000 req/s
-  ServerConfig cfg;
-  cfg.policy = "greedy";
-  cfg.batcher.max_batch_size = 4;
-  cfg.batcher.queue_capacity = 64;
+  SchedConfig cfg;
+  cfg.max_batch = 4;
+  cfg.queue_capacity = 64;
   std::uint64_t prev = 0;
   for (const double rate : {100.0, 1000.0, 2500.0, 4000.0, 8000.0}) {
     WorkloadConfig w;
     w.rate_rps = rate;
     w.duration_s = 1.0;
     w.seed = 21;
-    const auto m = simulate_server(generate_workload(w), table, cfg);
+    const auto m = serve_one(generate_workload(w), table, cfg);
     EXPECT_GE(m.p99_us, prev) << "rate " << rate;
     prev = m.p99_us;
   }
+}
+
+TEST(ServeCli, RejectsOutOfRangeIntegerFlags) {
+  // Integer flags range-check the int64 value before it narrows: these
+  // used to wrap to 1 GPU, a near-2^64 timeout, and a batch of 1.
+  for (const char* flag :
+       {"--num-gpus=-4294967295", "--batch-timeout-us=-5",
+        "--max-batch=4294967297", "--slo-us=-1", "--layers=0",
+        "--max-retries=-1", "--degrade-below=2147483648",
+        "--retry-backoff-us=0", "--queue-capacity=4294967297"})
+    EXPECT_THROW(sweep_config_from_cli(make_cli({flag})), CheckError) << flag;
+  EXPECT_THROW(sweep_config_from_cli(make_cli({"--rate=100,200"})),
+               CheckError);
+  EXPECT_THROW(sweep_config_from_cli(make_cli({"--policy=lifo"})),
+               CheckError);
+  // Seeds take any 64-bit pattern.
+  const auto cfg = sweep_config_from_cli(
+      make_cli({"--seed=-1", "--fault-seed=-2", "--policy=greedy",
+                "--max-batch=2147483647", "--slo-us=9223372036854775807"}));
+  EXPECT_EQ(cfg.workload.seed, ~std::uint64_t{0});
+  EXPECT_EQ(cfg.server.faults.seed, ~std::uint64_t{0} - 1);
+  EXPECT_EQ(cfg.server.mode, "fifo");
+  EXPECT_EQ(cfg.server.max_batch, 2147483647);
+  EXPECT_EQ(cfg.server.slo_us, 9223372036854775807u);
 }
 
 // Tier-1 determinism acceptance: the full sweep (latency-table memoization

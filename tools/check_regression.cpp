@@ -1,10 +1,10 @@
 // check_regression — the CI perf gate.
 //
 // Runs the fig5 (end-to-end inference) and fig10 (IPC) pipelines on a
-// reduced-layer ViT-Base plus reduced serving-simulator sweeps — a
-// single-server rate sweep, a faults sweep (serve/server.h), a sharded
-// fleet sweep, a mixed-class scheduler sweep (serve/sched/sched.h), and
-// a class-aware scheduled-fleet sweep (serve/cluster.h) — emits
+// reduced-layer ViT-Base plus reduced serving-simulator sweeps
+// (serve/cluster.h) — a one-shard rate sweep, a faults sweep, a sharded
+// fleet sweep, a mixed-class scheduler sweep, and a class-aware
+// scheduled-fleet sweep — emits
 // schema-versioned run reports, and diffs them against the checked-in
 // baselines. Exit 0 when
 // every metric is within tolerance; exit 1 naming the first offending
