@@ -252,7 +252,7 @@ std::vector<double> read_rates(const Cli& cli, std::vector<double> rates) {
   return rates;
 }
 
-// The flag block of the serve and fleet builders: ViT-Base depth,
+// The flag block of sweep_ and fleet_config_from_cli: ViT-Base depth,
 // traffic, the shard's flush policy, batching, SLO and fault knobs, and
 // the fallback strategy. `gpus` names the per-shard replica-count flag.
 template <typename Sweep>
@@ -292,7 +292,7 @@ void read_single_model_flags(const Cli& cli, const char* gpus, Sweep& cfg,
       parse_strategy(cli.get("fallback", "TC"), "fallback strategy");
 }
 
-// The autoscale flag block of the two fleet builders; a shard's default
+// The autoscale flag block of the two fleet CLIs; a shard's default
 // window is its fixed replica count `gpus`.
 void read_autoscale_flags(const Cli& cli, int gpus, AutoscaleConfig& as) {
   as.min_replicas = get_flag(cli, "min-replicas", gpus, 1);
@@ -599,19 +599,20 @@ std::vector<SweepPoint> run_rate_sweep(const SweepConfig& cfg,
   // Phase 2: a one-shard fleet per (strategy, rate) point. Workloads
   // regenerate per point from the shared seed, so both strategies at one
   // rate face identical request streams.
+  const auto n_strategies = cfg.strategies.size();
   const auto n_rates = cfg.rates_rps.size();
-  return parallel_map(
-      pool, cfg.strategies.size() * n_rates, [&](std::size_t i) {
-        WorkloadConfig w = cfg.workload;
-        w.rate_rps = cfg.rates_rps[i % n_rates];
-        SweepPoint point;
-        point.strategy = cfg.strategies[i / n_rates];
-        point.rate_rps = w.rate_rps;
-        point.metrics =
-            simulate_fleet_sched(w, registries[i / n_rates], fc, fallback)
-                .total.total;
-        return point;
-      });
+  return parallel_map(pool, n_strategies * n_rates, [&](std::size_t i) {
+    const std::size_t s = i / n_rates;
+    const std::size_t r = i % n_rates;
+    WorkloadConfig w = cfg.workload;
+    w.rate_rps = cfg.rates_rps[r];
+    SweepPoint point;
+    point.strategy = cfg.strategies[s];
+    point.rate_rps = cfg.rates_rps[r];
+    point.metrics =
+        simulate_fleet_sched(w, registries[s], fc, fallback).total.total;
+    return point;
+  });
 }
 
 Table sweep_table(const SweepConfig& cfg,
@@ -702,16 +703,19 @@ std::vector<FleetSchedPoint> run_fleet_sweep(const FleetSweepConfig& cfg,
 
   // Phase 2: one single-threaded fleet loop per (route, rate) point,
   // fanned out over the pool in index order.
+  const auto n_routes = cfg.routes.size();
   const auto n_rates = cfg.rates_rps.size();
-  return parallel_map(pool, cfg.routes.size() * n_rates, [&](std::size_t i) {
+  return parallel_map(pool, n_routes * n_rates, [&](std::size_t i) {
+    const std::size_t ri = i / n_rates;
+    const std::size_t r = i % n_rates;
     WorkloadConfig w = cfg.workload;
-    w.rate_rps = cfg.rates_rps[i % n_rates];
+    w.rate_rps = cfg.rates_rps[r];
     FleetSchedConfig pc = fc;
-    pc.route = cfg.routes[i / n_rates];
+    pc.route = cfg.routes[ri];
     FleetSchedPoint point;
     point.mode = pc.shard.mode;
-    point.route = pc.route;
-    point.rate_rps = w.rate_rps;
+    point.route = cfg.routes[ri];
+    point.rate_rps = cfg.rates_rps[r];
     point.metrics = simulate_fleet_sched(w, registries.front(), pc, fallback);
     return point;
   });
@@ -830,18 +834,21 @@ std::vector<SchedPoint> run_sched_sweep(const SchedSweepConfig& cfg,
   // Phase 2: a one-shard fleet per (mode, rate) point. The workload is
   // regenerated per point from the shared seed, so every mode at one
   // rate faces the byte-identical request stream.
+  const auto n_modes = cfg.modes.size();
   const auto n_rates = cfg.rates_rps.size();
-  return parallel_map(pool, cfg.modes.size() * n_rates, [&](std::size_t i) {
+  return parallel_map(pool, n_modes * n_rates, [&](std::size_t i) {
+    const std::size_t mi = i / n_rates;
+    const std::size_t r = i % n_rates;
     MixedWorkloadConfig w = cfg.workload;
-    w.rate_rps = cfg.rates_rps[i % n_rates];
+    w.rate_rps = cfg.rates_rps[r];
     w.num_models = static_cast<int>(cfg.model_names.size());
     FleetSchedConfig fc;
     fc.num_shards = 1;
     fc.shard = cfg.sched;
-    fc.shard.mode = cfg.modes[i / n_rates];
+    fc.shard.mode = cfg.modes[mi];
     fc.percentiles = cfg.percentiles;
     SchedPoint point;
-    point.mode = fc.shard.mode;
+    point.mode = cfg.modes[mi];
     point.rate_rps = w.rate_rps;
     point.metrics = simulate_fleet_sched(w, registry, fc).total;
     return point;
@@ -1013,23 +1020,27 @@ std::vector<FleetSchedPoint> run_fleet_sched_sweep(
   // point, fanned out over the pool in index order. The workload
   // regenerates from the shared seed, so every point faces the
   // byte-identical request stream.
+  const auto n_modes = cfg.modes.size();
   const auto n_routes = cfg.routes.size();
   const auto n_rates = cfg.rates_rps.size();
-  return parallel_map(
-      pool, cfg.modes.size() * n_routes * n_rates, [&](std::size_t i) {
-        MixedWorkloadConfig w = cfg.workload;
-        w.rate_rps = cfg.rates_rps[i % n_rates];
-        w.num_models = static_cast<int>(cfg.model_names.size());
-        FleetSchedConfig fc = cfg.fleet;
-        fc.shard.mode = cfg.modes[i / (n_routes * n_rates)];
-        fc.route = cfg.routes[i / n_rates % n_routes];
-        FleetSchedPoint point;
-        point.mode = fc.shard.mode;
-        point.route = fc.route;
-        point.rate_rps = w.rate_rps;
-        point.metrics = simulate_fleet_sched(w, registry, fc);
-        return point;
-      });
+  return parallel_map(pool, n_modes * n_routes * n_rates, [&](std::size_t i) {
+    const std::size_t mi = i / (n_routes * n_rates);
+    const std::size_t rem = i % (n_routes * n_rates);
+    const std::size_t ri = rem / n_rates;
+    const std::size_t r = rem % n_rates;
+    MixedWorkloadConfig w = cfg.workload;
+    w.rate_rps = cfg.rates_rps[r];
+    w.num_models = static_cast<int>(cfg.model_names.size());
+    FleetSchedConfig fc = cfg.fleet;
+    fc.shard.mode = cfg.modes[mi];
+    fc.route = cfg.routes[ri];
+    FleetSchedPoint point;
+    point.mode = cfg.modes[mi];
+    point.route = cfg.routes[ri];
+    point.rate_rps = w.rate_rps;
+    point.metrics = simulate_fleet_sched(w, registry, fc);
+    return point;
+  });
 }
 
 Table fleet_sched_table(const FleetSchedSweepConfig& cfg,

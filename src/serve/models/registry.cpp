@@ -159,11 +159,10 @@ ModelRegistry::ModelRegistry(const std::vector<std::string>& names,
 
 ModelRegistry::ModelRegistry(std::vector<std::string> names,
                              std::vector<LatencyTable> tables,
-                             const SwapCostConfig& swap,
-                             std::uint64_t cold_swap_us)
+                             const SwapCostConfig& swap)
     : names_(std::move(names)),
       tables_(std::move(tables)),
-      cold_swap_us_(names_.size(), cold_swap_us),
+      cold_swap_us_(names_.size(), 1),
       swap_(swap) {
   VITBIT_CHECK_MSG(!names_.empty(), "model registry needs >= 1 model");
   VITBIT_CHECK_MSG(tables_.size() == names_.size(),

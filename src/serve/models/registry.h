@@ -66,11 +66,11 @@ class ModelRegistry {
                 const SwapCostConfig& swap, ThreadPool* pool = nullptr);
   // Prebuilt tables, model m being names[m] over tables[m] — the single-
   // model sweeps' ViT (its layer count is not a zoo entry) and synthetic
-  // tables in tests. Every cold swap costs `cold_swap_us`.
+  // tables in tests. With no weight footprint to stream, a cold swap
+  // costs the 1 us floor.
   ModelRegistry(std::vector<std::string> names,
                 std::vector<LatencyTable> tables,
-                const SwapCostConfig& swap = {},
-                std::uint64_t cold_swap_us = 1);
+                const SwapCostConfig& swap = {});
 
   int num_models() const { return static_cast<int>(names_.size()); }
   const std::string& name(int m) const;

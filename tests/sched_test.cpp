@@ -1,8 +1,9 @@
 // Scheduler-tier tests (serve/sched/sched.h): request conservation
 // across every mode, the cb-pre preemption benefit on the high-priority
-// tail, model-swap pricing under the LRU weight cache, byte-determinism of sweeps across
-// pool sizes, sched_points report round-trips, and the hardened CLI
-// parsing shared with bench/sched_sim and `vitbit_cli sched`.
+// tail, model-swap pricing under the LRU weight cache, byte-determinism
+// of sweeps across pool sizes, sched_points report round-trips, and the
+// hardened CLI parsing shared with bench/sched_sim and `vitbit_cli
+// sched`.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -34,7 +34,6 @@ struct Scenario {
   std::vector<LatencyTable> tables;
   std::vector<LatencyTable> fallback_tables;
   SwapCostConfig swap;
-  std::uint64_t cold_swap_us = 1;
 };
 
 std::vector<LatencyTable> draw_tables(Rng& rng, int models, int max_batch,
@@ -133,7 +132,6 @@ Scenario draw(std::uint64_t seed) {
   s.fallback_tables = draw_tables(rng, models, sh.max_batch, 0.5);
   s.swap.cache_models = pick(rng, 1, 3);
   s.swap.warm_swap_us = rng.below(300);
-  s.cold_swap_us = rng.below(2000);
   return s;
 }
 
@@ -196,9 +194,8 @@ TEST(ServeFuzz, SeededScenariosConserveRerunAndAgreeAcrossPercentileModes) {
     const std::string at = "scenario " + std::to_string(seed);
     ASSERT_NO_THROW(s.fleet.validate()) << at;
     const int models = s.workload.num_models;
-    const ModelRegistry reg(names(models), s.tables, s.swap, s.cold_swap_us);
-    const ModelRegistry fb(names(models), s.fallback_tables, s.swap,
-                           s.cold_swap_us);
+    const ModelRegistry reg(names(models), s.tables, s.swap);
+    const ModelRegistry fb(names(models), s.fallback_tables, s.swap);
     FleetSchedMetrics a, b;
     ASSERT_NO_THROW(a = simulate_fleet_sched(s.workload, reg, s.fleet, &fb))
         << at;
