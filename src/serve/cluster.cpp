@@ -138,6 +138,7 @@ FleetSchedMetrics drive_fleet(Source& source, const ModelRegistry& registry,
   // part of the determinism contract).
   const auto merge = [&](auto&& scope_of, auto&& sink_of) {
     std::vector<ServeMetrics> rows;
+    rows.reserve(n);
     for (const auto& ps : fm.per_shard) rows.push_back(scope_of(ps));
     ServeMetrics m = aggregate_shard_metrics(rows, end);
     if (cfg.percentiles == PercentileMode::kSketch) {
@@ -168,12 +169,15 @@ FleetSchedMetrics drive_fleet(Source& source, const ModelRegistry& registry,
             [&](std::size_t s) -> const MetricsSink& {
               return shards[s]->total_sink();
             });
+  fm.total.per_class.reserve(cfg.shard.classes.size());
   for (std::size_t c = 0; c < cfg.shard.classes.size(); ++c)
     fm.total.per_class.push_back(
         merge([c](const SchedMetrics& ps) { return ps.per_class[c]; },
               [&](std::size_t s) -> const MetricsSink& {
                 return shards[s]->class_sink(c);
               }));
+  fm.total.per_model.reserve(
+      static_cast<std::size_t>(registry.num_models()));
   for (int m = 0; m < registry.num_models(); ++m) {
     const auto mi = static_cast<std::size_t>(m);
     fm.total.per_model.push_back(

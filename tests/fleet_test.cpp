@@ -193,21 +193,9 @@ FleetSchedConfig small_fleet(RoutePolicy route, PercentileMode mode) {
   return cfg;
 }
 
-// One-model fleet over the synthetic table, reported as the classic
-// fleet reads it: the aggregate, and each shard's total.
-struct Fleet {
-  ServeMetrics total;
-  std::vector<ServeMetrics> per_shard;
-  std::uint64_t scale_ups = 0;
-  double shard_util_min = 0.0;
-  double shard_util_max = 0.0;
-};
-
-Fleet run_fleet(const WorkloadConfig& w, const FleetSchedConfig& cfg) {
-  const auto m = simulate_fleet_sched(w, tiny_registry(), cfg);
-  Fleet f{m.total.total, {}, m.scale_ups, m.shard_util_min, m.shard_util_max};
-  for (const auto& s : m.per_shard) f.per_shard.push_back(s.total);
-  return f;
+FleetSchedMetrics run_fleet(const WorkloadConfig& w,
+                            const FleetSchedConfig& cfg) {
+  return simulate_fleet_sched(w, tiny_registry(), cfg);
 }
 
 WorkloadConfig small_workload(double rate_rps) {
@@ -224,11 +212,11 @@ TEST(SimulateFleet, ConservesRequestsUnderEveryPolicy) {
     const auto m = run_fleet(small_workload(8'000),
                              small_fleet(route, PercentileMode::kSketch));
     ASSERT_EQ(m.per_shard.size(), 2u) << route_policy_name(route);
-    EXPECT_GT(m.total.offered, 0u);
-    EXPECT_EQ(m.total.offered,
-              m.total.completed + m.total.dropped + m.total.shed)
+    const auto& t = m.total.total;
+    EXPECT_GT(t.offered, 0u);
+    EXPECT_EQ(t.offered, t.completed + t.dropped + t.shed)
         << route_policy_name(route);
-    EXPECT_GT(m.total.p99_us, 0u);
+    EXPECT_GT(t.p99_us, 0u);
   }
 }
 
@@ -237,15 +225,17 @@ TEST(SimulateFleet, RerunsAreBitIdentical) {
   const auto w = small_workload(12'000);
   const auto a = run_fleet(w, cfg);
   const auto b = run_fleet(w, cfg);
-  EXPECT_EQ(a.total.completed, b.total.completed);
-  EXPECT_EQ(a.total.dropped, b.total.dropped);
-  EXPECT_EQ(a.total.p50_us, b.total.p50_us);
-  EXPECT_EQ(a.total.p99_us, b.total.p99_us);
-  EXPECT_DOUBLE_EQ(a.total.utilization, b.total.utilization);
+  EXPECT_EQ(a.total.total.completed, b.total.total.completed);
+  EXPECT_EQ(a.total.total.dropped, b.total.total.dropped);
+  EXPECT_EQ(a.total.total.p50_us, b.total.total.p50_us);
+  EXPECT_EQ(a.total.total.p99_us, b.total.total.p99_us);
+  EXPECT_DOUBLE_EQ(a.total.total.utilization, b.total.total.utilization);
   EXPECT_DOUBLE_EQ(a.shard_util_min, b.shard_util_min);
   EXPECT_DOUBLE_EQ(a.shard_util_max, b.shard_util_max);
   for (std::size_t i = 0; i < a.per_shard.size(); ++i)
-    EXPECT_EQ(a.per_shard[i].completed, b.per_shard[i].completed) << i;
+    EXPECT_EQ(a.per_shard[i].total.completed,
+              b.per_shard[i].total.completed)
+        << i;
 }
 
 TEST(SimulateFleet, SketchPercentilesTrackExactMode) {
@@ -258,14 +248,14 @@ TEST(SimulateFleet, SketchPercentilesTrackExactMode) {
       run_fleet(w, small_fleet(RoutePolicy::kJsq, PercentileMode::kExact));
   const auto sketch =
       run_fleet(w, small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch));
-  EXPECT_EQ(exact.total.offered, sketch.total.offered);
-  EXPECT_EQ(exact.total.completed, sketch.total.completed);
-  EXPECT_EQ(exact.total.dropped, sketch.total.dropped);
-  EXPECT_EQ(exact.total.max_us, sketch.total.max_us);
-  ASSERT_GT(exact.total.completed, 1'000u);
+  EXPECT_EQ(exact.total.total.offered, sketch.total.total.offered);
+  EXPECT_EQ(exact.total.total.completed, sketch.total.total.completed);
+  EXPECT_EQ(exact.total.total.dropped, sketch.total.total.dropped);
+  EXPECT_EQ(exact.total.total.max_us, sketch.total.total.max_us);
+  ASSERT_GT(exact.total.total.completed, 1'000u);
   for (const auto [e, s] :
-       {std::pair{exact.total.p50_us, sketch.total.p50_us},
-        std::pair{exact.total.p99_us, sketch.total.p99_us}}) {
+       {std::pair{exact.total.total.p50_us, sketch.total.total.p50_us},
+        std::pair{exact.total.total.p99_us, sketch.total.total.p99_us}}) {
     const double err = std::abs(static_cast<double>(s) -
                                 static_cast<double>(e)) /
                        static_cast<double>(e);
@@ -287,8 +277,8 @@ TEST(SimulateFleet, JsqTailBeatsRandomUnderLoad) {
   };
   const auto jsq = mk(RoutePolicy::kJsq);
   const auto rnd = mk(RoutePolicy::kRandom);
-  ASSERT_GT(jsq.total.completed, 5'000u);
-  EXPECT_GT(rnd.total.p99_us, jsq.total.p99_us);
+  ASSERT_GT(jsq.total.total.completed, 5'000u);
+  EXPECT_GT(rnd.total.total.p99_us, jsq.total.total.p99_us);
 }
 
 TEST(ShardAutoscale, ScalesUpOnDepthAndBackDownWhenDrained) {
@@ -376,8 +366,8 @@ TEST(SimulateFleet, AutoscaleReactsToABurst) {
   cfg.autoscale.cooldown_us = 10'000;
   const auto m = run_fleet(small_workload(30'000), cfg);
   EXPECT_GT(m.scale_ups, 0u);
-  EXPECT_EQ(m.total.offered,
-            m.total.completed + m.total.dropped + m.total.shed);
+  const auto& t = m.total.total;
+  EXPECT_EQ(t.offered, t.completed + t.dropped + t.shed);
 }
 
 TEST(SimulateFleet, IdleShardIsExcludedFromUtilizationSpread) {
@@ -390,14 +380,14 @@ TEST(SimulateFleet, IdleShardIsExcludedFromUtilizationSpread) {
       small_workload(100),
       small_fleet(RoutePolicy::kJsq, PercentileMode::kSketch));
   ASSERT_EQ(m.per_shard.size(), 2u);
-  EXPECT_GT(m.per_shard[0].completed, 0u);
-  EXPECT_EQ(m.per_shard[1].offered, 0u);
-  EXPECT_EQ(m.per_shard[1].end_us, 0u);
-  EXPECT_TRUE(std::isfinite(m.total.utilization));
-  EXPECT_TRUE(std::isfinite(m.total.mean_queue_depth));
+  EXPECT_GT(m.per_shard[0].total.completed, 0u);
+  EXPECT_EQ(m.per_shard[1].total.offered, 0u);
+  EXPECT_EQ(m.per_shard[1].total.end_us, 0u);
+  EXPECT_TRUE(std::isfinite(m.total.total.utilization));
+  EXPECT_TRUE(std::isfinite(m.total.total.mean_queue_depth));
   EXPECT_GT(m.shard_util_min, 0.0);
-  EXPECT_DOUBLE_EQ(m.shard_util_min, m.per_shard[0].utilization);
-  EXPECT_DOUBLE_EQ(m.shard_util_max, m.per_shard[0].utilization);
+  EXPECT_DOUBLE_EQ(m.shard_util_min, m.per_shard[0].total.utilization);
+  EXPECT_DOUBLE_EQ(m.shard_util_max, m.per_shard[0].total.utilization);
 }
 
 TEST(ShardAutoscale, NoDecisionTickAtVirtualTimeZero) {
@@ -508,8 +498,8 @@ TEST(FleetCli, RejectsNegativeAutoscaleFlags) {
                CheckError);
   EXPECT_THROW(fleet_config_from_cli(make_cli({"--scale-up-depth=-2"})),
                CheckError);
-  // Shard and replica counts range-check before they narrow to int:
-  // 4294967298 used to run 2 shards.
+  // Shard and replica counts range-check before they narrow to int, so
+  // 4294967298 cannot wrap to 2 shards.
   for (const char* flag : {"--shards=4294967298", "--replicas=-4294967295",
                            "--min-replicas=4294967297"})
     EXPECT_THROW(fleet_config_from_cli(make_cli({flag})), CheckError)

@@ -287,8 +287,9 @@ TEST(Server, P99NonDecreasingInArrivalRate) {
 }
 
 TEST(ServeCli, RejectsOutOfRangeIntegerFlags) {
-  // Integer flags range-check the int64 value before it narrows: these
-  // used to wrap to 1 GPU, a near-2^64 timeout, and a batch of 1.
+  // Integer flags range-check the int64 value before it narrows, so
+  // none of these can wrap into a valid-looking config (1 GPU, a
+  // near-2^64 timeout, a batch of 1).
   for (const char* flag :
        {"--num-gpus=-4294967295", "--batch-timeout-us=-5",
         "--max-batch=4294967297", "--slo-us=-1", "--layers=0",
