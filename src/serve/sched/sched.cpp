@@ -77,13 +77,16 @@ SchedSim::SchedSim(const ModelRegistry& registry, const SchedConfig& cfg,
       !degrade || fallback_->num_models() == registry_.num_models(),
       "fallback registry holds " << fallback_->num_models() << " models, not "
                                  << registry_.num_models());
-  for (const auto* reg : {&registry_, degrade ? fallback_ : &registry_})
-    for (int m = 0; m < reg->num_models(); ++m)
-      VITBIT_CHECK_MSG(reg->table(m).max_batch() >= cfg_.max_batch,
-                       "model " << reg->name(m)
+  const auto check_covers = [this](const ModelRegistry& reg) {
+    for (int m = 0; m < reg.num_models(); ++m)
+      VITBIT_CHECK_MSG(reg.table(m).max_batch() >= cfg_.max_batch,
+                       "model " << reg.name(m)
                                 << " latency table covers batches up to "
-                                << reg->table(m).max_batch()
+                                << reg.table(m).max_batch()
                                 << ", scheduler needs " << cfg_.max_batch);
+  };
+  check_covers(registry_);
+  if (degrade) check_covers(*fallback_);
   enabled_ = as_.enabled() ? std::clamp(cfg_.num_gpus, as_.min_replicas,
                                         as_.max_replicas)
                            : cfg_.num_gpus;
