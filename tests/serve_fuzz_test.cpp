@@ -24,8 +24,8 @@ namespace {
 constexpr std::uint64_t kScenarios = 300;
 
 int pick(Rng& rng, int lo, int hi) {  // inclusive
-  return lo + static_cast<int>(rng.below(static_cast<std::uint64_t>(
-                  hi - lo + 1)));
+  return lo +
+         static_cast<int>(rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
 }
 
 struct Scenario {
