@@ -1,7 +1,9 @@
 #include "report/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -76,6 +78,11 @@ void write_double(std::ostream& os, double v) {
   os << s;
 }
 
+// Arrays and objects may nest at most this deep (the committed baselines
+// nest 7 deep), so hostile input fails with a parse error before the
+// recursion can exhaust the stack.
+constexpr int kMaxDepth = 256;
+
 // Recursive-descent parser over a bounded character range.
 class Parser {
  public:
@@ -135,9 +142,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        ++depth_;
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json(parse_string());
       case 't':
@@ -281,7 +293,13 @@ class Parser {
       if (p_ != end_ && (*p_ == '+' || *p_ == '-')) text += advance();
       digits();
     }
-    if (is_double) return Json(std::stod(text));
+    if (is_double) {
+      // Underflow rounds to a subnormal or to zero, both kept; overflow
+      // has no finite value.
+      const double v = std::strtod(text.c_str(), nullptr);
+      if (!std::isfinite(v)) fail("number out of range");
+      return Json(v);
+    }
     errno = 0;
     char* endp = nullptr;
     const long long v = std::strtoll(text.c_str(), &endp, 10);
@@ -292,6 +310,7 @@ class Parser {
   const char* p_;
   const char* end_;
   std::size_t consumed_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -186,54 +186,22 @@ MatrixI32 gemm_packed_ref(const MatrixI32& a, const PackedMatrix& b,
   return c;
 }
 
-// Adds each accumulator's lane sums, less `corr`, to `totals`, which is
-// lane-major: lane `lane` of packed column pc at lane * acc.size() + pc.
-// The same extraction as extract_lanes, one lane at a time across the
-// whole row of accumulators so the compiler vectorizes it; `high` is
-// scratch of acc.size() words. In int32 the top-signed carry step
-// (x - s) >> f is (x >> f) + (s < 0), which cannot overflow.
-void add_lane_sums(std::span<const std::uint32_t> acc, const LaneLayout& l,
-                   const LaneSums& corr, std::span<std::uint32_t> high,
-                   std::int64_t* totals) {
-  const std::size_t n = acc.size();
-  const int f = l.field_bits;
-  const int top = l.num_lanes - 1;
-  std::copy(acc.begin(), acc.end(), high.begin());
-  for (int lane = 0; lane < top; ++lane, totals += n) {
-    const std::int64_t c = corr[static_cast<std::size_t>(lane)];
-    if (l.mode == LaneMode::kTopSigned) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto x = static_cast<std::int32_t>(high[i]);
-        const std::int32_t s =
-            static_cast<std::int32_t>(high[i] << (32 - f)) >> (32 - f);
-        totals[i] += s - c;
-        high[i] = static_cast<std::uint32_t>((x >> f) + (s < 0));
-      }
-    } else {
-      const std::uint32_t mask = low_mask32(f);
-      for (std::size_t i = 0; i < n; ++i) {
-        totals[i] += static_cast<std::int64_t>(high[i] & mask) - c;
-        high[i] >>= f;
-      }
-    }
-  }
-  const std::int64_t c = corr[static_cast<std::size_t>(top)];
-  if (l.mode == LaneMode::kTopSigned) {
-    for (std::size_t i = 0; i < n; ++i)
-      totals[i] += static_cast<std::int32_t>(high[i]) - c;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) totals[i] += high[i] - c;
-  }
-}
-
-// Every other engine: tile-major. Per row and accumulation tile, the
-// wrapping MAC runs across the whole row of packed columns
-// (swar_mac_span) and, beside it, an exact shadow of every lane's
-// physical prefix sum over the same k range runs across the row of
-// (packed column x lane) values (swar_lane_shadow_span; int64 for tiles
-// whose bound does not prove int32 exact). Same arithmetic and checks as
-// gemm_packed_ref in a different loop order, so the output, every stats
-// field and every throw match it.
+// Every other engine: tile-major, one output row at a time, with the
+// exact lane shadow as the arithmetic. Each packed word is
+// sum_lane encoded_lane * 2^(lane * field_bits) mod 2^32, so the packed
+// IMAD's wrapping accumulator is sum_lane shadow_lane * 2^(lane *
+// field_bits) mod 2^32, and where no prefix of a tile leaves its caps,
+// extract_lanes of it returns exactly the shadow's sums; the MAC is never
+// run. A row whose whole-row bound, sum |encoded scalar| * max |encoded
+// lane value| <= INT32_MAX, proves int32 exact runs all of its tiles in
+// one swar_lane_shadow_row pass over the row of (packed column x lane)
+// values; if no column is violated, its outputs are the row sums less one
+// correction per lane. Any other row goes tile by tile. The corrections
+// are linear in a tile's scalar sum and length, so over a row they add up
+// to one lane_corrections(row scalar sum, K), and kOffset's lane-value
+// term to za * (column encoded sum - z * K), taken once per call. Same
+// arithmetic and checks as gemm_packed_ref in a different loop order, so
+// the output, every stats field and every throw match it.
 MatrixI32 gemm_packed_tiled(const MatrixI32& a, const PackedMatrix& b,
                             const PackedGemmOptions& options,
                             PackedGemmStats& st) {
@@ -252,6 +220,9 @@ MatrixI32 gemm_packed_tiled(const MatrixI32& a, const PackedMatrix& b,
   const std::size_t width = round_up(cols, kPanel);
   const std::size_t panel_stride = k_dim * kPanel;
   std::vector<std::int32_t> lane_panels(width / kPanel * panel_stride, 0);
+  // Each column's encoded sum over K, made below into kOffset's
+  // lane-value term (za is 0 in the other modes).
+  std::vector<std::int64_t> value_term(cols, 0);
   std::int64_t max_lane = 0;
   for (std::size_t k = 0; k < k_dim; ++k) {
     const auto words = b.word_row(static_cast<int>(k));
@@ -259,10 +230,13 @@ MatrixI32 gemm_packed_tiled(const MatrixI32& a, const PackedMatrix& b,
       for (std::size_t pc = 0, j = lane * pcs; pc < pcs; ++pc, ++j) {
         const std::int32_t e = encoded_lane(words[pc], lane, l);
         lane_panels[j / kPanel * panel_stride + k * kPanel + j % kPanel] = e;
+        value_term[j] += e;
         max_lane = std::max<std::int64_t>(max_lane, std::abs(e));
       }
     }
   }
+  for (auto& v : value_term)
+    v = za * (v - z * static_cast<std::int64_t>(k_dim));
   // Per-column caps; the int32 copies are clamped, which is exact for
   // tiles whose every prefix provably fits int32.
   const LaneCaps caps = lane_caps(l);
@@ -276,41 +250,32 @@ MatrixI32 gemm_packed_tiled(const MatrixI32& a, const PackedMatrix& b,
     std::fill_n(hi32.begin() + lane * pcs, pcs, clamp32(caps.hi[lane]));
   }
 
-  std::vector<std::int32_t> enc_a(k_dim);
-  std::vector<std::int64_t> scalar_prefix(k_dim + 1, 0);
-  std::vector<std::int64_t> weight_prefix(k_dim + 1, 0);  // sum |enc_a|
-  std::vector<std::uint32_t> acc_row(pcs), high(pcs);
-  std::vector<std::int32_t> sum32(width), violated(width);
-  std::vector<std::int64_t> sum64(width), row_totals(cols);
+  std::vector<std::int32_t> enc_a(k_dim), sum32(width), violated(width);
+  std::vector<std::int64_t> sum64(cols), row_totals(cols);
   LaneSums phys{}, corr{};
-  for (int m = 0; m < a.rows(); ++m) {
-    const auto bounds = tile_boundaries(a.row(m), l, options.tile);
-    st.mean_tile_length += mean_tile_length(bounds);
-    if (pcs == 0) continue;  // the oracle encodes no scalar without columns
-    for (std::size_t k = 0; k < k_dim; ++k) {
-      const std::int32_t raw_a = a.row(m)[k];
-      enc_a[k] = static_cast<std::int32_t>(encode_scalar(raw_a, l));
-      scalar_prefix[k + 1] = scalar_prefix[k] + raw_a;
-      weight_prefix[k + 1] = weight_prefix[k] + l.scalar_tile_weight(raw_a);
-    }
+  // One row tile by tile: row_totals gets each tile's physical lane sums,
+  // and violations are counted and checked as gemm_packed_ref does. A
+  // tile whose own bound proves int32 exact runs swar_lane_shadow_row
+  // with a one-tile list, any other tile an int64 loop. A violated packed
+  // column without fallback keeps the wrapped accumulator, rebuilt from
+  // the column's exact lane sums and extracted.
+  const auto row_by_tile = [&](std::span<const std::int32_t> raw_row,
+                               const std::vector<int>& bounds) {
     std::fill(row_totals.begin(), row_totals.end(), 0);
     std::size_t k0 = 0;
     for (const int bound : bounds) {
       const auto k1 = static_cast<std::size_t>(bound);
-      const auto t_len = static_cast<std::int64_t>(k1 - k0);
-      std::fill(acc_row.begin(), acc_row.end(), 0);
+      std::int64_t weight = 0;
       for (std::size_t k = k0; k < k1; ++k)
-        swar_mac_span(acc_row, static_cast<std::uint32_t>(enc_a[k]),
-                      b.word_row(static_cast<int>(k)));
-
+        weight += l.scalar_tile_weight(raw_row[k]);
       const std::span<const std::int32_t> scalars(enc_a.data() + k0, k1 - k0);
       const auto tile_panels =
           std::span<const std::int32_t>(lane_panels).subspan(k0 * kPanel);
-      const bool exact32 =
-          (weight_prefix[k1] - weight_prefix[k0]) * max_lane <= INT32_MAX;
-      if (exact32) {
-        swar_lane_shadow_span(scalars, tile_panels, panel_stride, lo32, hi32,
-                              sum32, violated);
+      if (weight * max_lane <= INT32_MAX) {
+        const int one_tile[] = {static_cast<int>(k1 - k0)};
+        swar_lane_shadow_row(scalars, one_tile, tile_panels, panel_stride, lo32,
+                             hi32, sum32, violated);
+        std::copy_n(sum32.begin(), cols, sum64.begin());
       } else {
         for (std::size_t j = 0; j < cols; ++j) {
           const std::size_t lane = j / pcs;
@@ -327,15 +292,7 @@ MatrixI32 gemm_packed_tiled(const MatrixI32& a, const PackedMatrix& b,
           violated[j] = bad ? -1 : 0;
         }
       }
-
-      st.total_tiles += static_cast<std::int64_t>(pcs);
-      st.spill_events += static_cast<std::int64_t>(pcs);
-      st.mac_instructions += t_len * static_cast<std::int64_t>(pcs);
-      lane_corrections(l, scalar_prefix[k1] - scalar_prefix[k0], t_len, corr);
-      add_lane_sums(acc_row, l, corr, high, row_totals.data());
-      std::int32_t any_violated = 0;
-      for (std::size_t j = 0; j < cols; ++j) any_violated |= violated[j];
-      for (std::size_t pc = 0; any_violated != 0 && pc < pcs; ++pc) {
+      for (std::size_t pc = 0; pc < pcs; ++pc) {
         bool bad = false;
         for (int lane = 0; lane < lanes; ++lane)
           bad |= violated[lane * pcs + pc] != 0;
@@ -343,32 +300,49 @@ MatrixI32 gemm_packed_tiled(const MatrixI32& a, const PackedMatrix& b,
         ++st.overflow_tiles;
         VITBIT_CHECK_MSG(options.tile.mode == TileMode::kFixedPeriod,
                          "adaptive tiles must never violate lane bounds");
-        if (!options.fallback_on_overflow) continue;
-        // Replace every lane's wrapped sum with its exact shadow.
-        extract_lanes(acc_row[pc], l, phys);
+        if (options.fallback_on_overflow) continue;  // keep the exact sums
+        std::uint32_t acc = 0;
         for (int lane = 0; lane < lanes; ++lane) {
-          const std::size_t j = lane * pcs + pc;
-          row_totals[j] += (exact32 ? sum32[j] : sum64[j]) -
-                           phys[static_cast<std::size_t>(lane)];
+          const auto sum = static_cast<std::uint32_t>(sum64[lane * pcs + pc]);
+          acc += sum << (lane * l.field_bits);
         }
+        extract_lanes(acc, l, phys);
+        for (int lane = 0; lane < lanes; ++lane)
+          sum64[lane * pcs + pc] = phys[static_cast<std::size_t>(lane)];
       }
-      if (l.mode == LaneMode::kOffset) {
-        // Lane value sum over the tile = encoded sum - z * t_len.
-        for (std::size_t j = 0; j < cols; ++j) {
-          const std::int32_t* col =
-              &tile_panels[j / kPanel * panel_stride + j % kPanel];
-          std::int64_t enc_sum = 0;
-          for (std::int64_t s = 0; s < t_len; ++s, col += kPanel)
-            enc_sum += *col;
-          row_totals[j] -= za * (enc_sum - z * t_len);
-        }
-      }
+      for (std::size_t j = 0; j < cols; ++j) row_totals[j] += sum64[j];
       k0 = k1;
     }
+  };
+  for (int m = 0; m < a.rows(); ++m) {
+    const auto raw_row = a.row(m);
+    const auto bounds = tile_boundaries(raw_row, l, options.tile);
+    st.mean_tile_length += mean_tile_length(bounds);
+    if (pcs == 0) continue;  // the oracle encodes no scalar without columns
+    const auto tiles = static_cast<std::int64_t>(bounds.size());
+    st.total_tiles += tiles * static_cast<std::int64_t>(pcs);
+    st.spill_events += tiles * static_cast<std::int64_t>(pcs);
+    st.mac_instructions += static_cast<std::int64_t>(k_dim * pcs);
+    std::int64_t scalar_sum = 0, weight = 0;
+    for (std::size_t k = 0; k < k_dim; ++k) {
+      enc_a[k] = static_cast<std::int32_t>(encode_scalar(raw_row[k], l));
+      scalar_sum += raw_row[k];
+      weight += l.scalar_tile_weight(raw_row[k]);
+    }
+    bool one_pass = weight * max_lane <= INT32_MAX;
+    if (one_pass) {
+      swar_lane_shadow_row(enc_a, bounds, lane_panels, panel_stride, lo32, hi32,
+                           sum32, violated);
+      one_pass = std::none_of(violated.begin(), violated.begin() + cols,
+                              [](std::int32_t v) { return v != 0; });
+      std::copy_n(sum32.begin(), cols, row_totals.begin());
+    }
+    if (!one_pass) row_by_tile(raw_row, bounds);
+    lane_corrections(l, scalar_sum, static_cast<std::int64_t>(k_dim), corr);
     for (int col = 0; col < c.cols(); ++col) {
-      const auto pc = static_cast<std::size_t>(col / lanes);
       const auto lane = static_cast<std::size_t>(col % lanes);
-      store_output(row_totals[lane * pcs + pc], m, col, c);
+      const std::size_t j = lane * pcs + static_cast<std::size_t>(col / lanes);
+      store_output(row_totals[j] - corr[lane] - value_term[j], m, col, c);
     }
   }
   return c;

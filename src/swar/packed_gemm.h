@@ -4,16 +4,23 @@
 // lane spills/corrections follow the tile policy. This is the ground-truth
 // implementation the timing model's instruction accounting mirrors.
 //
-// Every call checks lane bounds exactly: beside the wrapping MAC, an exact
-// shadow of each lane's physical prefix sum flags any step at which a lane
-// left its field (PackedGemmStats::overflow_tiles). Two loops compute it:
+// Every call checks lane bounds exactly: an exact shadow of each lane's
+// physical prefix sum flags any step at which a lane left its field
+// (PackedGemmStats::overflow_tiles). Two loops compute it:
 //  * VITBIT_GEMM=ref — the column-major oracle: one packed column at a
-//    time, every lane decoded and compared in int64 at every step.
-//  * every other engine — tile-major: per row and accumulation tile, the
-//    MAC runs across the whole row of packed columns (swar_mac_span) and
-//    the shadow across the row of (packed column x lane) values
-//    (swar_lane_shadow_span, int32 where a per-tile bound proves it
-//    cannot wrap, int64 otherwise), both vectorized on AVX2 machines.
+//    time, the packed IMAD executed at every step, every lane decoded and
+//    compared in int64.
+//  * every other engine — tile-major, with the shadow as the arithmetic.
+//    A packed word is sum_lane encoded_lane * 2^(lane * field_bits) mod
+//    2^32, so the IMAD's accumulator is sum_lane shadow_lane * 2^(lane *
+//    field_bits) mod 2^32; where no prefix leaves its field, extracting it
+//    returns exactly the shadow's sums, so the MAC is never run. Per row,
+//    one swar_lane_shadow_row pass (vectorized on AVX2 machines) runs all
+//    tiles across the row of (packed column x lane) values when a
+//    whole-row bound proves int32 exact; a row with a violation, or one
+//    the bound does not cover, is redone tile by tile (int64 where a
+//    tile's own bound fails), and a violated column without fallback
+//    rebuilds its wrapped accumulator from its shadow sums.
 // Both produce the same output, the same stats and the same CheckErrors.
 #pragma once
 

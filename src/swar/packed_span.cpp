@@ -1,5 +1,7 @@
 #include "swar/packed_span.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "swar/pack.h"
 #include "swar/packed_span_kernels.h"
@@ -200,29 +202,26 @@ void swar_min_const_span(std::span<const std::uint32_t> a, std::uint32_t c,
     r[i] = swar_min_const(a[i], c, l);
 }
 
-void swar_mac_span(std::span<std::uint32_t> acc, std::uint32_t enc,
-                   std::span<const std::uint32_t> words) {
-  VITBIT_CHECK(acc.size() == words.size());
-#if defined(VITBIT_SIMD_HAVE_AVX2)
-  if (avx2_active()) {
-    detail::mac_u32_span_avx2(acc.data(), enc, words.data(), acc.size());
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += enc * words[i];
-}
-
-void swar_lane_shadow_span(std::span<const std::int32_t> scalars,
-                           std::span<const std::int32_t> lane_panels,
-                           std::size_t panel_stride,
-                           std::span<const std::int32_t> lo,
-                           std::span<const std::int32_t> hi,
-                           std::span<std::int32_t> sums,
-                           std::span<std::int32_t> violated) {
+void swar_lane_shadow_row(std::span<const std::int32_t> scalars,
+                          std::span<const int> tile_ends,
+                          std::span<const std::int32_t> lane_panels,
+                          std::size_t panel_stride,
+                          std::span<const std::int32_t> lo,
+                          std::span<const std::int32_t> hi,
+                          std::span<std::int32_t> sums,
+                          std::span<std::int32_t> violated) {
   const std::size_t cols = lo.size();
   constexpr auto kPanel = static_cast<std::size_t>(kShadowPanel);
   VITBIT_CHECK(cols % kPanel == 0 && hi.size() == cols &&
                sums.size() == cols && violated.size() == cols);
+  for (std::size_t j = 0; j < cols; ++j) VITBIT_CHECK(lo[j] <= hi[j]);
+  int prev = 0;
+  for (const int end : tile_ends) {
+    VITBIT_CHECK_MSG(end > prev, "tile ends must increase");
+    prev = end;
+  }
+  VITBIT_CHECK_MSG(static_cast<std::size_t>(prev) == scalars.size(),
+                   "the last tile must end at step " << scalars.size());
   const std::size_t panels = cols / kPanel;
   const std::size_t panel_len = scalars.size() * kPanel;
   VITBIT_CHECK(panels == 0 || panel_stride >= panel_len);
@@ -230,28 +229,39 @@ void swar_lane_shadow_span(std::span<const std::int32_t> scalars,
                (panels - 1) * panel_stride + panel_len <= lane_panels.size());
 #if defined(VITBIT_SIMD_HAVE_AVX2)
   if (avx2_active()) {
-    detail::lane_shadow_i32_span_avx2(scalars.data(), scalars.size(),
-                                      lane_panels.data(), panel_stride,
-                                      lo.data(), hi.data(), sums.data(),
-                                      violated.data(), cols);
+    detail::lane_shadow_row_avx2(scalars.data(), tile_ends.data(),
+                                 tile_ends.size(), lane_panels.data(),
+                                 panel_stride, lo.data(), hi.data(),
+                                 sums.data(), violated.data(), cols);
     return;
   }
 #endif
+  // Wrapping uint32, as the AVX2 kernel: each tile's sum starts at -lo,
+  // and a prefix p is inside [lo, hi] iff p - lo <= hi - lo as unsigned.
   for (std::size_t j = 0; j < cols; j += kPanel) {
-    std::int32_t s[kPanel] = {};
-    std::int32_t v[kPanel] = {};
-    const std::int32_t* row = lane_panels.data() + j / kPanel * panel_stride;
-    for (const std::int32_t e : scalars) {
-      for (std::size_t c = 0; c < kPanel; ++c) {
-        s[c] += e * row[c];
-        v[c] |= -static_cast<std::int32_t>(s[c] < lo[j + c] ||
-                                           s[c] > hi[j + c]);
+    std::uint32_t start[kPanel], range[kPanel];
+    std::uint32_t row[kPanel] = {}, peak[kPanel] = {};
+    for (std::size_t c = 0; c < kPanel; ++c) {
+      start[c] = 0u - static_cast<std::uint32_t>(lo[j + c]);
+      range[c] = static_cast<std::uint32_t>(hi[j + c]) + start[c];
+    }
+    const std::int32_t* x = lane_panels.data() + j / kPanel * panel_stride;
+    std::size_t s = 0;
+    for (const int end : tile_ends) {
+      std::uint32_t t[kPanel];
+      std::copy_n(start, kPanel, t);
+      for (; s < static_cast<std::size_t>(end); ++s, x += kPanel) {
+        const auto e = static_cast<std::uint32_t>(scalars[s]);
+        for (std::size_t c = 0; c < kPanel; ++c) {
+          t[c] += e * static_cast<std::uint32_t>(x[c]);
+          peak[c] = std::max(peak[c], t[c]);
+        }
       }
-      row += kPanel;
+      for (std::size_t c = 0; c < kPanel; ++c) row[c] += t[c] - start[c];
     }
     for (std::size_t c = 0; c < kPanel; ++c) {
-      sums[j + c] = s[c];
-      violated[j + c] = v[c];
+      sums[j + c] = static_cast<std::int32_t>(row[c]);
+      violated[j + c] = peak[c] > range[c] ? -1 : 0;
     }
   }
 }

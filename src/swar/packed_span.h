@@ -6,10 +6,10 @@
 // and every lower SIMD tier runs the scalar per-word primitives from
 // swar/pack.h and swar/packed_simd.h. Both paths compute the identical
 // wrapping 32-bit arithmetic, so results are lane-exact regardless of tier
-// (VITBIT_SIMD_LEVEL flips the implementation, never the answer). The two
-// kernels of gemm_packed's tile-major loop, swar_mac_span and
-// swar_lane_shadow_span, do not depend on the layout and run their AVX2
-// kernels for every layout.
+// (VITBIT_SIMD_LEVEL flips the implementation, never the answer). The
+// lane shadow of gemm_packed's tile-major loop, swar_lane_shadow_row, does
+// not depend on the layout: its AVX2 kernel runs for every layout, and
+// the none and sse tiers run a portable loop with the same arithmetic.
 //
 // Debug builds always take the scalar path for the ops that carry
 // per-lane overflow/borrow VITBIT_CHECKs (add, sub, scalar_mul) so those
@@ -67,36 +67,34 @@ void swar_min_const_span(std::span<const std::uint32_t> a, std::uint32_t c,
                          std::span<std::uint32_t> r,
                          const LaneLayout& layout);
 
-// acc[i] += enc * words[i] as wrapping uint32 — the packed-IMAD inner step
-// of gemm_packed applied across a whole row of packed columns. Wrapping
-// unsigned arithmetic is exact modulo 2^32, so the vector and scalar forms
-// are bit-identical by definition. Requires acc.size() == words.size().
-void swar_mac_span(std::span<std::uint32_t> acc, std::uint32_t enc,
-                   std::span<const std::uint32_t> words);
-
-// Columns per panel of swar_lane_shadow_span's lane operand: the sums and
-// violation masks of one panel stay in two AVX2 registers per tile.
+// Columns per panel of swar_lane_shadow_row's lane operand: the sums and
+// bound state of one panel stay in AVX2 registers for a whole row.
 inline constexpr int kShadowPanel = 16;
 
-// Exact lane-bound shadow of one accumulation tile — the check gemm_packed
-// runs beside swar_mac_span. Column j of the lane operand is one (packed
-// column, lane) pair holding that lane's *encoded* value; columns are
-// stored in panels of kShadowPanel, so column j's step-s entry is
+// Exact lane shadow of one output row of gemm_packed, all of its
+// accumulation tiles in one pass per panel. Column j of the lane operand
+// is one (packed column, lane) pair holding that lane's *encoded* value;
+// columns are stored in panels of kShadowPanel, so column j's step-s
+// entry is
 //   lane_panels[j / kShadowPanel * panel_stride + s * kShadowPanel
 //               + j % kShadowPanel].
-// Over steps s < scalars.size():
-//   sums[j]     = sum_s scalars[s] * entry(s, j)
-//   violated[j] = -1 if any prefix of that sum left [lo[j], hi[j]], else 0.
+// tile_ends are the tiles' exclusive end steps, strictly increasing, the
+// last equal to scalars.size(); each tile's sum starts at 0. Then
+//   sums[j]     = sum over all steps s of scalars[s] * entry(s, j), the
+//                 row sum of the tiles' sums;
+//   violated[j] = -1 if any prefix of any tile's sum left [lo[j], hi[j]],
+//                 else 0.
 // lo, hi, sums and violated all have the column count, a multiple of
-// kShadowPanel; every entry must lie inside lane_panels. The caller
-// guarantees every prefix fits int32 (sum_s |scalars[s]| * max|entry| <=
-// INT32_MAX), so the sums are exact.
-void swar_lane_shadow_span(std::span<const std::int32_t> scalars,
-                           std::span<const std::int32_t> lane_panels,
-                           std::size_t panel_stride,
-                           std::span<const std::int32_t> lo,
-                           std::span<const std::int32_t> hi,
-                           std::span<std::int32_t> sums,
-                           std::span<std::int32_t> violated);
+// kShadowPanel, with lo[j] <= hi[j]; every entry must lie inside
+// lane_panels. The caller guarantees that sum_s |scalars[s]| * max|entry|
+// <= INT32_MAX, so every prefix and the row sum are exact in int32.
+void swar_lane_shadow_row(std::span<const std::int32_t> scalars,
+                          std::span<const int> tile_ends,
+                          std::span<const std::int32_t> lane_panels,
+                          std::size_t panel_stride,
+                          std::span<const std::int32_t> lo,
+                          std::span<const std::int32_t> hi,
+                          std::span<std::int32_t> sums,
+                          std::span<std::int32_t> violated);
 
 }  // namespace vitbit::swar

@@ -245,50 +245,64 @@ void min_lanes_span_avx2(const std::uint32_t* a, std::uint32_t word_c,
   }
 }
 
-void mac_u32_span_avx2(std::uint32_t* acc, std::uint32_t enc,
-                       const std::uint32_t* words, std::size_t n) {
-  const __m256i ev = _mm256_set1_epi32(static_cast<std::int32_t>(enc));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    const __m256i av =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(acc + i),
-        _mm256_add_epi32(av, _mm256_mullo_epi32(x, ev)));
-  }
-  for (; i < n; ++i) acc[i] += enc * words[i];
-}
-
-void lane_shadow_i32_span_avx2(const std::int32_t* scalars, std::size_t steps,
-                               const std::int32_t* lane_panels,
-                               std::size_t panel_stride,
-                               const std::int32_t* lo, const std::int32_t* hi,
-                               std::int32_t* sums, std::int32_t* violated,
-                               std::size_t cols) {
+void lane_shadow_row_avx2(const std::int32_t* scalars, const int* tile_ends,
+                          std::size_t tiles, const std::int32_t* lane_panels,
+                          std::size_t panel_stride, const std::int32_t* lo,
+                          const std::int32_t* hi, std::int32_t* sums,
+                          std::int32_t* violated, std::size_t cols) {
   const auto load = [](const std::int32_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   };
+  const auto store = [](std::int32_t* p, __m256i v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  };
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i ones = _mm256_cmpeq_epi32(zero, zero);
   for (std::size_t j = 0; j < cols; j += 16, lane_panels += panel_stride) {
-    const __m256i lo0 = load(lo + j), lo1 = load(lo + j + 8);
-    const __m256i hi0 = load(hi + j), hi1 = load(hi + j + 8);
-    __m256i s0 = _mm256_setzero_si256(), s1 = _mm256_setzero_si256();
-    __m256i v0 = _mm256_setzero_si256(), v1 = _mm256_setzero_si256();
-    const std::int32_t* row = lane_panels;
-    for (std::size_t s = 0; s < steps; ++s, row += 16) {
-      const __m256i e = _mm256_set1_epi32(scalars[s]);
-      s0 = _mm256_add_epi32(s0, _mm256_mullo_epi32(e, load(row)));
-      s1 = _mm256_add_epi32(s1, _mm256_mullo_epi32(e, load(row + 8)));
-      v0 = _mm256_or_si256(v0, _mm256_or_si256(_mm256_cmpgt_epi32(lo0, s0),
-                                                _mm256_cmpgt_epi32(s0, hi0)));
-      v1 = _mm256_or_si256(v1, _mm256_or_si256(_mm256_cmpgt_epi32(lo1, s1),
-                                                _mm256_cmpgt_epi32(s1, hi1)));
+    // Each tile's sum starts at -lo, so a prefix p is inside [lo, hi]
+    // iff p - lo <= hi - lo as unsigned: one running unsigned max per
+    // column covers every prefix of every tile.
+    const __m256i start0 = _mm256_sub_epi32(zero, load(lo + j));
+    const __m256i start1 = _mm256_sub_epi32(zero, load(lo + j + 8));
+    const __m256i range0 = _mm256_add_epi32(load(hi + j), start0);
+    const __m256i range1 = _mm256_add_epi32(load(hi + j + 8), start1);
+    __m256i row0 = zero, row1 = zero, peak0 = zero, peak1 = zero;
+    __m256i s0 = start0, s1 = start1;
+    const auto step = [&](std::int32_t scalar, const std::int32_t* x) {
+      const __m256i e = _mm256_set1_epi32(scalar);
+      s0 = _mm256_add_epi32(s0, _mm256_mullo_epi32(e, load(x)));
+      s1 = _mm256_add_epi32(s1, _mm256_mullo_epi32(e, load(x + 8)));
+      peak0 = _mm256_max_epu32(peak0, s0);
+      peak1 = _mm256_max_epu32(peak1, s1);
+    };
+    const std::int32_t* x = lane_panels;
+    std::size_t s = 0;
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const auto end = static_cast<std::size_t>(tile_ends[t]);
+      s0 = start0;
+      s1 = start1;
+      // Two steps per iteration: GCC then emits half the register copies
+      // per step that it puts in a one-step loop.
+      for (; s + 2 <= end; s += 2, x += 32) {
+        step(scalars[s], x);
+        step(scalars[s + 1], x + 16);
+      }
+      if (s < end) {
+        step(scalars[s], x);
+        ++s;
+        x += 16;
+      }
+      row0 = _mm256_add_epi32(row0, _mm256_sub_epi32(s0, start0));
+      row1 = _mm256_add_epi32(row1, _mm256_sub_epi32(s1, start1));
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums + j), s0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums + j + 8), s1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(violated + j), v0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(violated + j + 8), v1);
+    const __m256i ok0 = _mm256_cmpeq_epi32(_mm256_max_epu32(peak0, range0),
+                                           range0);
+    const __m256i ok1 = _mm256_cmpeq_epi32(_mm256_max_epu32(peak1, range1),
+                                           range1);
+    store(sums + j, row0);
+    store(sums + j + 8, row1);
+    store(violated + j, _mm256_xor_si256(ok0, ones));
+    store(violated + j + 8, _mm256_xor_si256(ok1, ones));
   }
 }
 

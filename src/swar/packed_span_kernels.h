@@ -45,18 +45,14 @@ void and_u32_span_avx2(const std::uint32_t* a, std::uint32_t mask,
 // replicated into every field; field_bits selects epu8 vs epu16 min.
 void min_lanes_span_avx2(const std::uint32_t* a, std::uint32_t word_c,
                          int field_bits, std::uint32_t* r, std::size_t n);
-// acc[i] += enc * words[i], wrapping uint32.
-void mac_u32_span_avx2(std::uint32_t* acc, std::uint32_t enc,
-                       const std::uint32_t* words, std::size_t n);
-// swar_lane_shadow_span over `cols` columns (a multiple of 16): per
-// 16-column panel, the int32 sums and violation masks stay in registers
-// for all `steps` and are stored once.
-void lane_shadow_i32_span_avx2(const std::int32_t* scalars, std::size_t steps,
-                               const std::int32_t* lane_panels,
-                               std::size_t panel_stride,
-                               const std::int32_t* lo, const std::int32_t* hi,
-                               std::int32_t* sums, std::int32_t* violated,
-                               std::size_t cols);
+// swar_lane_shadow_row over `cols` columns (a multiple of 16): per
+// 16-column panel, the row sums and the prefix bound state stay in
+// registers across all `tiles` tiles and are stored once.
+void lane_shadow_row_avx2(const std::int32_t* scalars, const int* tile_ends,
+                          std::size_t tiles, const std::int32_t* lane_panels,
+                          std::size_t panel_stride, const std::int32_t* lo,
+                          const std::int32_t* hi, std::int32_t* sums,
+                          std::int32_t* violated, std::size_t cols);
 
 #endif  // VITBIT_SIMD_HAVE_AVX2
 

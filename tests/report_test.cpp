@@ -2,9 +2,13 @@
 // run-report serialization, and the tolerance-based baseline gate.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/table.h"
 #include "nn/vit_model.h"
 #include "report/baseline.h"
@@ -85,6 +89,45 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"unterminated"), CheckError);
   EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), CheckError);  // dup key
   EXPECT_THROW(Json::parse("01x"), CheckError);
+}
+
+// Parses `text`, which must fail; returns the CheckError message.
+std::string parse_error(const std::string& text) {
+  try {
+    Json::parse(text);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "parsed: " << text.substr(0, 40);
+  return "";
+}
+
+TEST(Json, DeepNestingIsAParseErrorNotACrash) {
+  EXPECT_NO_THROW(Json::parse(std::string(100, '[') + std::string(100, ']')));
+  constexpr int kDeep = 100000;
+  std::string objects;
+  for (int i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  for (const std::string& text : {std::string(kDeep, '['), objects}) {
+    const std::string msg = parse_error(text);
+    EXPECT_NE(msg.find("JSON parse error: nesting deeper than"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST(Json, EveryFiniteDoubleRoundTripsAndOverflowIsAParseError) {
+  for (const double v : {5e-324, 1e-310, -1e-310, DBL_MAX, -DBL_MAX}) {
+    const Json back = Json::parse(Json(v).dump());
+    EXPECT_EQ(back.type(), Json::Type::kDouble);
+    EXPECT_EQ(back.as_double(), v);
+  }
+  EXPECT_EQ(Json::parse("1e-400").as_double(), 0.0);  // rounds to zero
+  for (const char* text : {"1e999", "-1e999", "[0, 1e999]"}) {
+    const std::string msg = parse_error(text);
+    EXPECT_NE(msg.find("JSON parse error: number out of range at offset"),
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(Json, TypeConfusionThrows) {
@@ -192,6 +235,58 @@ RunReport sample_report() {
   gp.min_speedup = 6.0;
   rep.gemm_points.push_back(std::move(gp));
   return rep;
+}
+
+TEST(RunReport, MutatedDocumentsParseOrThrowCheckError) {
+  // Seeded mutations of the serialized sample report, pretty and compact:
+  // byte flips, deletions, insertions of random bytes or JSON tokens,
+  // truncations and duplicated spans. Json::parse and run_report_from_json
+  // must accept each or throw CheckError, never another exception.
+  const Json doc = to_json(sample_report());
+  const std::string docs[] = {doc.dump(2), doc.dump(0)};
+  const char* const tokens[] = {"[", "]", "{", "}", "\"", ",", ":", "-", "0",
+                                "e999", "e-400", "1e-310", "null",
+                                "99999999999999999999", "\\u00"};
+  Rng rng(2718);
+  int loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text = docs[trial % 2];
+    for (std::int64_t edits = rng.range(1, 3); edits > 0 && !text.empty();
+         --edits) {
+      const std::size_t at = rng.below(text.size());
+      const std::size_t len = rng.range(1, 64);
+      switch (rng.below(6)) {
+        case 0:
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8)));
+          break;
+        case 1:
+          text.erase(at, len);
+          break;
+        case 2:
+          text.insert(at, 1, static_cast<char>(rng.below(256)));
+          break;
+        case 3:
+          text.insert(at, tokens[rng.below(std::size(tokens))]);
+          break;
+        case 4:
+          text.resize(at);
+          break;
+        default:
+          text.insert(rng.below(text.size() + 1), text.substr(at, len));
+      }
+    }
+    try {
+      run_report_from_json(Json::parse(text));
+      ++loaded;
+    } catch (const CheckError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << " threw " << e.what() << " on "
+                    << text;
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(RunReport, JsonRoundTrip) {

@@ -2,7 +2,8 @@
 // core::time_inferences prunes candidates by: it must never exceed the
 // cycles SmSim (and the frozen SmSimRef) simulate for the same slice.
 // Checked on every tuner candidate's block at its resident count, and on
-// seeded random legal programs under random calibrations.
+// seeded random legal programs under random calibrations. On those random
+// programs SmSim's stats must also equal SmSimRef's, field for field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,11 +25,17 @@ namespace {
 const arch::OrinSpec kSpec;
 
 template <typename Sim>
-std::uint64_t simulated_cycles(const sim::KernelSpec& kernel, int resident,
-                               const arch::Calibration& calib) {
+sim::SmStats simulated_stats(const sim::KernelSpec& kernel, int resident,
+                             const arch::Calibration& calib) {
   Sim sm(kSpec, calib);
   for (int b = 0; b < resident; ++b) sm.add_block(kernel.block_warps);
-  return sm.run().cycles;
+  return sm.run();
+}
+
+template <typename Sim>
+std::uint64_t simulated_cycles(const sim::KernelSpec& kernel, int resident,
+                               const arch::Calibration& calib) {
+  return simulated_stats<Sim>(kernel, resident, calib).cycles;
 }
 
 template <typename Key>
@@ -202,21 +209,51 @@ void expect_bound_holds(const sim::KernelSpec& kernel, int resident,
   EXPECT_LE(bound, simulated_cycles<sim::SmSimRef>(kernel, resident, calib));
 }
 
-// Seeded random blocks: 1-8 warps drawn from a few shared programs, at
+// A seeded random block: 1-8 warps drawn from a few shared programs, at
 // resident 1-4, under a random calibration.
+struct RandomSlice {
+  sim::KernelSpec kernel;
+  int resident = 0;
+  arch::Calibration calib;
+};
+
+RandomSlice random_slice(Rng& rng) {
+  RandomSlice s;
+  s.calib = random_calibration(rng);
+  const int bars = static_cast<int>(rng.range(0, 3));
+  std::vector<sim::ProgramPtr> programs;
+  for (auto n = rng.range(1, 3); n > 0; --n)
+    programs.push_back(random_program(rng, bars));
+  for (auto warps = rng.range(1, 8); warps > 0; --warps)
+    s.kernel.block_warps.push_back(programs[rng.below(programs.size())]);
+  s.resident = static_cast<int>(rng.range(1, 4));
+  return s;
+}
+
+constexpr std::uint64_t kRandomSliceSeed = 0x51ce;
+
 TEST(SliceBound, NeverExceedsSimulatedRandomPrograms) {
-  Rng rng(0x51ce);
+  Rng rng(kRandomSliceSeed);
   for (int seed = 0; seed < 300; ++seed) {
     SCOPED_TRACE(seed);
-    const arch::Calibration calib = random_calibration(rng);
-    const int bars = static_cast<int>(rng.range(0, 3));
-    std::vector<sim::ProgramPtr> programs;
-    for (auto n = rng.range(1, 3); n > 0; --n)
-      programs.push_back(random_program(rng, bars));
-    sim::KernelSpec kernel;
-    for (auto warps = rng.range(1, 8); warps > 0; --warps)
-      kernel.block_warps.push_back(programs[rng.below(programs.size())]);
-    expect_bound_holds(kernel, static_cast<int>(rng.range(1, 4)), calib);
+    const RandomSlice s = random_slice(rng);
+    expect_bound_holds(s.kernel, s.resident, s.calib);
+  }
+}
+
+// The same random slices: the packed simulator's stats equal the frozen
+// reference's, field for field.
+TEST(SmSimIdentity, MatchesRefOnRandomPrograms) {
+  Rng rng(kRandomSliceSeed);
+  for (int seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE(seed);
+    const RandomSlice s = random_slice(rng);
+    const sim::SmStats fast =
+        simulated_stats<sim::SmSim>(s.kernel, s.resident, s.calib);
+    const sim::SmStats ref =
+        simulated_stats<sim::SmSimRef>(s.kernel, s.resident, s.calib);
+    EXPECT_TRUE(fast == ref)
+        << "cycles " << fast.cycles << " vs " << ref.cycles;
   }
 }
 

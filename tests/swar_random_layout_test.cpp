@@ -161,11 +161,21 @@ std::optional<PackedRun> run_packed(GemmEngine engine, const MatrixI32& a,
   return run;
 }
 
-// Tiles of `a` x `b` whose shadow bound, sum |encoded scalar| * max
-// |encoded lane value|, exceeds INT32_MAX: the tile-major loop runs their
-// shadow in int64.
-int int64_shadow_tiles(const MatrixI32& a, const PackedMatrix& b,
-                       const PackedGemmOptions& opt) {
+// How the tile-major loop routes the rows of `a` x `b`. A row runs in
+// one pass when its whole-row bound, sum |encoded scalar| * max |encoded
+// lane value| <= INT32_MAX, holds and no column is violated; any other row
+// goes tile by tile, with an int64 shadow for each tile whose own bound
+// fails. Whether a row is violated comes from the ref oracle on that row.
+struct RowPaths {
+  int one_pass = 0;
+  int by_tile_int32 = 0;  // tile by tile, every tile int32
+  int by_tile_int64 = 0;  // tile by tile, some tile int64
+  int violated_fallback = 0;
+  int violated_no_fallback = 0;
+};
+
+void count_row_paths(const MatrixI32& a, const PackedMatrix& b,
+                     const PackedGemmOptions& opt, RowPaths& paths) {
   const LaneLayout& l = b.layout();
   std::int64_t max_lane = 0;
   for (int k = 0; k < b.rows(); ++k)
@@ -177,17 +187,29 @@ int int64_shadow_tiles(const MatrixI32& a, const PackedMatrix& b,
         const std::int64_t enc = raw_top ? v : v + l.zero_point();
         max_lane = std::max(max_lane, std::abs(enc));
       }
-  int tiles = 0;
   for (int m = 0; m < a.rows(); ++m) {
+    MatrixI32 row(1, a.cols());
+    std::copy(a.row(m).begin(), a.row(m).end(), row.row(0).begin());
+    const auto alone = run_packed(GemmEngine::kRef, row, b, opt);
+    const bool violated = alone && alone->stats.overflow_tiles > 0;
+    std::int64_t row_weight = 0;
+    bool int64_tile = false;
     int k0 = 0;
     for (const int k1 : tile_boundaries(a.row(m), l, opt.tile)) {
       std::int64_t weight = 0;
       for (int k = k0; k < k1; ++k) weight += l.scalar_tile_weight(a.at(m, k));
-      tiles += weight * max_lane > INT32_MAX;
+      int64_tile |= weight * max_lane > INT32_MAX;
+      row_weight += weight;
       k0 = k1;
     }
+    if (violated)
+      ++(opt.fallback_on_overflow ? paths.violated_fallback
+                                  : paths.violated_no_fallback);
+    if (row_weight * max_lane <= INT32_MAX && !violated)
+      ++paths.one_pass;
+    else
+      ++(int64_tile ? paths.by_tile_int64 : paths.by_tile_int32);
   }
-  return tiles;
 }
 
 TEST(RandomLayouts, TileMajorGemmMatchesRefOracleAtEveryTier) {
@@ -196,8 +218,9 @@ TEST(RandomLayouts, TileMajorGemmMatchesRefOracleAtEveryTier) {
   // overflow fallback. The simd engine at every forced tier must equal the
   // ref oracle in output, every stats field and whether it throws.
   Rng rng(505);
-  std::int64_t overflow_tiles = 0, int64_tiles = 0;
+  std::int64_t overflow_tiles = 0;
   int throw_cases = 0;
+  RowPaths paths;
   for (int trial = 0; trial < 300; ++trial) {
     const auto l = random_layout(rng, /*max_bits=*/16);
     const int m = static_cast<int>(rng.range(1, 6));
@@ -236,15 +259,23 @@ TEST(RandomLayouts, TileMajorGemmMatchesRefOracleAtEveryTier) {
       EXPECT_EQ(got->stats.mean_tile_length, want->stats.mean_tile_length);
     }
     if (want) overflow_tiles += want->stats.overflow_tiles;
-    int64_tiles += int64_shadow_tiles(a, packed, opt);
+    if (want) count_row_paths(a, packed, opt, paths);
     throw_cases += !want;
   }
-  // The seeds must reach the violation path, the int64 shadow and a throw.
+  // The seeds must reach every routing of a row, a violation and a throw.
   EXPECT_GT(overflow_tiles, 0);
-  EXPECT_GT(int64_tiles, 0);
+  EXPECT_GT(paths.one_pass, 0);
+  EXPECT_GT(paths.by_tile_int32, 0);
+  EXPECT_GT(paths.by_tile_int64, 0);
+  EXPECT_GT(paths.violated_fallback, 0);
+  EXPECT_GT(paths.violated_no_fallback, 0);
   EXPECT_GT(throw_cases, 0);
   RecordProperty("overflow_tiles", std::to_string(overflow_tiles));
-  RecordProperty("int64_shadow_tiles", std::to_string(int64_tiles));
+  RecordProperty("rows_one_pass", paths.one_pass);
+  RecordProperty("rows_by_tile_int32", paths.by_tile_int32);
+  RecordProperty("rows_by_tile_int64", paths.by_tile_int64);
+  RecordProperty("rows_violated_fallback", paths.violated_fallback);
+  RecordProperty("rows_violated_no_fallback", paths.violated_no_fallback);
   RecordProperty("throw_cases", throw_cases);
 }
 

@@ -222,70 +222,106 @@ TEST(SwarSpanOps, ResultMayAliasAnOperand) {
   }
 }
 
-TEST(SwarSpanOps, MacSpanMatchesScalarLoopAtEveryTier) {
-  // Wrapping uint32 MAC over arbitrary word patterns — including ones with
-  // high bits set, where wraparound actually occurs. Exact mod 2^32, so
-  // every tier must agree bit for bit.
-  constexpr int kWords = 23;
-  std::vector<std::uint32_t> words(kWords);
-  std::uint32_t w = 0x12345u;
-  for (auto& x : words) {
-    w = w * 1664525u + 1013904223u;  // LCG: deterministic full-range words
-    x = w;
-  }
-  const std::uint32_t enc = 0x9E3779B9u;
-  std::vector<std::uint32_t> want(kWords, 7u);
-  for (int i = 0; i < kWords; ++i) want[i] += enc * words[i];
-  for (const SimdLevel level : kAllLevels) {
-    ScopedSimdLevel force(level);
-    std::vector<std::uint32_t> acc(kWords, 7u);
-    swar_mac_span(acc, enc, words);
-    EXPECT_EQ(acc, want) << simd_level_name(level);
-  }
+// Column j's step-s entry of a two-panel lane operand of `steps` steps.
+std::size_t panel_entry(int j, int s, int steps) {
+  return static_cast<std::size_t>(j / kShadowPanel * steps * kShadowPanel +
+                                  s * kShadowPanel + j % kShadowPanel);
 }
 
 TEST(SwarSpanOps, LaneShadowSpanMatchesScalarLoopAtEveryTier) {
-  // Two 16-column panels of 40 steps, shadowed over steps [5, 37) the way
-  // gemm_packed passes one tile of its k range. The caps are drawn so some
-  // columns leave them at some prefix and others never do.
-  constexpr int kCols = 2 * kShadowPanel, kSteps = 40, kT0 = 5, kT1 = 37;
-  constexpr std::size_t kStride = kSteps * kShadowPanel;
+  // Seeded rows of two 16-column panels over 41 steps, each shadowed in
+  // one pass over a tile list the way gemm_packed passes a row: random
+  // tiles (1-step ones, odd lengths that end in the two-step unroll's
+  // tail) or one 41-step tile. The last 5 columns are padding (entries 0,
+  // caps [0, 0]). Caps are a random window around 0, the full int32 range
+  // of a one-lane layout, or [0, hi], drawn so that some tiles leave them
+  // and others never do. Every fourth row takes operands whose prefixes
+  // reach close to the int32 limits, with caps anywhere in int32.
+  constexpr int kCols = 2 * kShadowPanel, kSteps = 41, kPadding = 5;
   Rng rng(57);
-  std::vector<std::int32_t> panels(2 * kStride), scalars(kT1 - kT0);
-  std::vector<std::int32_t> lo(kCols), hi(kCols);
-  for (auto& v : panels) v = static_cast<std::int32_t>(rng.range(-300, 300));
-  for (auto& v : scalars) v = static_cast<std::int32_t>(rng.range(-200, 200));
-  for (int j = 0; j < kCols; ++j) {
-    lo[j] = static_cast<std::int32_t>(-rng.range(0, 200000));
-    hi[j] = static_cast<std::int32_t>(rng.range(0, 200000));
-  }
-  std::vector<std::int32_t> want_sums(kCols), want_violated(kCols);
-  for (int j = 0; j < kCols; ++j) {
-    std::int64_t sum = 0;
-    bool bad = false;
-    for (int s = 0; s < kT1 - kT0; ++s) {
-      sum += std::int64_t{scalars[s]} *
-             panels[j / kShadowPanel * kStride + (kT0 + s) * kShadowPanel +
-                    j % kShadowPanel];
-      bad |= sum < lo[j] || sum > hi[j];
+  std::int64_t flagged = 0, clean = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const bool wide = trial % 4 == 3;
+    const std::int64_t max_scalar = wide ? 32767 : 200;
+    const std::int64_t max_entry = wide ? 1500 : 300;
+    const std::int64_t max_cap = wide ? INT32_MAX : 200000;
+    std::vector<std::int32_t> panels(2 * kSteps * kShadowPanel, 0);
+    std::vector<std::int32_t> scalars(kSteps), lo(kCols, 0), hi(kCols, 0);
+    for (auto& v : scalars)
+      v = static_cast<std::int32_t>(rng.range(-max_scalar, max_scalar));
+    for (int j = 0; j < kCols - kPadding; ++j) {
+      for (int s = 0; s < kSteps; ++s)
+        panels[panel_entry(j, s, kSteps)] =
+            static_cast<std::int32_t>(rng.range(-max_entry, max_entry));
+      switch (rng.range(0, 2)) {
+        case 0:
+          lo[j] = static_cast<std::int32_t>(-rng.range(0, max_cap));
+          hi[j] = static_cast<std::int32_t>(rng.range(0, max_cap));
+          break;
+        case 1:
+          lo[j] = INT32_MIN;
+          hi[j] = INT32_MAX;
+          break;
+        default:
+          hi[j] = static_cast<std::int32_t>(rng.range(0, max_cap));
+      }
     }
-    want_sums[j] = static_cast<std::int32_t>(sum);
-    want_violated[j] = bad ? -1 : 0;
+    std::vector<int> ends;
+    if (trial % 8 == 0) {
+      ends = {kSteps};
+    } else {
+      for (int k = 0; k < kSteps; ends.push_back(k))
+        k = std::min(kSteps, k + static_cast<int>(rng.range(1, 7)));
+    }
+    std::vector<std::int32_t> want_sums(kCols), want_violated(kCols);
+    for (int j = 0; j < kCols; ++j) {
+      std::int64_t row = 0;
+      bool bad = false;
+      int s = 0;
+      for (const int end : ends) {
+        std::int64_t sum = 0;
+        for (; s < end; ++s) {
+          sum += std::int64_t{scalars[s]} * panels[panel_entry(j, s, kSteps)];
+          bad |= sum < lo[j] || sum > hi[j];
+        }
+        row += sum;
+      }
+      want_sums[j] = static_cast<std::int32_t>(row);
+      want_violated[j] = bad ? -1 : 0;
+      (bad ? flagged : clean) += 1;
+    }
+    for (const SimdLevel level : kAllLevels) {
+      ScopedSimdLevel force(level);
+      std::vector<std::int32_t> sums(kCols), violated(kCols);
+      swar_lane_shadow_row(scalars, ends, panels, kSteps * kShadowPanel, lo, hi,
+                           sums, violated);
+      EXPECT_EQ(sums, want_sums)
+          << simd_level_name(level) << " trial " << trial;
+      EXPECT_EQ(violated, want_violated)
+          << simd_level_name(level) << " trial " << trial;
+    }
   }
-  const auto flagged =
-      std::count(want_violated.begin(), want_violated.end(), -1);
-  ASSERT_GT(flagged, 0);
-  ASSERT_LT(flagged, kCols);
-  for (const SimdLevel level : kAllLevels) {
-    ScopedSimdLevel force(level);
-    std::vector<std::int32_t> sums(kCols), violated(kCols);
-    swar_lane_shadow_span(scalars,
-                          std::span(panels).subspan(kT0 * kShadowPanel),
-                          kStride, lo, hi, sums, violated);
-    EXPECT_EQ(sums, want_sums) << simd_level_name(level);
-    EXPECT_EQ(violated, want_violated) << simd_level_name(level);
-  }
+  EXPECT_GT(flagged, 0);
+  EXPECT_GT(clean, 0);
 }
+
+// A valid swar_lane_shadow_row call, two steps over one 16-column panel,
+// for a test to break one argument at a time.
+struct ShadowCall {
+  std::vector<std::int32_t> scalars{3, -2};
+  std::vector<int> ends{1, 2};
+  std::vector<std::int32_t> panel, lo, hi, sums, violated;
+  std::size_t stride = 2 * kShadowPanel;
+  ShadowCall()
+      : panel(2 * kShadowPanel, 1),
+        lo(kShadowPanel, -10),
+        hi(kShadowPanel, 10),
+        sums(kShadowPanel),
+        violated(kShadowPanel) {}
+  void run() {
+    swar_lane_shadow_row(scalars, ends, panel, stride, lo, hi, sums, violated);
+  }
+};
 
 TEST(SwarSpanOps, SizeMismatchThrows) {
   const LaneLayout l = paper_policy_layout(8, LaneMode::kTopSigned);
@@ -294,13 +330,30 @@ TEST(SwarSpanOps, SizeMismatchThrows) {
   EXPECT_THROW(pack_span(v, l, wrong), CheckError);
   std::vector<std::uint32_t> a(4), b(3), r(4);
   EXPECT_THROW(swar_add_span(a, b, r, l), CheckError);
-  EXPECT_THROW(swar_mac_span(r, 1u, b), CheckError);
-  // One step over one 16-column panel needs 16 lane entries.
-  std::vector<std::int32_t> step(1), caps(kShadowPanel), sums(kShadowPanel),
-      violated(kShadowPanel), short_panel(kShadowPanel - 1);
-  EXPECT_THROW(swar_lane_shadow_span(step, short_panel, kShadowPanel, caps,
-                                     caps, sums, violated),
-               CheckError);
+  // One throw per bounds check of swar_lane_shadow_row.
+  const ShadowCall valid;
+  ShadowCall call = valid;
+  ASSERT_NO_THROW(call.run());
+  call.panel.pop_back();  // a lane entry missing
+  EXPECT_THROW(call.run(), CheckError);
+  call = valid;
+  call.stride = kShadowPanel;  // shorter than the panel's two steps
+  EXPECT_THROW(call.run(), CheckError);
+  call = valid;
+  call.lo.pop_back();  // not a whole panel of columns
+  EXPECT_THROW(call.run(), CheckError);
+  call = valid;
+  call.sums.pop_back();
+  EXPECT_THROW(call.run(), CheckError);
+  call = valid;
+  call.hi[3] = call.lo[3] - 1;  // hi below lo
+  EXPECT_THROW(call.run(), CheckError);
+  call = valid;
+  call.ends = {1};  // the tiles end before the last step
+  EXPECT_THROW(call.run(), CheckError);
+  call = valid;
+  call.ends = {1, 1, 2};  // tile ends do not increase
+  EXPECT_THROW(call.run(), CheckError);
 }
 
 }  // namespace
