@@ -27,19 +27,6 @@ Dyadic dyadic_from_double(double v, int mult_bits) {
   return d;
 }
 
-std::int32_t rounding_shift(std::int64_t x, int shift) {
-  VITBIT_CHECK(shift >= 0 && shift < 63);
-  if (shift == 0) {
-    VITBIT_CHECK(x >= INT32_MIN && x <= INT32_MAX);
-    return static_cast<std::int32_t>(x);
-  }
-  const std::int64_t half = std::int64_t{1} << (shift - 1);
-  const std::int64_t r = x >= 0 ? (x + half) >> shift : -((-x + half) >> shift);
-  VITBIT_CHECK_MSG(r >= INT32_MIN && r <= INT32_MAX,
-                   "rounding_shift overflow: " << x << " >> " << shift);
-  return static_cast<std::int32_t>(r);
-}
-
 std::int32_t dyadic_mul(std::int32_t x, const Dyadic& d) {
   return rounding_shift(static_cast<std::int64_t>(x) * d.mult, d.shift);
 }

@@ -1,5 +1,6 @@
 #include "quant/qtensor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/int_math.h"
@@ -46,16 +47,26 @@ int choose_frac_bits(const MatrixF32& x, int bits) {
 }
 
 MatrixI32 requantize(const MatrixI32& acc, int in_fb, int out_fb, int bits) {
+  VITBIT_CHECK(bits >= 2 && bits <= 31);
   MatrixI32 out(acc.rows(), acc.cols());
+  const auto in = acc.flat();
+  const auto dst = out.flat();
   const int shift = in_fb - out_fb;
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    std::int64_t v = acc.flat()[i];
-    if (shift >= 0) {
-      v = rounding_shift(v, shift);
-    } else {
-      v <<= -shift;
-    }
-    out.flat()[i] = static_cast<std::int32_t>(clamp_signed(v, bits));
+  if (shift >= 0) {
+    // The shift is checked once; a rounded int32 always fits int32, so
+    // rounding_shift's per-value overflow check cannot fire here.
+    VITBIT_CHECK(shift < 63);
+    for (std::size_t i = 0; i < in.size(); ++i)
+      dst[i] = static_cast<std::int32_t>(
+          clamp_signed(rounding_shift_unchecked(in[i], shift), bits));
+  } else {
+    // |v| < 2^31, so v << 32 still fits int64 and any nonzero v shifted
+    // that far already saturates every bits <= 31: capping the shift at 32
+    // keeps the result and avoids wrapping int64.
+    const int left = std::min(-shift, 32);
+    for (std::size_t i = 0; i < in.size(); ++i)
+      dst[i] = static_cast<std::int32_t>(
+          clamp_signed(static_cast<std::int64_t>(in[i]) << left, bits));
   }
   return out;
 }

@@ -56,6 +56,25 @@ void pack_span_scalar(std::span<const std::int32_t> values,
   }
 }
 
+// One lane: each word is its value's encoding, the value itself or, in
+// kOffset, the value plus the zero point (the lone lane is the top lane,
+// whose kTopSigned field is the full 32-bit two's complement). Returns
+// false, writing nothing, if any value is out of range.
+bool pack_span_one_lane(std::span<const std::int32_t> values,
+                        const LaneLayout& l,
+                        std::span<std::uint32_t> out_words) {
+  const auto lo = static_cast<std::int32_t>(l.value_min());
+  const auto hi = static_cast<std::int32_t>(l.value_max());
+  bool in_range = true;
+  for (const std::int32_t v : values) in_range &= v >= lo && v <= hi;
+  if (!in_range) return false;
+  const auto offset = static_cast<std::uint32_t>(
+      l.mode == LaneMode::kOffset ? l.zero_point() : 0);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    out_words[i] = static_cast<std::uint32_t>(values[i]) + offset;
+  return true;
+}
+
 }  // namespace
 
 void pack_span(std::span<const std::int32_t> values, const LaneLayout& l,
@@ -63,6 +82,9 @@ void pack_span(std::span<const std::int32_t> values, const LaneLayout& l,
   VITBIT_CHECK(l.valid());
   VITBIT_CHECK(l.num_lanes <= 8);
   VITBIT_CHECK(out_words.size() == words_for(values.size(), l));
+  // On a range violation the scalar encoder below throws the exact
+  // per-value message.
+  if (l.num_lanes == 1 && pack_span_one_lane(values, l, out_words)) return;
 #if defined(VITBIT_SIMD_HAVE_AVX2)
   if (avx2_active() && uniform_fields(l)) {
     if (detail::pack_span_avx2(values.data(), values.size(), l,

@@ -15,7 +15,9 @@
 // parameterized on the full-tile microkernel: the blocked engine passes the
 // scalar tiles below, the simd engine (tensor/gemm_simd.h) passes AVX2 or
 // SSE4.1 microkernels that compute the *same* per-element recurrence, so
-// every engine shares one set of checks and one traversal order.
+// every engine shares one set of checks and one traversal order. (The
+// simd engine's narrow path, int32 sums under a per-call exactness bound,
+// has its own loop in gemm_simd.cpp and never reaches these checks.)
 //
 // Parallelism: disjoint row panels of kGemmRowsPerTask rows are fanned out
 // over the caller's ThreadPool (common/thread_pool.h). Tasks write disjoint
@@ -45,6 +47,15 @@ inline constexpr int kGemmNr = 8;
 inline constexpr int kGemmRowsPerTask = 32;
 
 namespace detail {
+
+// The shape check every engine makes first, with one message.
+template <typename TA, typename TB>
+void check_gemm_shape(const Matrix<TA>& a, const Matrix<TB>& b) {
+  VITBIT_CHECK_MSG(a.cols() == b.rows(), "GEMM shape mismatch: A is "
+                                             << a.rows() << "x" << a.cols()
+                                             << ", B is " << b.rows() << "x"
+                                             << b.cols());
+}
 
 // Full kGemmMr x kGemmNr tile with compile-time bounds: the compiler
 // unrolls both inner loops and vectorizes the accumulator updates.
@@ -134,10 +145,7 @@ std::vector<float> pack_b_panels_f32(const MatrixF32& b);
 template <typename TA, typename TB, typename FullTile>
 MatrixI32 gemm_int_panels(const Matrix<TA>& a, const Matrix<TB>& b,
                           ThreadPool* pool, const FullTile& full_tile) {
-  VITBIT_CHECK_MSG(a.cols() == b.rows(), "GEMM shape mismatch: A is "
-                                             << a.rows() << "x" << a.cols()
-                                             << ", B is " << b.rows() << "x"
-                                             << b.cols());
+  check_gemm_shape(a, b);
   const int m_dim = a.rows(), k_dim = a.cols(), n_dim = b.cols();
 #ifndef NDEBUG
   // Same int64 headroom bound as gemm_ref_int, so all engines throw on
@@ -199,10 +207,7 @@ MatrixI32 gemm_int_panels(const Matrix<TA>& a, const Matrix<TB>& b,
 template <typename FullTile>
 MatrixF32 gemm_f32_panels(const MatrixF32& a, const MatrixF32& b,
                           ThreadPool* pool, const FullTile& full_tile) {
-  VITBIT_CHECK_MSG(a.cols() == b.rows(), "GEMM shape mismatch: A is "
-                                             << a.rows() << "x" << a.cols()
-                                             << ", B is " << b.rows() << "x"
-                                             << b.cols());
+  check_gemm_shape(a, b);
   const int m_dim = a.rows(), k_dim = a.cols(), n_dim = b.cols();
   MatrixF32 c(m_dim, n_dim);
   if (m_dim == 0 || n_dim == 0) return c;

@@ -6,7 +6,12 @@
 // SIMD engine (gemm_simd.h, runtime-dispatched AVX2/SSE4.1 microkernels —
 // the default whenever the CPU supports a vector tier). All three produce
 // bit-identical results; the switch exists for A/B timing and for
-// bisecting, not for accuracy trade-offs.
+// bisecting, not for accuracy trade-offs. The reference and blocked
+// engines sum int products in int64 and f32 products in double; at avx2
+// the simd engine sums int16 pairs in int32 wherever a per-call bound,
+// max|a| * max|b| * K <= INT32_MAX over integer operands in
+// [-32767, 32767], proves that exact (gemm_simd.h), and uses the int64 /
+// double tiles everywhere else.
 //
 // Selection, in precedence order:
 //   1. set_default_gemm_engine() — the --gemm=ref|blocked|simd CLI

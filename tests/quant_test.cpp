@@ -42,6 +42,44 @@ TEST(RoundingShift, RoundsHalfAwayFromZero) {
   EXPECT_EQ(rounding_shift(7, 0), 7);
 }
 
+// round(x / 2^shift), half away from zero, in sign-magnitude form: the
+// oracle for rounding_shift's branch-free arithmetic shift.
+std::int64_t sign_magnitude_shift(std::int64_t x, int shift) {
+  if (shift == 0) return x;
+  const std::int64_t half = std::int64_t{1} << (shift - 1);
+  return x >= 0 ? (x + half) >> shift : -((-x + half) >> shift);
+}
+
+TEST(RoundingShift, BranchFreeFormEqualsSignMagnitudeForm) {
+  for (int shift = 0; shift <= 40; ++shift)
+    for (std::int64_t x = -5000; x <= 5000; ++x)
+      ASSERT_EQ(rounding_shift(x, shift), sign_magnitude_shift(x, shift))
+          << x << " >> " << shift;
+  // Seeded int64s whose rounded result fits int32: up to 2^61 at shifts
+  // that bring them back inside.
+  Rng rng(41);
+  int checked = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const int shift = static_cast<int>(rng.range(0, 62));
+    const int mag = static_cast<int>(rng.range(0, 61));
+    const std::int64_t x =
+        rng.range(-(std::int64_t{1} << mag), std::int64_t{1} << mag);
+    const std::int64_t want = sign_magnitude_shift(x, shift);
+    if (want < INT32_MIN || want > INT32_MAX) continue;
+    ASSERT_EQ(rounding_shift(x, shift), want) << x << " >> " << shift;
+    ++checked;
+  }
+  EXPECT_GT(checked, 100000);
+}
+
+TEST(RoundingShift, ChecksShiftAndOverflow) {
+  EXPECT_THROW(rounding_shift(1, -1), CheckError);
+  EXPECT_THROW(rounding_shift(1, 63), CheckError);
+  EXPECT_THROW(rounding_shift(std::int64_t{1} << 40, 0), CheckError);
+  EXPECT_THROW(rounding_shift(-(std::int64_t{1} << 40), 8), CheckError);
+  EXPECT_EQ(rounding_shift(-(std::int64_t{1} << 40), 9), INT32_MIN);
+}
+
 TEST(Isqrt, ExactFloorSqrt) {
   for (std::int64_t x : {0LL, 1LL, 2LL, 3LL, 4LL, 15LL, 16LL, 17LL, 1000000LL,
                          (1LL << 40) - 1, 1LL << 40}) {
@@ -100,6 +138,40 @@ TEST(Requantize, ShiftsAndClamps) {
   EXPECT_EQ(out.at(0, 0), 32);
   EXPECT_EQ(out.at(0, 1), 127);  // clamped
   EXPECT_EQ(out.at(0, 2), -33);
+}
+
+TEST(Requantize, LargeLeftShiftsSaturateInsteadOfWrapping) {
+  // A left shift of 33 or more must saturate: shifted in int64 without a
+  // cap, 2^30 << 33 wraps negative and 2^30 << 34 wraps to 0.
+  MatrixI32 acc(1, 3);
+  acc.at(0, 0) = 1 << 30;
+  acc.at(0, 1) = 3;
+  acc.at(0, 2) = -5;
+  for (const int out_fb : {31, 32, 33, 34, 40, 63, 64, 100}) {
+    const auto out = requantize(acc, 0, out_fb, 8);
+    EXPECT_EQ(out.at(0, 0), 127) << out_fb;
+    EXPECT_EQ(out.at(0, 1), 127) << out_fb;
+    EXPECT_EQ(out.at(0, 2), -128) << out_fb;
+  }
+  MatrixI32 extremes(1, 3);
+  extremes.at(0, 0) = INT32_MAX;
+  extremes.at(0, 1) = INT32_MIN;
+  extremes.at(0, 2) = 0;
+  const auto out = requantize(extremes, 0, 200, 31);
+  EXPECT_EQ(out.at(0, 0), INT32_MAX >> 1);
+  EXPECT_EQ(out.at(0, 1), INT32_MIN >> 1);
+  EXPECT_EQ(out.at(0, 2), 0);
+}
+
+TEST(Requantize, RejectsBitsOutsideTwoToThirtyOne) {
+  const MatrixI32 acc(1, 1, 5);
+  EXPECT_THROW(requantize(acc, 0, 0, 1), CheckError);
+  EXPECT_THROW(requantize(acc, 0, 0, 32), CheckError);
+  EXPECT_THROW(requantize(acc, 0, 0, 64), CheckError);
+  EXPECT_EQ(requantize(acc, 0, 0, 2).at(0, 0), 1);
+  EXPECT_EQ(requantize(acc, 0, 0, 31).at(0, 0), 5);
+  // Right shifts past int64 are refused as before.
+  EXPECT_THROW(requantize(acc, 63, 0, 8), CheckError);
 }
 
 TEST(IntExp, ApproximatesExpForNegativeInputs) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -103,6 +104,46 @@ TEST(PackSpan, RangeViolationThrowsEverywhere) {
     tail[4] = static_cast<std::int32_t>(l.value_min()) - 1;
     EXPECT_THROW(pack_span(tail, l, tail_out), CheckError)
         << simd_level_name(level);
+  }
+}
+
+TEST(PackSpan, OneLaneLayoutsMatchPackLanesAtEveryTier) {
+  // The one-lane layouts (zero-masking, paper_policy_layout(>= 9)) write
+  // each value's encoding directly; it must equal pack_lanes word for
+  // word, in every mode, and an out-of-range value anywhere must throw
+  // pack_lanes' own message.
+  for (const LaneMode mode : kAllModes) {
+    for (const int bits : {9, 12, 16}) {
+      const LaneLayout l = paper_policy_layout(bits, mode);
+      ASSERT_EQ(l.num_lanes, 1);
+      const auto vals = random_values(37, l, 33);
+      const auto want = pack_oracle(vals.row(0), l);
+      for (const SimdLevel level : kAllLevels) {
+        ScopedSimdLevel force(level);
+        std::vector<std::uint32_t> got(want.size());
+        pack_span(vals.row(0), l, got);
+        EXPECT_EQ(got, want)
+            << l.to_string() << " at " << simd_level_name(level);
+        for (const std::int64_t bad : {l.value_max() + 1, l.value_min() - 1}) {
+          std::vector<std::int32_t> v(vals.row(0).begin(), vals.row(0).end());
+          v[30] = static_cast<std::int32_t>(bad);
+          std::string scalar_msg, span_msg;
+          try {
+            pack_lanes(std::span<const std::int32_t>(&v[30], 1), l);
+          } catch (const CheckError& e) {
+            scalar_msg = e.what();
+          }
+          try {
+            pack_span(v, l, got);
+          } catch (const CheckError& e) {
+            span_msg = e.what();
+          }
+          EXPECT_FALSE(scalar_msg.empty()) << l.to_string();
+          EXPECT_EQ(span_msg, scalar_msg)
+              << l.to_string() << " at " << simd_level_name(level);
+        }
+      }
+    }
   }
 }
 
