@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 #include "nn/vit_model.h"
+#include "tensor/gemm_dispatch.h"
 #include "tensor/gemm_ref.h"
 #include "tensor/simd_level.h"
 #include "vitbit/executors.h"
@@ -131,6 +134,49 @@ TEST_P(ExecutorEquivalence, AllStrategiesProduceIdenticalResults) {
   }
 }
 
+class ScopedEngine {
+ public:
+  explicit ScopedEngine(GemmEngine e) : saved_(default_gemm_engine()) {
+    set_default_gemm_engine(e);
+  }
+  ~ScopedEngine() { set_default_gemm_engine(saved_); }
+
+ private:
+  GemmEngine saved_;
+};
+
+TEST_P(ExecutorEquivalence, RefEngineProducesIdenticalResults) {
+  // VITBIT_GEMM=ref: the oracle engines under every executor.
+  const Strategy s = GetParam();
+  Rng rng(40 + static_cast<int>(s));
+  const auto a = random_i8(rng, 7, 48);
+  const auto b = random_i8(rng, 48, 29, 30.0);
+  MatrixI32 a_pos(7, 48), b_pos(48, 29);
+  fill_uniform(a_pos, rng, 0, 255);
+  fill_uniform(b_pos, rng, 0, 255);
+  const auto fn = make_gemm_executor(s);
+  SCOPED_TRACE(strategy_name(s));
+  ScopedEngine ref(GemmEngine::kRef);
+  EXPECT_EQ(max_abs_diff(fn(a, b), gemm_ref_int(a, b)), 0);
+  EXPECT_EQ(max_abs_diff(fn(a_pos, b_pos), gemm_ref_int(a_pos, b_pos)), 0)
+      << "non-negative operands";
+}
+
+TEST_P(ExecutorEquivalence, EmptyOperandsGiveEmptyProducts) {
+  const Strategy s = GetParam();
+  const auto fn = make_gemm_executor(s);
+  SCOPED_TRACE(strategy_name(s));
+  const int shapes[][3] = {{0, 8, 15}, {3, 0, 15}, {3, 8, 0}, {0, 0, 0}};
+  for (const auto& [m, k, n] : shapes) {
+    SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+    MatrixI32 a(m, k, -3), b(k, n, 5);
+    const MatrixI32 c = fn(a, b);
+    EXPECT_EQ(c.rows(), m);
+    EXPECT_EQ(c.cols(), n);
+    EXPECT_EQ(c, gemm_ref_int(a, b));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ExecutorEquivalence,
                          ::testing::ValuesIn(all_strategies()),
                          [](const auto& info) {
@@ -140,6 +186,177 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, ExecutorEquivalence,
                                ch = '_';
                            return s;
                          });
+
+// The executors' call-time CheckError contract. IC+FC, Tacker and TC+IC+FC
+// run their INT slice on the one-lane layout paper_policy_layout(9);
+// VitBit packs at the default bitwidth 8. A's values are the INT slice's
+// scalars and B's its lane values.
+constexpr Strategy kSplitStrategies[] = {Strategy::kICFC, Strategy::kTacker,
+                                         Strategy::kTCICFC, Strategy::kVitBit};
+constexpr Strategy kFpStrategies[] = {Strategy::kICFC, Strategy::kTCICFC,
+                                      Strategy::kVitBit};
+
+struct IntSliceRange {
+  int lo;           // signed operands
+  int hi;           // signed operands
+  int hi_unsigned;  // both operands non-negative (lo is 0)
+};
+
+IntSliceRange int_slice_range(Strategy s) {
+  if (s == Strategy::kVitBit) return {-128, 127, 255};
+  return {-256, 255, 511};
+}
+
+// Columns [n1, n1 + n2) of an N-column B are the FP slice's.
+SplitWidths executor_widths(Strategy s, int n) {
+  const ExecutorConfig cfg;
+  const int m_ratio = s == Strategy::kICFC ? 0 : cfg.m_ratio;
+  const int n_ratio = s == Strategy::kVitBit ? 2 : 1;
+  return split_widths(n, m_ratio, n_ratio, s != Strategy::kTacker);
+}
+
+void expect_exact(const nn::GemmFn& fn, const MatrixI32& a,
+                  const MatrixI32& b) {
+  MatrixI32 c;
+  ASSERT_NO_THROW(c = fn(a, b));
+  EXPECT_EQ(c, gemm_ref_int(a, b));
+}
+
+TEST(ExecutorContract, ScalarOutsideIntSliceRangeThrows) {
+  for (const Strategy s : kSplitStrategies) {
+    SCOPED_TRACE(strategy_name(s));
+    ASSERT_GT(executor_widths(s, 15).n1, 0);
+    const auto fn = make_gemm_executor(s);
+    const auto r = int_slice_range(s);
+    MatrixI32 a(3, 8, 2), b(8, 15, -1);  // signed lanes
+    MatrixI32 a_pos(3, 8, 2), b_pos(8, 15, 1);
+    for (const int v : {r.lo, r.hi}) {
+      a.at(1, 4) = v;
+      expect_exact(fn, a, b);
+    }
+    for (const int v : {r.lo - 1, r.hi + 1}) {
+      a.at(1, 4) = v;
+      EXPECT_THROW(fn(a, b), CheckError) << v;
+    }
+    a_pos.at(1, 4) = r.hi_unsigned;
+    expect_exact(fn, a_pos, b_pos);
+    a_pos.at(1, 4) = r.hi_unsigned + 1;
+    EXPECT_THROW(fn(a_pos, b_pos), CheckError);
+  }
+}
+
+TEST(ExecutorContract, ScalarRangeUncheckedWithoutIntColumns) {
+  // N = 1 leaves IC+FC and TC+IC+FC no INT column (n1 = 0), so A's values
+  // meet no packed layout.
+  for (const Strategy s : {Strategy::kICFC, Strategy::kTCICFC}) {
+    SCOPED_TRACE(strategy_name(s));
+    ASSERT_EQ(executor_widths(s, 1).n1, 0);
+    const auto fn = make_gemm_executor(s);
+    MatrixI32 a(3, 8, 2), b(8, 1, -1);
+    a.at(1, 4) = 300;
+    expect_exact(fn, a, b);
+    MatrixI32 a_pos(3, 8, 2), b_pos(8, 1, 1);
+    a_pos.at(1, 4) = 600;
+    expect_exact(fn, a_pos, b_pos);
+  }
+}
+
+TEST(ExecutorContract, BOutsideLayoutRangeThrows) {
+  // Every column of B is checked, not only the INT slice's: column 0 is an
+  // INT column, column 14 a TC column (an FP column for IC+FC).
+  for (const Strategy s : kSplitStrategies) {
+    SCOPED_TRACE(strategy_name(s));
+    const auto fn = make_gemm_executor(s);
+    const auto r = int_slice_range(s);
+    for (const int col : {0, 14}) {
+      SCOPED_TRACE(col);
+      MatrixI32 a(3, 8, 2), b(8, 15, -1), b_pos(8, 15, 1);
+      for (const int v : {r.lo, r.hi}) {
+        b.at(5, col) = v;
+        expect_exact(fn, a, b);
+      }
+      for (const int v : {r.lo - 1, r.hi + 1}) {
+        b.at(5, col) = v;
+        EXPECT_THROW(fn(a, b), CheckError) << v;
+      }
+      b_pos.at(5, col) = r.hi_unsigned;
+      expect_exact(fn, a, b_pos);
+      b_pos.at(5, col) = r.hi_unsigned + 1;
+      EXPECT_THROW(fn(a, b_pos), CheckError);
+    }
+  }
+}
+
+TEST(ExecutorContract, FpBoundThrowsAtTwoToThe24) {
+  // max|a| * max|b| * K = 128 * 128 * K reaches 2^24 at K = 1024.
+  for (const int k : {1023, 1024}) {
+    SCOPED_TRACE(k);
+    const MatrixI32 a(2, k, -128), b(k, 15, -128);
+    for (const Strategy s : kFpStrategies) {
+      SCOPED_TRACE(strategy_name(s));
+      if (k == 1024)
+        EXPECT_THROW(make_gemm_executor(s)(a, b), CheckError);
+      else
+        expect_exact(make_gemm_executor(s), a, b);
+    }
+    if (k == 1024)
+      EXPECT_THROW(make_gemm_executor(Strategy::kFC)(a, b), CheckError);
+    else
+      expect_exact(make_gemm_executor(Strategy::kFC), a, b);
+    // No FP units, no bound.
+    for (const Strategy s : {Strategy::kTC, Strategy::kIC, Strategy::kTacker})
+      expect_exact(make_gemm_executor(s), a, b);
+  }
+}
+
+TEST(ExecutorContract, FpBoundCoversOnlyFpColumns) {
+  // Large values in the INT and TC columns only: the bound over all of B
+  // would be 2^24, over the FP columns 128 * 1 * 1024.
+  const int k = 1024, n = 15;
+  const MatrixI32 a(2, k, -128);
+  for (const Strategy s : kFpStrategies) {
+    SCOPED_TRACE(strategy_name(s));
+    const auto w = executor_widths(s, n);
+    ASSERT_GT(w.n2, 0);
+    MatrixI32 b(k, n, -128);
+    for (int r = 0; r < k; ++r)
+      for (int c = w.n1; c < w.n1 + w.n2; ++c) b.at(r, c) = 1;
+    expect_exact(make_gemm_executor(s), a, b);
+    b.at(7, w.n1 + w.n2 - 1) = -128;
+    EXPECT_THROW(make_gemm_executor(s)(a, b), CheckError);
+    EXPECT_THROW(make_gemm_executor(Strategy::kFC)(a, b), CheckError)
+        << "FC checks all of B";
+  }
+}
+
+TEST(FpSlice, FloatGemmIsExactNearTheBound) {
+  // The FP units' arithmetic: fp32 operands, exact while max|a| * max|b|
+  // * K < 2^24. Row 0 of A and columns 0 and 1 of B are at the extremes,
+  // so c(0, 0) and c(0, 1) are partial sums at 0.74 of 2^24.
+  Rng rng(11);
+  const int k = 768;
+  MatrixI32 a(5, k), b(k, 9);
+  fill_uniform(a, rng, -127, 127);
+  fill_uniform(b, rng, -127, 127);
+  for (int i = 0; i < k; ++i) {
+    a.at(0, i) = 127;
+    b.at(i, 0) = 127;
+    b.at(i, 1) = -127;
+  }
+  ASSERT_GE(127.0 * 127.0 * k, 0.7 * 16777216.0);
+  ASSERT_LT(127.0 * 127.0 * k, 16777216.0);
+  const MatrixI32 ref = gemm_ref_int(a, b);
+  for (const SimdLevel level : kAllLevels) {
+    SCOPED_TRACE(simd_level_name(level));
+    ScopedSimdLevel force(level);
+    const MatrixF32 cf = gemm_f32(convert<float>(a), convert<float>(b));
+    MatrixI32 c(cf.rows(), cf.cols());
+    for (std::size_t i = 0; i < cf.size(); ++i)
+      c.flat()[i] = static_cast<std::int32_t>(std::llround(cf.flat()[i]));
+    EXPECT_EQ(c, ref);
+    EXPECT_EQ(gemm_int(a, b), ref);
+  }
+}
 
 TEST(Strategy, Table3Properties) {
   EXPECT_TRUE(uses_tensor_cores(Strategy::kTC));
