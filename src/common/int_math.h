@@ -16,12 +16,12 @@ constexpr T ceil_div(T a, T b) {
   static_assert(std::is_integral_v<T>);
   VITBIT_DCHECK(b > 0);
   VITBIT_DCHECK(a >= 0);
-  return (a + b - 1) / b;
+  return (a + (b - 1)) / b;
 }
 
 // Rounds `a` up to the next multiple of `b`. The result never exceeds
-// a + b - 1, so guarding the intermediate a + b - 1 in ceil_div also
-// guards the multiply back up.
+// a + (b - 1), so guarding that intermediate sum in ceil_div also guards
+// the multiply back up.
 template <typename T>
 constexpr T round_up(T a, T b) {
   static_assert(std::is_integral_v<T>);
