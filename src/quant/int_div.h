@@ -19,4 +19,19 @@ std::int64_t int_reciprocal(std::int64_t d, int frac_bits);
 // final correction step that makes the result exact (never off by one).
 std::int64_t int_div_rounded(std::int64_t n, std::int64_t d);
 
+// A divisor d >= 1 with its fixed-point reciprocal, for dividing many
+// numerators by one d (a softmax row by its sum): the Newton steps run
+// once, in the constructor, and each division keeps the exact correction.
+class IntDivisor {
+ public:
+  explicit IntDivisor(std::int64_t d);
+
+  // round(n / d) for n >= 0; equals int_div_rounded(n, d).
+  std::int64_t div_rounded(std::int64_t n) const;
+
+ private:
+  std::int64_t d_;
+  std::int64_t recip_;
+};
+
 }  // namespace vitbit::quant

@@ -87,12 +87,11 @@ MatrixI32 poly_softmax(const MatrixI32& logits, int in_fb, int out_bits) {
       sum += e[static_cast<std::size_t>(c)];
     }
     VITBIT_DCHECK(sum > 0);
-    for (int c = 0; c < logits.cols(); ++c) {
-      out.at(r, c) = static_cast<std::int32_t>(int_div_rounded(
-          static_cast<std::int64_t>(e[static_cast<std::size_t>(c)])
-              << out_bits,
-          sum));
-    }
+    const IntDivisor div(sum);
+    const auto out_row = out.row(r);
+    for (std::size_t c = 0; c < e.size(); ++c)
+      out_row[c] = static_cast<std::int32_t>(
+          div.div_rounded(static_cast<std::int64_t>(e[c]) << out_bits));
   }
   return out;
 }

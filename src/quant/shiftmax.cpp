@@ -26,14 +26,14 @@ MatrixI32 shiftmax(const MatrixI32& logits, int in_fb, int out_bits) {
       sum += e[static_cast<std::size_t>(c)];
     }
     VITBIT_DCHECK(sum > 0);  // the max element contributes 2^in_fb
-    for (int c = 0; c < logits.cols(); ++c) {
-      // Integer-only normalization: Newton-reciprocal division (GPUs have
-      // no integer divider; see quant/int_div.h).
-      out.at(r, c) = static_cast<std::int32_t>(int_div_rounded(
-          static_cast<std::int64_t>(e[static_cast<std::size_t>(c)])
-              << out_bits,
-          sum));
-    }
+    // Integer-only normalization: one Newton reciprocal of the row sum
+    // (GPUs have no integer divider; see quant/int_div.h), then an exact
+    // rounded quotient per element.
+    const IntDivisor div(sum);
+    const auto out_row = out.row(r);
+    for (std::size_t c = 0; c < e.size(); ++c)
+      out_row[c] = static_cast<std::int32_t>(
+          div.div_rounded(static_cast<std::int64_t>(e[c]) << out_bits));
   }
   return out;
 }

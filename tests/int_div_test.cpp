@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "quant/int_div.h"
 
@@ -20,6 +22,21 @@ TEST(IntReciprocal, PowersOfTwoExact) {
   for (int p = 0; p <= 20; ++p)
     EXPECT_EQ(int_reciprocal(std::int64_t{1} << p, 24),
               std::int64_t{1} << (24 - p));
+}
+
+TEST(IntReciprocal, DivisorsPastOneRoundToOneOrZero) {
+  // round(2^30 / d) for d > 2^30: 1 up to 2^31 (half rounds up), then 0.
+  EXPECT_EQ(int_reciprocal(std::int64_t{1} << 30, 30), 1);
+  EXPECT_EQ(int_reciprocal((std::int64_t{1} << 30) + 1, 30), 1);
+  EXPECT_EQ(int_reciprocal(std::int64_t{1} << 31, 30), 1);
+  EXPECT_EQ(int_reciprocal((std::int64_t{1} << 31) + 1, 30), 0);
+  for (int p = 32; p <= 62; p += 10)
+    EXPECT_EQ(int_reciprocal(std::int64_t{1} << p, 30), 0) << p;
+  EXPECT_EQ(int_div_rounded(std::int64_t{1} << 48, std::int64_t{1} << 32),
+            std::int64_t{1} << 16);
+  EXPECT_EQ(int_div_rounded(3 * (std::int64_t{1} << 40) + 1,
+                            std::int64_t{1} << 33),
+            384);
 }
 
 TEST(IntDivRounded, MatchesRoundedDivision) {
@@ -60,6 +77,30 @@ TEST(IntDivRounded, RejectsBadArguments) {
   EXPECT_THROW(int_div_rounded(-1, 2), CheckError);
   EXPECT_THROW(int_div_rounded(1, 0), CheckError);
   EXPECT_THROW(int_reciprocal(0, 20), CheckError);
+  EXPECT_THROW(IntDivisor(0), CheckError);
+  EXPECT_THROW(IntDivisor(3).div_rounded(-1), CheckError);
+}
+
+TEST(IntDivisor, MatchesIntDivRounded) {
+  // One reciprocal per divisor, reused for every numerator: seeded pairs
+  // over the softmax ranges and beyond, numerators up to 2^48. (Past about
+  // 2^36 the quotient's correction takes up to n / 2^31 steps in both
+  // forms, so only the powers of two go that far.)
+  Rng rng(3);
+  std::vector<std::int64_t> divisors = {1, 2, 3, 7, 1000003};
+  for (int p = 0; p <= 40; p += 5) divisors.push_back(std::int64_t{1} << p);
+  for (int i = 0; i < 40; ++i) divisors.push_back(rng.range(1, 1 << 22));
+  for (const std::int64_t d : divisors) {
+    const IntDivisor div(d);
+    std::vector<std::int64_t> numerators = {0, 1, d - 1, d, 2 * d + d / 2};
+    for (int p = 0; p <= 48; p += 8) numerators.push_back(std::int64_t{1} << p);
+    for (int i = 0; i < 20; ++i) {
+      const int bits = static_cast<int>(rng.range(1, 36));
+      numerators.push_back(rng.range(0, (std::int64_t{1} << bits) - 1));
+    }
+    for (const std::int64_t n : numerators)
+      ASSERT_EQ(div.div_rounded(n), int_div_rounded(n, d)) << n << " / " << d;
+  }
 }
 
 }  // namespace
