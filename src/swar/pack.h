@@ -29,6 +29,9 @@ class PackedMatrix {
  public:
   PackedMatrix() = default;
   PackedMatrix(const MatrixI32& b, const LaneLayout& layout);
+  // Packs columns [c0, c1) of `b` straight from its rows: the same words
+  // as PackedMatrix(slice_cols(b, c0, c1), layout), without the copy.
+  PackedMatrix(const MatrixI32& b, int c0, int c1, const LaneLayout& layout);
 
   const LaneLayout& layout() const { return layout_; }
   int rows() const { return words_.rows(); }          // K

@@ -8,6 +8,11 @@
 // < K * 2^14; as long as that stays below 2^24, each fp32 FFMA result is
 // exactly representable and the float path is *bit-exact*, not approximate.
 // vitbit_gemm verifies the bound and refuses otherwise.
+//
+// This and preprocess.h are the paper's Algorithm 1/2 API, called by
+// examples/preprocessing_tour, the tests and the benchmark's replay. The
+// strategy executors (executors.h) check the same unit conditions but no
+// longer call it per GEMM.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,11 @@
 //   N1 = (N - N3) * n / (1 + n), rounded to a multiple of the packing
 //        factor                                — packed INT share (Eq. 1)
 //   N2 = N - N3 - N1                           — FP share
+//
+// The strategy executors (executors.h) use split_widths for their column
+// ranges but no longer build the preprocessed operands per GEMM;
+// input_preprocessing and weight_preprocessing serve Algorithm 2's
+// vitbit_gemm (fused_gemm.h).
 #pragma once
 
 #include "swar/pack.h"

@@ -124,6 +124,31 @@ TEST_P(PackedMatrixRoundTrip, UnpackRecoversOriginal) {
   EXPECT_EQ(p.unpack(), b) << l.to_string();
 }
 
+TEST_P(PackedMatrixRoundTrip, ColumnRangeMatchesPackedSlice) {
+  const auto [bits, mode] = GetParam();
+  const auto l = paper_policy_layout(bits, mode);
+  Rng rng(17 + bits);
+  MatrixI32 b(9, 13);
+  fill_uniform(b, rng, l.value_min(), l.value_max());
+  const int ranges[][2] = {{0, 13}, {0, 5}, {1, 8}, {2, 13},
+                           {0, 0}, {6, 6}, {13, 13}};
+  for (const auto& [c0, c1] : ranges) {
+    SCOPED_TRACE(::testing::Message() << "[" << c0 << ", " << c1 << ")");
+    const PackedMatrix p(b, c0, c1, l);
+    const PackedMatrix q(slice_cols(b, c0, c1), l);
+    ASSERT_EQ(p.rows(), q.rows());
+    ASSERT_EQ(p.packed_cols(), q.packed_cols());
+    EXPECT_EQ(p.orig_cols(), q.orig_cols());
+    EXPECT_EQ(p.layout(), q.layout());
+    for (int k = 0; k < p.rows(); ++k)
+      for (int pc = 0; pc < p.packed_cols(); ++pc)
+        EXPECT_EQ(p.word(k, pc), q.word(k, pc)) << k << "," << pc;
+  }
+  EXPECT_THROW(PackedMatrix(b, 5, 4, l), CheckError);
+  EXPECT_THROW(PackedMatrix(b, -1, 4, l), CheckError);
+  EXPECT_THROW(PackedMatrix(b, 0, 14, l), CheckError);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllBitwidthsAndModes, PackedMatrixRoundTrip,
     ::testing::Combine(::testing::Values(2, 4, 5, 6, 8, 9),
