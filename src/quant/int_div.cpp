@@ -42,7 +42,7 @@ constexpr int kDivFracBits = 30;
 std::int64_t int_div_rounded(std::int64_t n, std::int64_t d) {
   VITBIT_CHECK(n >= 0);
   VITBIT_CHECK(d >= 1);
-  if (n == 0) return 0;
+  if (n == 0) return 0;  // skips the reciprocal
   return IntDivisor(d).div_rounded(n);
 }
 
@@ -51,6 +51,7 @@ IntDivisor::IntDivisor(std::int64_t d)
 
 std::int64_t IntDivisor::div_rounded(std::int64_t n) const {
   VITBIT_CHECK(n >= 0);
+  if (n == 0) return 0;  // common in softmax rows: exps that underflow
   // Approximate quotient, then exact correction by at most a few steps
   // (the reciprocal is within a couple of ULPs).
   std::int64_t q = static_cast<std::int64_t>(
