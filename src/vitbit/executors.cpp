@@ -94,9 +94,9 @@ MatrixI32 split_gemm(const MatrixI32& a, const MatrixI32& b, int m_ratio,
   // of every transformer layer — unsigned lanes apply: no offset encoding,
   // larger accumulation budgets, longer tiles.
   const bool non_negative = r.a.lo >= 0 && r.b.lo >= 0;
-  const auto layout = swar::paper_policy_layout(
-      bits,
-      non_negative ? swar::LaneMode::kUnsigned : swar::LaneMode::kTopSigned);
+  const auto mode =
+      non_negative ? swar::LaneMode::kUnsigned : swar::LaneMode::kTopSigned;
+  const auto layout = swar::paper_policy_layout(bits, mode);
 
   // Every column of B must fit the INT slice's layout, and with INT
   // columns present A's values are its scalars.
@@ -105,8 +105,7 @@ MatrixI32 split_gemm(const MatrixI32& a, const MatrixI32& b, int m_ratio,
                    "matrix value " << b_out << " does not fit layout "
                                    << layout.to_string());
   if (w.n1 > 0) {
-    const std::int32_t a_out =
-        r.a.lo < layout.scalar_min() ? r.a.lo : r.a.hi;
+    const std::int32_t a_out = r.a.lo < layout.scalar_min() ? r.a.lo : r.a.hi;
     VITBIT_CHECK_MSG(
         r.a.lo >= layout.scalar_min() && r.a.hi <= layout.scalar_max(),
         "scalar " << a_out << " out of range for " << layout.to_string());

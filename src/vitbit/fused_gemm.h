@@ -11,8 +11,8 @@
 //
 // This and preprocess.h are the paper's Algorithm 1/2 API, called by
 // examples/preprocessing_tour, the tests and the benchmark's replay. The
-// strategy executors (executors.h) check the same unit conditions but no
-// longer call it per GEMM.
+// strategy executors (executors.h) do not call it per GEMM: they check the
+// same unit conditions and run the exact slices as one gemm_int.
 #pragma once
 
 #include <cstdint>

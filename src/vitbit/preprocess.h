@@ -9,9 +9,9 @@
 //        factor                                — packed INT share (Eq. 1)
 //   N2 = N - N3 - N1                           — FP share
 //
-// The strategy executors (executors.h) use split_widths for their column
-// ranges but no longer build the preprocessed operands per GEMM;
-// input_preprocessing and weight_preprocessing serve Algorithm 2's
+// The strategy executors (executors.h) take their column ranges from
+// split_widths but do not build the preprocessed operands per GEMM;
+// input_preprocessing and weight_preprocessing feed Algorithm 2's
 // vitbit_gemm (fused_gemm.h).
 #pragma once
 
