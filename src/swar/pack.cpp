@@ -83,14 +83,14 @@ PackedMatrix::PackedMatrix(const MatrixI32& b, int c0, int c1,
   VITBIT_CHECK(0 <= c0 && c0 <= c1 && c1 <= b.cols());
   VITBIT_CHECK(layout.valid());
   orig_cols_ = c1 - c0;
-  words_ = Matrix<std::uint32_t>(b.rows(),
-                                 ceil_div(orig_cols_, layout.num_lanes));
+  const int pc_count = ceil_div(orig_cols_, layout.num_lanes);
+  words_ = Matrix<std::uint32_t>(b.rows(), pc_count);
   // Row-at-a-time through the span layer: vectorized on AVX2 machines,
   // identical per-word pack_lanes encoding otherwise.
+  const auto first = static_cast<std::size_t>(c0);
+  const auto count = static_cast<std::size_t>(orig_cols_);
   for (int k = 0; k < b.rows(); ++k)
-    pack_span(b.row(k).subspan(static_cast<std::size_t>(c0),
-                               static_cast<std::size_t>(orig_cols_)),
-              layout, words_.row(k));
+    pack_span(b.row(k).subspan(first, count), layout, words_.row(k));
 }
 
 std::int32_t PackedMatrix::value(int k, int pc, int lane) const {

@@ -40,8 +40,8 @@ struct OperandRanges {
   ValueRange a, b, b_fp;
 };
 
-OperandRanges scan_operands(const MatrixI32& a, const MatrixI32& b,
-                            int fp_c0, int fp_c1) {
+OperandRanges scan_operands(const MatrixI32& a, const MatrixI32& b, int fp_c0,
+                            int fp_c1) {
   const auto c0 = static_cast<std::size_t>(fp_c0);
   const auto c1 = static_cast<std::size_t>(fp_c1);
   OperandRanges r;
@@ -60,8 +60,8 @@ OperandRanges scan_operands(const MatrixI32& a, const MatrixI32& b,
 // The FP units' condition (fused_gemm.h): every fp32 partial sum is an
 // integer below 2^24 in magnitude, so the float product is the integer
 // one.
-void check_fp_exact(const char* path, const ValueRange& a,
-                    const ValueRange& b, int k) {
+void check_fp_exact(const char* path, const ValueRange& a, const ValueRange& b,
+                    int k) {
   const double max_a = a.abs_max(), max_b = b.abs_max();
   VITBIT_CHECK_MSG(max_a * max_b * k < 16777216.0,
                    path << " would exceed exact fp32 integer range: K=" << k
@@ -118,15 +118,14 @@ MatrixI32 split_gemm(const MatrixI32& a, const MatrixI32& b, int m_ratio,
 
   // VitBit: the packed SWAR GEMM on its INT columns, one gemm_int on the
   // FP and TC columns.
-  const MatrixI32 c_int =
-      swar::gemm_packed(a, swar::PackedMatrix(b, 0, w.n1, layout));
+  const swar::PackedMatrix b_int(b, 0, w.n1, layout);
+  const MatrixI32 c_int = swar::gemm_packed(a, b_int);
   const MatrixI32 c_rest = gemm_int(a, slice_cols(b, w.n1, b.cols()));
   MatrixI32 c(a.rows(), b.cols());
   for (int row = 0; row < c.rows(); ++row) {
     const auto out = c.row(row);
-    std::copy(c_int.row(row).begin(), c_int.row(row).end(), out.begin());
-    std::copy(c_rest.row(row).begin(), c_rest.row(row).end(),
-              out.begin() + w.n1);
+    std::ranges::copy(c_int.row(row), out.begin());
+    std::ranges::copy(c_rest.row(row), out.begin() + w.n1);
   }
   return c;
 }

@@ -130,8 +130,7 @@ TEST_P(PackedMatrixRoundTrip, ColumnRangeMatchesPackedSlice) {
   Rng rng(17 + bits);
   MatrixI32 b(9, 13);
   fill_uniform(b, rng, l.value_min(), l.value_max());
-  const int ranges[][2] = {{0, 13}, {0, 5}, {1, 8}, {2, 13},
-                           {0, 0}, {6, 6}, {13, 13}};
+  const int ranges[][2] = {{0, 13}, {1, 8}, {2, 13}, {0, 0}, {6, 6}, {13, 13}};
   for (const auto& [c0, c1] : ranges) {
     SCOPED_TRACE(::testing::Message() << "[" << c0 << ", " << c1 << ")");
     const PackedMatrix p(b, c0, c1, l);

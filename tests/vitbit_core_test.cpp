@@ -288,28 +288,23 @@ TEST(ExecutorContract, BOutsideLayoutRangeThrows) {
 }
 
 TEST(ExecutorContract, FpBoundThrowsAtTwoToThe24) {
-  // max|a| * max|b| * K = 128 * 128 * K reaches 2^24 at K = 1024. At
-  // N = 1 the FP executors have no INT column (n1 = 0), only FP ones.
+  // max|a| * max|b| * K = 128 * 128 * K reaches 2^24 at K = 1024; only
+  // executors with FP units check it. At N = 1 the split executors have no
+  // INT column (n1 = 0), only FP ones.
   for (const int n : {15, 1}) {
+    for (const Strategy s : kFpStrategies)
+      ASSERT_GT(executor_widths(s, n).n2, 0);
     for (const int k : {1023, 1024}) {
       SCOPED_TRACE(::testing::Message() << "N=" << n << " K=" << k);
       const MatrixI32 a(2, k, -128), b(k, n, -128);
-      for (const Strategy s : kFpStrategies) {
+      for (const Strategy s : all_strategies()) {
         SCOPED_TRACE(strategy_name(s));
-        ASSERT_GT(executor_widths(s, n).n2, 0);
-        if (k == 1024)
-          EXPECT_THROW(make_gemm_executor(s)(a, b), CheckError);
+        const auto fn = make_gemm_executor(s);
+        if (k == 1024 && uses_fp_cuda_cores(s))
+          EXPECT_THROW(fn(a, b), CheckError);
         else
-          expect_exact(make_gemm_executor(s), a, b);
+          expect_exact(fn, a, b);
       }
-      if (k == 1024)
-        EXPECT_THROW(make_gemm_executor(Strategy::kFC)(a, b), CheckError);
-      else
-        expect_exact(make_gemm_executor(Strategy::kFC), a, b);
-      // No FP units, no bound.
-      for (const Strategy s :
-           {Strategy::kTC, Strategy::kIC, Strategy::kTacker})
-        expect_exact(make_gemm_executor(s), a, b);
     }
   }
 }
