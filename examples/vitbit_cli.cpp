@@ -8,7 +8,7 @@
 //   vitbit_cli serve  [--rates=... --policy=timeout] serving rate sweep
 //
 // Every subcommand accepts --threads=N (default: hardware_concurrency,
-// 1 = serial) and --gemm=ref|blocked|simd to pick the host GEMM engine (same
+// 1 = serial) and --gemm=ref|simd to pick the host GEMM engine (same
 // override as the VITBIT_GEMM env var; both engines are bit-identical).
 // Simulated results are identical for every N.
 #include <chrono>
@@ -412,9 +412,8 @@ int run(int argc, char** argv) {
                "  all subcommands: --threads=N  host threads for the\n"
                "         simulation fan-out (default: all cores, 1=serial;\n"
                "         simulated results are identical for every N)\n"
-               "         --gemm=ref|blocked|simd  host GEMM engine\n"
-               "         (default: simd when the CPU supports it, else\n"
-               "         blocked; same as VITBIT_GEMM; bit-identical)\n"
+               "         --gemm=ref|simd  host GEMM engine (default:\n"
+               "         simd; same as VITBIT_GEMM; bit-identical)\n"
                "         --simd-level=none|sse|avx2  cap the simd engine's\n"
                "         microkernel tier (same as VITBIT_SIMD_LEVEL;\n"
                "         clamped to what the CPU supports; bit-identical)\n";

@@ -13,8 +13,8 @@ namespace vitbit::nn {
 // C (MxN int32 accumulators) = A (MxK activations) * B (KxN weights).
 using GemmFn = std::function<MatrixI32(const MatrixI32&, const MatrixI32&)>;
 
-// Plain integer MACs through the engine dispatcher: the blocked host
-// engine by default, the gemm_ref_int triple loop under VITBIT_GEMM=ref.
+// Plain integer MACs through the engine dispatcher: the simd host engine
+// by default, the gemm_ref_int triple loop under VITBIT_GEMM=ref.
 // Both produce bit-identical accumulators, so this stays the semantic
 // baseline the strategy executors are tested against.
 inline GemmFn reference_gemm() {

@@ -260,7 +260,7 @@ void compare_gemm_point(std::vector<MetricDelta>& out,
   compare_metric(out, p + "k", base.k, fresh.k, 0.0);
   compare_metric(out, p + "n", base.n, fresh.n, 0.0);
   compare_metric(out, p + "repeats", base.repeats, fresh.repeats, 0.0);
-  // Bit-identity contract: the blocked engine must match the reference
+  // Bit-identity contract: the measured engine must match the reference
   // exactly, on every machine, at every thread count. No tolerance.
   compare_metric(out, p + "max_abs_diff", base.max_abs_diff,
                  fresh.max_abs_diff, 0.0);

@@ -111,8 +111,6 @@ const SimLoopPointReport* RunReport::find_sim_loop_point(
 }
 
 std::string GemmPointReport::key() const {
-  // Pre-minor-6 documents carry engine == "blocked", so their keys gain
-  // the same suffix a fresh blocked measurement produces.
   return name + "." + dtype + "." + engine;
 }
 

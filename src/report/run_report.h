@@ -245,9 +245,10 @@ struct FleetSchedPointReport {
   std::string key() const;
 };
 
-// One (shape, dtype, engine) point of a host-GEMM engine sweep
-// (bench/host_gemm, tensor/gemm_timing.h): a candidate engine (blocked or
-// simd) timed against the reference triple loop. gflops/ref_gflops/
+// One (shape, dtype, engine) point of a host-GEMM sweep (bench/host_gemm,
+// tensor/gemm_timing.h): the simd engine timed against the reference
+// triple loop, at the active SIMD tier ("simd") or, in check_regression's
+// host_gemm gate, forced to tier none ("simd-none"). gflops/ref_gflops/
 // speedup and simd_level are machine-dependent and are zeroed/cleared in
 // checked-in baselines; the gate instead enforces max_abs_diff == 0
 // (bit-identity) and fresh speedup >= the baseline's min_speedup floor.
@@ -255,8 +256,8 @@ struct FleetSchedPointReport {
 struct GemmPointReport {
   std::string name;    // workload label, e.g. "layer0.attn.qkv"
   std::string dtype;   // "int32" | "f32"
-  std::string engine;  // engine measured against the reference:
-                       // "blocked" | "simd"
+  std::string engine;  // what was measured against the reference:
+                       // "simd" | "simd-none"
   // SIMD tier the simd engine ran at ("none" | "sse" | "avx2"; schema
   // minor 6). Machine-dependent — recorded for humans reading fresh
   // reports, cleared in baselines and never gated on.

@@ -164,6 +164,9 @@ std::vector<double> parse_fraction_list(const std::string& spec,
   double sum = 0.0;
   for (const double v : out) sum += v;
   VITBIT_CHECK_MSG(sum > 0.0, what << " list sums to zero: " << spec);
+  // Callers divide by the sum: an overflowed one makes every share 0.
+  VITBIT_CHECK_MSG(std::isfinite(sum),
+                   what << " list sum overflows a double: " << spec);
   return out;
 }
 

@@ -132,9 +132,9 @@ std::vector<std::string> parse_name_list(const std::string& spec,
 std::vector<double> parse_weight_list(const std::string& spec);
 
 // Mix fractions (traffic shares, per-model mixes): finite nonnegative
-// numbers summing to > 0; callers normalize. NaN/inf propagated into a
-// cumulative mix draw would silently skew every class, so finiteness is
-// checked per entry with a clear error.
+// numbers whose sum is finite and > 0; callers normalize. NaN/inf
+// propagated into a cumulative mix draw would silently skew every class,
+// so finiteness is checked per entry and for the sum with a clear error.
 std::vector<double> parse_fraction_list(const std::string& spec,
                                         const char* what);
 

@@ -133,10 +133,12 @@ void MixedWorkloadConfig::validate() const {
   VITBIT_CHECK_MSG(positive_finite(duration_s),
                    "mixed workload duration must be positive finite");
   VITBIT_CHECK_MSG(num_models >= 1, "mixed workload needs >= 1 model");
+  double share_sum = 0.0;
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const auto& cls = classes[c];
     VITBIT_CHECK_MSG(positive_finite(cls.rate_share),
                      "class " << c << " rate share must be positive finite");
+    share_sum += cls.rate_share;
     VITBIT_CHECK_MSG(cls.kind != ArrivalKind::kBursty ||
                          (positive_finite(cls.burst_on_s) &&
                           positive_finite(cls.burst_off_s)),
@@ -156,7 +158,17 @@ void MixedWorkloadConfig::validate() const {
         sum += v;
       }
       VITBIT_CHECK_MSG(sum > 0.0, "class " << c << " model mix sums to zero");
+      VITBIT_CHECK_MSG(std::isfinite(sum),
+                       "class " << c << " model mix sum overflows a double");
     }
+  }
+  // The per-class rates MixedWorkloadStream derives: a rate-share sum or a
+  // rate x share that overflows leaves no positive finite rate.
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const double rate = rate_rps * classes[c].rate_share / share_sum;
+    VITBIT_CHECK_MSG(positive_finite(rate),
+                     "class " << c << " rate share gives rate " << rate
+                              << " (rate shares sum to " << share_sum << ")");
   }
 }
 

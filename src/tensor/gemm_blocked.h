@@ -1,5 +1,7 @@
-// Blocked host GEMM engine: cache-tiled, panel-packed matrix products that
-// are bit-identical to the gemm_ref_* triple loops (tensor/gemm_ref.h).
+// Blocked host GEMM: cache-tiled, panel-packed matrix products that are
+// bit-identical to the gemm_ref_* triple loops (tensor/gemm_ref.h). The
+// simd engine (tensor/gemm_simd.h), the dispatcher's default, runs this
+// macro-loop at every SIMD tier and these scalar tiles at tier none.
 //
 // Decomposition (the BLIS/GotoBLAS scheme, reduced to what bit-identity
 // permits): B is packed once into contiguous column panels of width kGemmNr,
@@ -7,12 +9,11 @@
 // k dimension is traversed *in full and in order* inside each tile so every
 // output element accumulates its products in exactly the reference order.
 // Integer tiles accumulate in int64, float tiles in double — the same
-// widths as the references — so the blocked engine can replace them as the
-// default (tensor/gemm_dispatch.h) with the references kept as the oracle.
+// widths as the references, which stay the oracle.
 //
 // The macro-loop (panel packing, row-task fan-out, edge handling, overflow
 // checks) is factored into detail::gemm_int_panels / gemm_f32_panels,
-// parameterized on the full-tile microkernel: the blocked engine passes the
+// parameterized on the full-tile microkernel: gemm_blocked_* pass the
 // scalar tiles below, the simd engine (tensor/gemm_simd.h) passes AVX2 or
 // SSE4.1 microkernels that compute the *same* per-element recurrence, so
 // every engine shares one set of checks and one traversal order. (The

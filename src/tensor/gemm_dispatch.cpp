@@ -3,10 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "tensor/gemm_blocked.h"
 #include "tensor/gemm_ref.h"
 #include "tensor/gemm_simd.h"
-#include "tensor/simd_level.h"
 
 namespace vitbit {
 
@@ -14,9 +12,7 @@ namespace {
 
 GemmEngine engine_from_env() {
   const char* env = std::getenv("VITBIT_GEMM");
-  if (env == nullptr || *env == '\0')
-    return active_simd_level() == SimdLevel::kNone ? GemmEngine::kBlocked
-                                                   : GemmEngine::kSimd;
+  if (env == nullptr || *env == '\0') return GemmEngine::kSimd;
   return gemm_engine_from_string(env);
 }
 
@@ -28,28 +24,19 @@ std::atomic<GemmEngine>& engine_slot() {
 }  // namespace
 
 const char* gemm_engine_name(GemmEngine engine) {
-  switch (engine) {
-    case GemmEngine::kRef:
-      return "ref";
-    case GemmEngine::kBlocked:
-      return "blocked";
-    case GemmEngine::kSimd:
-      return "simd";
-  }
-  return "blocked";
+  return engine == GemmEngine::kRef ? "ref" : "simd";
 }
 
 GemmEngine gemm_engine_from_string(const std::string& name) {
   if (name == "ref") return GemmEngine::kRef;
-  if (name == "blocked") return GemmEngine::kBlocked;
   if (name == "simd") return GemmEngine::kSimd;
   VITBIT_CHECK_MSG(false, "unknown GEMM engine '" << name << "' (valid: "
                                                   << gemm_engine_names()
                                                   << ")");
-  return GemmEngine::kBlocked;
+  return GemmEngine::kSimd;
 }
 
-const char* gemm_engine_names() { return "ref|blocked|simd"; }
+const char* gemm_engine_names() { return "ref|simd"; }
 
 GemmEngine default_gemm_engine() {
   return engine_slot().load(std::memory_order_relaxed);
@@ -60,27 +47,13 @@ void set_default_gemm_engine(GemmEngine engine) {
 }
 
 MatrixI32 gemm_int(const MatrixI32& a, const MatrixI32& b, ThreadPool* pool) {
-  switch (default_gemm_engine()) {
-    case GemmEngine::kRef:
-      return gemm_ref_int(a, b);
-    case GemmEngine::kBlocked:
-      return gemm_blocked_int(a, b, pool);
-    case GemmEngine::kSimd:
-      return gemm_simd_int(a, b, pool);
-  }
-  return gemm_blocked_int(a, b, pool);
+  if (default_gemm_engine() == GemmEngine::kRef) return gemm_ref_int(a, b);
+  return gemm_simd_int(a, b, pool);
 }
 
 MatrixF32 gemm_f32(const MatrixF32& a, const MatrixF32& b, ThreadPool* pool) {
-  switch (default_gemm_engine()) {
-    case GemmEngine::kRef:
-      return gemm_ref_f32(a, b);
-    case GemmEngine::kBlocked:
-      return gemm_blocked_f32(a, b, pool);
-    case GemmEngine::kSimd:
-      return gemm_simd_f32(a, b, pool);
-  }
-  return gemm_blocked_f32(a, b, pool);
+  if (default_gemm_engine() == GemmEngine::kRef) return gemm_ref_f32(a, b);
+  return gemm_simd_f32(a, b, pool);
 }
 
 }  // namespace vitbit

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/rng.h"
-#include "tensor/gemm_blocked.h"
 #include "tensor/gemm_ref.h"
 #include "tensor/gemm_simd.h"
 
@@ -33,25 +32,39 @@ double best_of(int repeats, Out& out, const Fn& fn) {
   return best;
 }
 
-// The reference once, then every engine against it: one reference output
-// is every engine's bit-identity oracle, one reference time every
-// engine's speedup denominator.
-template <typename Mat, typename RefFn, typename EngineFn>
+// Forces the simd engine's tier for one scope. Forcing the tier that was
+// active before puts back the previous state as every caller sees it:
+// active = min(detected, requested), and that minimum is a fixed point.
+class ForcedSimdLevel {
+ public:
+  explicit ForcedSimdLevel(SimdLevel level) { set_simd_level_override(level); }
+  ~ForcedSimdLevel() { set_simd_level_override(saved_); }
+  ForcedSimdLevel(const ForcedSimdLevel&) = delete;
+  ForcedSimdLevel& operator=(const ForcedSimdLevel&) = delete;
+
+ private:
+  SimdLevel saved_ = active_simd_level();
+};
+
+// The reference once, then the simd engine at every tier against it: one
+// reference output is every tier's bit-identity oracle, one reference time
+// every tier's speedup denominator.
+template <typename Mat, typename RefFn, typename SimdFn>
 std::vector<GemmMeasurement> measure(const GemmShapeSpec& shape, int repeats,
-                                     std::span<const GemmEngine> engines,
+                                     std::span<const SimdLevel> levels,
                                      const Mat& a, const Mat& b,
-                                     const RefFn& ref, const EngineFn& engine) {
+                                     const RefFn& ref, const SimdFn& simd) {
   VITBIT_CHECK(repeats >= 1);
   Mat c_ref;
   const double ref_seconds = best_of(repeats, c_ref, [&] { return ref(a, b); });
   std::vector<GemmMeasurement> out;
-  out.reserve(engines.size());
-  for (const GemmEngine e : engines) {
+  out.reserve(levels.size());
+  for (const SimdLevel level : levels) {
+    const ForcedSimdLevel force(level);
     GemmMeasurement m;
     Mat c_engine;
     m.ref_seconds = ref_seconds;
-    m.engine_seconds =
-        best_of(repeats, c_engine, [&] { return engine(e, a, b); });
+    m.engine_seconds = best_of(repeats, c_engine, [&] { return simd(a, b); });
     m.ref_gflops = gflops(shape, m.ref_seconds);
     m.engine_gflops = gflops(shape, m.engine_seconds);
     m.speedup = m.ref_gflops > 0.0 ? m.engine_gflops / m.ref_gflops : 0.0;
@@ -61,65 +74,39 @@ std::vector<GemmMeasurement> measure(const GemmShapeSpec& shape, int repeats,
   return out;
 }
 
-MatrixI32 run_engine_int(GemmEngine engine, const MatrixI32& a,
-                         const MatrixI32& b, ThreadPool* pool) {
-  switch (engine) {
-    case GemmEngine::kRef:
-      return gemm_ref_int(a, b);
-    case GemmEngine::kBlocked:
-      return gemm_blocked_int(a, b, pool);
-    case GemmEngine::kSimd:
-      return gemm_simd_int(a, b, pool);
-  }
-  return gemm_blocked_int(a, b, pool);
-}
-
-MatrixF32 run_engine_f32(GemmEngine engine, const MatrixF32& a,
-                         const MatrixF32& b, ThreadPool* pool) {
-  switch (engine) {
-    case GemmEngine::kRef:
-      return gemm_ref_f32(a, b);
-    case GemmEngine::kBlocked:
-      return gemm_blocked_f32(a, b, pool);
-    case GemmEngine::kSimd:
-      return gemm_simd_f32(a, b, pool);
-  }
-  return gemm_blocked_f32(a, b, pool);
-}
-
 }  // namespace
 
 std::vector<GemmMeasurement> measure_gemm_int(
     const GemmShapeSpec& shape, int repeats, std::uint64_t seed,
-    ThreadPool* pool, std::span<const GemmEngine> engines) {
+    ThreadPool* pool, std::span<const SimdLevel> levels) {
   Rng rng(seed);
   MatrixI32 a(shape.m, shape.k), b(shape.k, shape.n);
   fill_uniform(a, rng, -127, 127);
   fill_uniform(b, rng, -127, 127);
   return measure(
-      shape, repeats, engines, a, b,
+      shape, repeats, levels, a, b,
       [](const MatrixI32& x, const MatrixI32& y) {
         return gemm_ref_int(x, y);
       },
-      [pool](GemmEngine engine, const MatrixI32& x, const MatrixI32& y) {
-        return run_engine_int(engine, x, y, pool);
+      [pool](const MatrixI32& x, const MatrixI32& y) {
+        return gemm_simd_int(x, y, pool);
       });
 }
 
 std::vector<GemmMeasurement> measure_gemm_f32(
     const GemmShapeSpec& shape, int repeats, std::uint64_t seed,
-    ThreadPool* pool, std::span<const GemmEngine> engines) {
+    ThreadPool* pool, std::span<const SimdLevel> levels) {
   Rng rng(seed);
   MatrixF32 a(shape.m, shape.k), b(shape.k, shape.n);
   for (auto& v : a.flat()) v = static_cast<float>(rng.normal());
   for (auto& v : b.flat()) v = static_cast<float>(rng.normal());
   return measure(
-      shape, repeats, engines, a, b,
+      shape, repeats, levels, a, b,
       [](const MatrixF32& x, const MatrixF32& y) {
         return gemm_ref_f32(x, y);
       },
-      [pool](GemmEngine engine, const MatrixF32& x, const MatrixF32& y) {
-        return run_engine_f32(engine, x, y, pool);
+      [pool](const MatrixF32& x, const MatrixF32& y) {
+        return gemm_simd_f32(x, y, pool);
       });
 }
 

@@ -1,7 +1,7 @@
 // Host SIMD capability tiers for the runtime-dispatched GEMM and SWAR
 // kernels. A level names the widest instruction set a kernel may use:
 //
-//   kNone  — portable scalar code only (the blocked engine's tiles).
+//   kNone  — portable scalar code only (the tiles of gemm_blocked.h).
 //   kSse   — SSE4.1 128-bit microkernels.
 //   kAvx2  — AVX2 256-bit microkernels.
 //

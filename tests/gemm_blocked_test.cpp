@@ -1,9 +1,8 @@
-// The blocked engine's contract (tensor/gemm_blocked.h): bit-identical to
+// The blocked GEMM's contract (tensor/gemm_blocked.h): bit-identical to
 // the gemm_ref_* triple loops on every shape — including ragged edges that
 // exercise the partial-tile kernels — at every thread count, with the same
-// failure behaviour on overflow. Plus the dispatcher (tensor/
-// gemm_dispatch.h) that routes the library's matrix products between the
-// two engines.
+// failure behaviour on overflow. The simd engine runs these tiles at SIMD
+// tier none; the dispatcher's tests are in gemm_simd_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,24 +10,10 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm_blocked.h"
-#include "tensor/gemm_dispatch.h"
 #include "tensor/gemm_ref.h"
 
 namespace vitbit {
 namespace {
-
-// Restores the process-wide engine on scope exit so dispatcher tests can't
-// leak a non-default engine into later tests.
-class ScopedEngine {
- public:
-  explicit ScopedEngine(GemmEngine e) : saved_(default_gemm_engine()) {
-    set_default_gemm_engine(e);
-  }
-  ~ScopedEngine() { set_default_gemm_engine(saved_); }
-
- private:
-  GemmEngine saved_;
-};
 
 TEST(GemmBlocked, BitIdenticalOnRaggedShapesInt) {
   Rng rng(11);
@@ -127,55 +112,10 @@ TEST(GemmBlocked, Int64HeadroomCheckMatchesReference) {
 }
 #endif
 
-TEST(GemmDispatch, EngineNamesRoundTrip) {
-  EXPECT_EQ(gemm_engine_from_string("ref"), GemmEngine::kRef);
-  EXPECT_EQ(gemm_engine_from_string("blocked"), GemmEngine::kBlocked);
-  EXPECT_STREQ(gemm_engine_name(GemmEngine::kRef), "ref");
-  EXPECT_STREQ(gemm_engine_name(GemmEngine::kBlocked), "blocked");
-  EXPECT_THROW(gemm_engine_from_string("fast"), CheckError);
-  EXPECT_THROW(gemm_engine_from_string(""), CheckError);
-}
-
-TEST(GemmDispatch, BothEnginesAgreeThroughDispatcher) {
-  Rng rng(15);
-  MatrixI32 a(9, 33), b(33, 14);
-  fill_uniform(a, rng, -50, 50);
-  fill_uniform(b, rng, -50, 50);
-  MatrixI32 c_ref(0, 0), c_blk(0, 0);
-  {
-    ScopedEngine e(GemmEngine::kRef);
-    EXPECT_EQ(default_gemm_engine(), GemmEngine::kRef);
-    c_ref = gemm_int(a, b);
-  }
-  {
-    ScopedEngine e(GemmEngine::kBlocked);
-    EXPECT_EQ(default_gemm_engine(), GemmEngine::kBlocked);
-    c_blk = gemm_int(a, b);
-  }
-  EXPECT_TRUE(c_ref == c_blk);
-  EXPECT_TRUE(c_ref == gemm_ref_int(a, b));
-}
-
-TEST(GemmDispatch, F32DispatchMatchesReference) {
-  Rng rng(16);
-  MatrixF32 a(6, 40), b(40, 10);
-  for (auto& v : a.flat()) v = static_cast<float>(rng.normal());
-  for (auto& v : b.flat()) v = static_cast<float>(rng.normal());
-  const auto ref = gemm_ref_f32(a, b);
-  {
-    ScopedEngine e(GemmEngine::kBlocked);
-    EXPECT_EQ(max_abs_diff(gemm_f32(a, b), ref), 0.0);
-  }
-  {
-    ScopedEngine e(GemmEngine::kRef);
-    EXPECT_EQ(max_abs_diff(gemm_f32(a, b), ref), 0.0);
-  }
-}
-
 TEST(GemmBlocked, RandomizedPropertySweep) {
   Rng rng(17);
   // 50 random ragged shapes, serial and pooled: the property that makes
-  // the blocked engine safe to be the library-wide default.
+  // the scalar tiles safe to be the simd engine's tier none.
   ThreadPool pool(3);
   for (int trial = 0; trial < 50; ++trial) {
     const int m = static_cast<int>(rng.range(1, 40));

@@ -4,7 +4,7 @@
 // count. VITBIT_SIMD_LEVEL / set_simd_level_override make all tiers
 // testable on any machine (levels above the detected one clamp), so this
 // suite runs the same assertions three times and only the dispatch path
-// differs. Plus the three-engine dispatcher surface: name round-trips,
+// differs. Plus the two-engine dispatcher surface: name round-trips,
 // the error message listing every valid engine, and routing.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "tensor/gemm_dispatch.h"
 #include "tensor/gemm_ref.h"
 #include "tensor/gemm_simd.h"
+#include "tensor/gemm_timing.h"
 #include "tensor/simd_level.h"
 
 namespace vitbit {
@@ -81,7 +82,7 @@ TEST(SimdLevel, OverrideClampsToDetected) {
 
 TEST(GemmSimd, BitIdenticalOnRaggedShapesIntAtEveryTier) {
   // Shapes hitting full tiles, ragged rows, ragged columns, both, and
-  // vectors — same sweep the blocked engine is held to.
+  // vectors — same sweep gemm_blocked_* are held to.
   const int shapes[][3] = {{1, 1, 1},   {4, 8, 8},   {5, 3, 9},
                            {32, 16, 8}, {33, 17, 9}, {7, 1, 13},
                            {1, 64, 1},  {63, 5, 31}, {12, 100, 20}};
@@ -169,7 +170,7 @@ TEST(GemmSimd, ThreadCountInvarianceAtEveryTier) {
 }
 
 TEST(GemmSimd, NoneTierEqualsBlockedEngine) {
-  // The bottom of the fallback chain IS the blocked engine's scalar tiles,
+  // The bottom of the fallback chain IS gemm_blocked.h's scalar tiles,
   // so forcing none must reproduce gemm_blocked_* exactly.
   ScopedSimdLevel force(SimdLevel::kNone);
   Rng rng(24);
@@ -429,20 +430,25 @@ TEST(GemmRandomShapes, F32PinsRoundingSignedZeroAndRefusedValues) {
 }
 
 TEST(GemmDispatch, SimdEngineNameRoundTripsAndErrorListsAll) {
-  EXPECT_EQ(gemm_engine_from_string("simd"), GemmEngine::kSimd);
+  for (const GemmEngine e : {GemmEngine::kRef, GemmEngine::kSimd})
+    EXPECT_EQ(gemm_engine_from_string(gemm_engine_name(e)), e);
+  EXPECT_STREQ(gemm_engine_name(GemmEngine::kRef), "ref");
   EXPECT_STREQ(gemm_engine_name(GemmEngine::kSimd), "simd");
-  // One error path, shared by --gemm, VITBIT_GEMM, and --engines: it must
-  // name every valid engine so a typo is self-correcting.
-  try {
-    gemm_engine_from_string("fast");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("fast"), std::string::npos) << msg;
-    EXPECT_NE(msg.find(gemm_engine_names()), std::string::npos) << msg;
+  EXPECT_STREQ(gemm_engine_names(), "ref|simd");
+  // One error path, shared by --gemm and VITBIT_GEMM: it must name every
+  // valid engine so a typo is self-correcting. "blocked" names no engine:
+  // the scalar tiles run as the simd engine at tier none.
+  for (const char* bad : {"fast", "", "blocked"}) {
+    try {
+      gemm_engine_from_string(bad);
+      ADD_FAILURE() << "expected CheckError for '" << bad << "'";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + std::string(bad) + "'"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("ref|simd"), std::string::npos) << msg;
+    }
   }
-  EXPECT_NE(std::string(gemm_engine_names()).find("simd"),
-            std::string::npos);
 }
 
 TEST(GemmDispatch, SimdEngineRoutesThroughDispatcher) {
@@ -451,11 +457,60 @@ TEST(GemmDispatch, SimdEngineRoutesThroughDispatcher) {
   fill_uniform(a, rng, -50, 50);
   fill_uniform(b, rng, -50, 50);
   const auto ref = gemm_ref_int(a, b);
+  {
+    ScopedEngine e(GemmEngine::kRef);
+    EXPECT_EQ(default_gemm_engine(), GemmEngine::kRef);
+    EXPECT_TRUE(gemm_int(a, b) == ref);
+  }
   for (const SimdLevel level : kAllLevels) {
     ScopedSimdLevel force_level(level);
     ScopedEngine e(GemmEngine::kSimd);
     EXPECT_EQ(default_gemm_engine(), GemmEngine::kSimd);
     EXPECT_TRUE(gemm_int(a, b) == ref) << simd_level_name(level);
+  }
+}
+
+TEST(GemmDispatch, F32DispatchMatchesReference) {
+  Rng rng(16);
+  MatrixF32 a(6, 40), b(40, 10);
+  for (auto& v : a.flat()) v = static_cast<float>(rng.normal());
+  for (auto& v : b.flat()) v = static_cast<float>(rng.normal());
+  const auto ref = gemm_ref_f32(a, b);
+  {
+    ScopedEngine e(GemmEngine::kRef);
+    EXPECT_EQ(max_abs_diff(gemm_f32(a, b), ref), 0.0);
+  }
+  for (const SimdLevel level : kAllLevels) {
+    ScopedSimdLevel force_level(level);
+    ScopedEngine e(GemmEngine::kSimd);
+    EXPECT_EQ(max_abs_diff(gemm_f32(a, b), ref), 0.0)
+        << simd_level_name(level);
+  }
+}
+
+TEST(GemmTiming, TimesEveryTierAgainstOneReferenceAndRestoresTheTier) {
+  // measure_gemm_* force each requested tier for its timing and put back
+  // the tier that was active before, whether or not an override was set.
+  const GemmShapeSpec shape{"small", 9, 33, 14};
+  const auto check = [&] {
+    const SimdLevel active = active_simd_level();
+    const auto mi = measure_gemm_int(shape, 1, 7, nullptr, kAllLevels);
+    EXPECT_EQ(active_simd_level(), active);
+    const auto mf = measure_gemm_f32(shape, 1, 7, nullptr, kAllLevels);
+    EXPECT_EQ(active_simd_level(), active);
+    ASSERT_EQ(mi.size(), std::size(kAllLevels));
+    ASSERT_EQ(mf.size(), std::size(kAllLevels));
+    for (std::size_t i = 0; i < mi.size(); ++i) {
+      EXPECT_EQ(mi[i].max_abs_diff, 0.0) << simd_level_name(kAllLevels[i]);
+      EXPECT_EQ(mf[i].max_abs_diff, 0.0) << simd_level_name(kAllLevels[i]);
+      EXPECT_EQ(mi[i].ref_seconds, mi[0].ref_seconds);
+      EXPECT_EQ(mf[i].ref_seconds, mf[0].ref_seconds);
+    }
+  };
+  check();
+  for (const SimdLevel before : kAllLevels) {
+    ScopedSimdLevel outer(before);
+    check();
   }
 }
 

@@ -523,14 +523,14 @@ TEST(RunReport, ServePointsRoundTripAndLookup) {
 
 TEST(RunReport, GemmPointKeyIncludesEngine) {
   // Schema minor 6: the engine name is part of the gemm-point identity,
-  // so blocked and simd measurements of the same shape coexist in one
+  // so simd-none and simd measurements of the same shape coexist in one
   // report, and simd_level survives the JSON round trip.
   const RunReport back = run_report_from_json(to_json(sample_report()));
   const auto* p = back.find_gemm_point("layer0.fc1.int32.simd");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->simd_level, "avx2");
   EXPECT_EQ(p->min_speedup, 6.0);
-  EXPECT_EQ(back.find_gemm_point("layer0.fc1.int32.blocked"), nullptr);
+  EXPECT_EQ(back.find_gemm_point("layer0.fc1.int32.simd-none"), nullptr);
 }
 
 TEST(RunReport, PreMinor6GemmPointsLoadWithoutSimdLevel) {

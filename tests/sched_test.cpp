@@ -394,6 +394,14 @@ TEST(SchedCli, RejectsMalformedFlags) {
   EXPECT_THROW(sched_config_from_cli(make_cli(
                    {"--classes=a,b", "--shares=nan,0.5"})),
                CheckError);
+  // Finite entries whose sum overflows: normalizing by an infinite sum
+  // would make every cumulative mix share 0 and every class rate 0.
+  EXPECT_THROW(sched_config_from_cli(make_cli(
+                   {"--models=vit-tiny,cnn-small", "--mix=1e308,1e308"})),
+               CheckError);
+  EXPECT_THROW(sched_config_from_cli(make_cli(
+                   {"--classes=a,b", "--shares=1e308,1e308"})),
+               CheckError);
   // Mismatched per-class list lengths.
   EXPECT_THROW(sched_config_from_cli(make_cli(
                    {"--classes=a,b", "--weights=1,2,3"})),

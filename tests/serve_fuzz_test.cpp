@@ -5,12 +5,15 @@
 // included), every fault process with degraded failover, and both
 // percentile modes. Every draw must run without a CheckError, conserve
 // requests in total and per class, rerun bit for bit, and count exactly
-// the same in exact and sketch percentile modes.
+// the same in exact and sketch percentile modes. Plus 2,000 seeded
+// mutations of valid specs for the serving CLIs' comma-list parsers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <string>
 #include <vector>
@@ -230,6 +233,105 @@ TEST(ServeFuzz, SeededScenariosConserveRerunAndAgreeAcrossPercentileModes) {
   EXPECT_GT(shed, 0);
   EXPECT_GT(scaled, 0);
   EXPECT_GT(preempted, 0);
+}
+
+// Runs one parser on `spec`: it must return a list that `check` accepts
+// or throw CheckError, never another exception. Counts both outcomes.
+template <typename Parse, typename Check>
+void parse_or_reject(const std::string& spec, const Parse& parse,
+                     const Check& check, int counts[2]) {
+  try {
+    check(parse(spec));
+    ++counts[0];
+  } catch (const CheckError&) {
+    ++counts[1];
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "threw " << e.what() << " on '" << spec << "'";
+  }
+}
+
+TEST(ServeFuzz, MutatedListSpecsParseOrThrowCheckError) {
+  // Seeded byte flips, deletions, insertions of list tokens and
+  // truncations of valid specs. Every list that comes back has one entry
+  // per comma-separated item and meets its parser's contract: finite
+  // values with the parser's sign rule, a finite positive fraction sum,
+  // nonempty unique names.
+  const std::string specs[] = {"100,250.5,4000", "0.25,0.75", "4,1",
+                               "1e3,2.5e-2,7", "0,1,0.5",
+                               "vit-tiny,cnn-small,vit-b"};
+  const char* const tokens[] = {",", "-", "e", "inf", "nan"};
+  enum { kNumber, kRate, kName, kWeight, kFraction, kParsers };
+  int counts[kParsers][2] = {};
+  Rng rng(31337);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string spec = specs[trial % std::size(specs)];
+    for (std::int64_t edits = rng.range(1, 3); edits > 0 && !spec.empty();
+         --edits) {
+      const std::size_t at = rng.below(spec.size());
+      switch (rng.below(5)) {
+        case 0:
+          spec[at] = static_cast<char>(spec[at] ^ (1 << rng.below(8)));
+          break;
+        case 1:
+          spec.erase(at, rng.range(1, 4));
+          break;
+        case 2:
+          spec.insert(at, tokens[rng.below(std::size(tokens))]);
+          break;
+        case 3:
+          spec.insert(at, 1, static_cast<char>('0' + rng.below(10)));
+          break;
+        default:
+          spec.resize(at);
+      }
+    }
+    const auto entries = static_cast<std::size_t>(
+        std::count(spec.begin(), spec.end(), ',') + 1);
+    const auto numbers = [&](bool positive) {
+      return [&, positive](const std::vector<double>& v) {
+        EXPECT_EQ(v.size(), entries) << spec;
+        for (const double x : v)
+          EXPECT_TRUE(std::isfinite(x) && (positive ? x > 0.0 : x >= 0.0))
+              << x << " from '" << spec << "'";
+      };
+    };
+    parse_or_reject(
+        spec,
+        [](const std::string& s) {
+          return parse_number_list(s, "number", /*require_positive=*/false);
+        },
+        numbers(false), counts[kNumber]);
+    parse_or_reject(spec, parse_rate_list, numbers(true), counts[kRate]);
+    parse_or_reject(spec, parse_weight_list, numbers(true), counts[kWeight]);
+    parse_or_reject(
+        spec,
+        [](const std::string& s) { return parse_fraction_list(s, "share"); },
+        [&](const std::vector<double>& v) {
+          numbers(false)(v);
+          double sum = 0.0;
+          for (const double x : v) sum += x;
+          EXPECT_TRUE(std::isfinite(sum) && sum > 0.0) << spec;
+        },
+        counts[kFraction]);
+    parse_or_reject(
+        spec,
+        [](const std::string& s) { return parse_name_list(s, "model"); },
+        [&](const std::vector<std::string>& v) {
+          ASSERT_EQ(v.size(), entries) << spec;
+          std::string joined;
+          for (const auto& name : v) {
+            EXPECT_FALSE(name.empty()) << spec;
+            EXPECT_EQ(std::count(v.begin(), v.end(), name), 1) << spec;
+            joined += (joined.empty() ? "" : ",") + name;
+          }
+          EXPECT_EQ(joined, spec);
+        },
+        counts[kName]);
+  }
+  for (int p = 0; p < kParsers; ++p) {
+    EXPECT_GT(counts[p][0], 0) << "parser " << p << " accepted nothing";
+    EXPECT_GT(counts[p][1], 0) << "parser " << p << " rejected nothing";
+  }
 }
 
 }  // namespace

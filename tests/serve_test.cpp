@@ -141,6 +141,19 @@ TEST(Workload, RejectsNonFiniteRatesAndDurations) {
   m.classes[0].kind = ArrivalKind::kBursty;
   m.classes[0].burst_on_s = inf;
   EXPECT_THROW(m.validate(), CheckError);
+  // Finite shares and mixes whose sum overflows, and a rate x share that
+  // does, leave no positive finite per-class rate or model share.
+  m = MixedWorkloadConfig{};
+  m.classes = {ClassTraffic{}, ClassTraffic{}};
+  m.classes[0].rate_share = 1e308;
+  m.classes[1].rate_share = 1e308;
+  EXPECT_THROW(m.validate(), CheckError);
+  m.classes[1].rate_share = 1.0;
+  EXPECT_THROW(m.validate(), CheckError);
+  m = MixedWorkloadConfig{};
+  m.num_models = 2;
+  m.classes[0].model_mix = {1e308, 1e308};
+  EXPECT_THROW(m.validate(), CheckError);
   // The CLIs reject them before any latency table is built.
   EXPECT_THROW(sweep_config_from_cli(make_cli({"--rate=inf"})), CheckError);
   EXPECT_THROW(sweep_config_from_cli(make_cli({"--duration-s=inf"})),

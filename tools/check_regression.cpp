@@ -17,13 +17,14 @@
 //                    [--json=PATH] [--threads=N]
 //   check_regression --update          regenerate the baseline files
 //
-// Besides the simulated figures, the gate measures the blocked and simd
-// host GEMM engines (tensor/gemm_blocked.h, tensor/gemm_simd.h) against
+// Besides the simulated figures, the gate measures the simd host GEMM
+// engine (tensor/gemm_simd.h) forced to SIMD tier none, where it runs the
+// scalar tiles of tensor/gemm_blocked.h, and at the active tier, against
 // the reference triple loop, timed once per dtype, on one ViT-Base linear
-// shape: bit-identity is enforced exactly, and each engine's measured
+// shape: bit-identity is enforced exactly, and each tier's measured
 // speedup must clear the floor recorded in the baseline at --update time
-// (--gemm-speedup-floor for blocked, --simd-speedup-floor for simd; raw
-// GFLOP/s are machine-dependent and never diffed).
+// (--gemm-speedup-floor for tier none, --simd-speedup-floor for the
+// active tier; raw GFLOP/s are machine-dependent and never diffed).
 //
 // The sim_loop gate times the bit-packed SmSim against the frozen
 // pre-packing SmSimRef on the fixed workload set of
@@ -38,11 +39,14 @@
 // host wall-clock recorded in the reports changes.
 //
 // Calibration overrides (for injecting drift in tests, and for asking
-// "would this calibration change trip the gate?"); a value out of range
-// exits 2 before any gate runs:
+// "would this calibration change trip the gate?"):
 //   --tc-macs=N           override Calibration::tc_macs_per_cycle, N >= 1
 //   --launch-overhead=N   override kernel_launch_overhead_cycles, N >= 0
+// A value out of range exits 2 before any gate runs: these two and
+// --layers / --sim-loop-repeats (>= 1) must fit an int, and every
+// tolerance and floor must be finite and >= 0.
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <limits>
@@ -116,14 +120,14 @@ int run(int argc, char** argv) {
   const Cli cli(argc, argv);
   const arch::OrinSpec spec;
   arch::Calibration calib = arch::default_calibration();
-  // Calibration overrides are range-checked as int64 before they narrow to
-  // int: --tc-macs=0 (or 2^32, which narrows to 0) divides by zero, a
-  // negative rate makes a negative IMMA occupancy, and a negative launch
-  // overhead wraps in sim::extrapolate's unsigned total.
-  const auto read_override = [&](const char* name, std::int64_t lo,
-                                 int& field) {
+  // Integer flags are range-checked as int64 before they narrow to int:
+  // --tc-macs=0 (or 2^32, which narrows to 0) divides by zero, a negative
+  // rate makes a negative IMMA occupancy, a negative launch overhead wraps
+  // in sim::extrapolate's unsigned total, and --layers=4294967297 would
+  // narrow to 1.
+  const auto read_int = [&](const char* name, std::int64_t lo, int& field) {
     if (!cli.has(name)) return true;
-    const std::int64_t v = cli.get_int(name, lo);
+    const std::int64_t v = cli.get_int(name, field);
     if (v < lo || v > std::numeric_limits<int>::max()) {
       std::cerr << "check_regression: --" << name << " must be in [" << lo
                 << ", " << std::numeric_limits<int>::max() << "], got "
@@ -133,8 +137,43 @@ int run(int argc, char** argv) {
     field = static_cast<int>(v);
     return true;
   };
-  if (!read_override("tc-macs", 1, calib.tc_macs_per_cycle) ||
-      !read_override("launch-overhead", 0, calib.kernel_launch_overhead_cycles))
+  // Tolerances and floors must be finite and >= 0: rel_delta > NaN is
+  // false, so a NaN tolerance would pass every metric it governs.
+  const auto read_nonnegative = [&](const char* name, double& field) {
+    field = cli.get_double(name, field);
+    if (std::isfinite(field) && field >= 0.0) return true;
+    std::cerr << "check_regression: --" << name << " must be in [0, inf), got "
+              << cli.get(name, "") << "\n";
+    return false;
+  };
+
+  int layers = 2;
+  report::ToleranceSpec tol;
+  // Floors recorded into the host_gemm baseline at --update time; during
+  // a check run the committed baseline's floors are what gate. 3.0 leaves
+  // a 2x margin under the ~6-11x measured for the scalar tiles (tier
+  // none) on the gated fc1 shape; the simd floor asserts the vector
+  // microkernels stay at least ~2x faster than that on AVX2 CI machines.
+  double gemm_floor = 3.0;
+  double simd_floor = 6.0;
+  // Floor for the packed-simulator host speedup, recorded into the
+  // sim_loop baseline at --update time. The packed layout ranges from
+  // parity (issue-bound int GEMM) to ~7x (memory-stall-bound) on the
+  // development machine; 0.5 sits well under the weakest point, so CI
+  // noise and slower hosts don't trip the gate while a real layout
+  // regression (packed falling far behind the reference) still does.
+  double sim_loop_floor = 0.5;
+  int sim_loop_repeats = 3;
+  if (!read_int("tc-macs", 1, calib.tc_macs_per_cycle) ||
+      !read_int("launch-overhead", 0, calib.kernel_launch_overhead_cycles) ||
+      !read_int("layers", 1, layers) ||
+      !read_int("sim-loop-repeats", 1, sim_loop_repeats) ||
+      !read_nonnegative("cycles-tol", tol.cycles) ||
+      !read_nonnegative("ipc-tol", tol.ipc) ||
+      !read_nonnegative("serve-tol", tol.serve) ||
+      !read_nonnegative("gemm-speedup-floor", gemm_floor) ||
+      !read_nonnegative("simd-speedup-floor", simd_floor) ||
+      !read_nonnegative("sim-loop-floor", sim_loop_floor))
     return 2;
   // One IMMA is 4096 MACs; keep the derived occupancy consistent. This is
   // ceil(4096 / tc-macs) in a form that cannot overflow.
@@ -142,30 +181,8 @@ int run(int argc, char** argv) {
     calib.imma_occupancy_cycles = 4095 / calib.tc_macs_per_cycle + 1;
 
   const std::string dir = cli.get("baselines", "baselines");
-  const int layers = static_cast<int>(cli.get_int("layers", 2));
   const bool update = cli.get_bool("update", false);
-
-  report::ToleranceSpec tol;
-  tol.cycles = cli.get_double("cycles-tol", tol.cycles);
-  tol.ipc = cli.get_double("ipc-tol", tol.ipc);
-  tol.serve = cli.get_double("serve-tol", tol.serve);
   tol.check_kernels = !cli.get_bool("no-kernels", false);
-  // Floors recorded into the host_gemm baseline at --update time; during
-  // a check run the committed baseline's floors are what gate. 3.0 leaves
-  // a 2x margin under the ~6-11x measured for the blocked engine on the
-  // gated fc1 shape; the simd floor asserts the vector microkernels stay
-  // at least ~2x faster than that on AVX2 CI machines.
-  const double gemm_floor = cli.get_double("gemm-speedup-floor", 3.0);
-  const double simd_floor = cli.get_double("simd-speedup-floor", 6.0);
-  // Floor for the packed-simulator host speedup, recorded into the
-  // sim_loop baseline at --update time. The packed layout ranges from
-  // parity (issue-bound int GEMM) to ~7x (memory-stall-bound) on the
-  // development machine; 0.5 sits well under the weakest point, so CI
-  // noise and slower hosts don't trip the gate while a real layout
-  // regression (packed falling far behind the reference) still does.
-  const double sim_loop_floor = cli.get_double("sim-loop-floor", 0.5);
-  const int sim_loop_repeats =
-      static_cast<int>(cli.get_int("sim-loop-repeats", 3));
 
   auto vit_cfg = nn::vit_base();
   vit_cfg.num_layers = layers;
@@ -439,10 +456,12 @@ int run(int argc, char** argv) {
     gate("fleet_sched", fresh);
   }
   // Host-GEMM gate: the compute-heavy ViT-Base linear shape (fc1,
-  // 197x768x3072), int32 and f32 paths under both fast engines. Bit-
-  // identity (max_abs_diff == 0) is exact; the per-engine speedup floors
-  // guard each engine's reason to exist without gating machine-dependent
-  // absolute GFLOP/s.
+  // 197x768x3072), int32 and f32 paths under the simd engine forced to
+  // tier none (the scalar tiles of tensor/gemm_blocked.h) and at the
+  // active tier. Bit-identity (max_abs_diff == 0) is exact; the per-tier
+  // speedup floors guard each tier's reason to exist without gating
+  // machine-dependent absolute GFLOP/s. The forced points are labelled
+  // "simd-none" so that no key depends on the host's tier.
   {
     const GemmShapeSpec shape{"layer0.fc1", 197, 768, 3072};
     const int repeats = 2;
@@ -451,25 +470,22 @@ int run(int argc, char** argv) {
     fresh.tool = "check_regression";
     fresh.meta = report::build_metadata();
     fresh.meta["figure"] = "host_gemm";
-    // The reference is timed once per dtype; both engines share it as
-    // their bit-identity oracle and speedup denominator.
-    const GemmEngine engines[] = {GemmEngine::kBlocked, GemmEngine::kSimd};
+    // The reference is timed once per dtype; both tiers share it as their
+    // bit-identity oracle and speedup denominator.
+    const SimdLevel levels[] = {SimdLevel::kNone, active_simd_level()};
+    const char* const engines[] = {"simd-none", "simd"};
     const double floors[] = {gemm_floor, simd_floor};
-    const auto mi = measure_gemm_int(shape, repeats, 42, &pool, engines);
-    const auto mf = measure_gemm_f32(shape, repeats, 42, &pool, engines);
-    for (std::size_t e = 0; e < std::size(engines); ++e) {
-      const GemmEngine engine = engines[e];
-      const double floor = floors[e];
+    const auto mi = measure_gemm_int(shape, repeats, 42, &pool, levels);
+    const auto mf = measure_gemm_f32(shape, repeats, 42, &pool, levels);
+    for (std::size_t e = 0; e < std::size(levels); ++e) {
       for (const auto& [dtype, m] :
            {std::pair<const char*, const GemmMeasurement&>{"int32", mi[e]},
             {"f32", mf[e]}}) {
         report::GemmPointReport p;
         p.name = shape.name;
         p.dtype = dtype;
-        p.engine = gemm_engine_name(engine);
-        p.simd_level = engine == GemmEngine::kSimd
-                           ? simd_level_name(active_simd_level())
-                           : "";
+        p.engine = engines[e];
+        p.simd_level = simd_level_name(levels[e]);
         p.m = shape.m;
         p.k = shape.k;
         p.n = shape.n;
@@ -478,7 +494,7 @@ int run(int argc, char** argv) {
         p.ref_gflops = m.ref_gflops;
         p.speedup = m.speedup;
         p.max_abs_diff = m.max_abs_diff;
-        p.min_speedup = floor;
+        p.min_speedup = floors[e];
         fresh.gemm_points.push_back(std::move(p));
       }
     }
