@@ -116,10 +116,9 @@ int run(int argc, char** argv) {
   // correctness.
   for (const auto& p : points)
     VITBIT_CHECK_MSG(p.max_abs_diff == 0.0,
-                     "simd engine at " << p.simd_level
-                                       << " diverged from reference on "
-                                       << p.key()
-                                       << ": max|diff|=" << p.max_abs_diff);
+                     p.engine << " engine diverged from reference on "
+                              << p.key()
+                              << ": max|diff|=" << p.max_abs_diff);
 
   if (!json.empty()) {
     report::RunReport rep;

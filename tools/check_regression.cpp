@@ -42,8 +42,8 @@
 // "would this calibration change trip the gate?"):
 //   --tc-macs=N           override Calibration::tc_macs_per_cycle, N >= 1
 //   --launch-overhead=N   override kernel_launch_overhead_cycles, N >= 0
-// A value out of range exits 2 before any gate runs: these two and
-// --layers / --sim-loop-repeats (>= 1) must fit an int, and every
+// A value out of range or empty exits 2 before any gate runs: these two
+// and --layers / --sim-loop-repeats (>= 1) must fit an int, and every
 // tolerance and floor must be finite and >= 0.
 #include <chrono>
 #include <cmath>
@@ -124,10 +124,10 @@ int run(int argc, char** argv) {
   // --tc-macs=0 (or 2^32, which narrows to 0) divides by zero, a negative
   // rate makes a negative IMMA occupancy, a negative launch overhead wraps
   // in sim::extrapolate's unsigned total, and --layers=4294967297 would
-  // narrow to 1.
+  // narrow to 1. An empty value (--layers=) reads as lo - 1 and fails.
   const auto read_int = [&](const char* name, std::int64_t lo, int& field) {
     if (!cli.has(name)) return true;
-    const std::int64_t v = cli.get_int(name, field);
+    const std::int64_t v = cli.get_int(name, lo - 1);
     if (v < lo || v > std::numeric_limits<int>::max()) {
       std::cerr << "check_regression: --" << name << " must be in [" << lo
                 << ", " << std::numeric_limits<int>::max() << "], got "
@@ -138,9 +138,11 @@ int run(int argc, char** argv) {
     return true;
   };
   // Tolerances and floors must be finite and >= 0: rel_delta > NaN is
-  // false, so a NaN tolerance would pass every metric it governs.
+  // false, so a NaN tolerance would pass every metric it governs. An empty
+  // value reads as NaN and fails.
   const auto read_nonnegative = [&](const char* name, double& field) {
-    field = cli.get_double(name, field);
+    if (!cli.has(name)) return true;
+    field = cli.get_double(name, std::numeric_limits<double>::quiet_NaN());
     if (std::isfinite(field) && field >= 0.0) return true;
     std::cerr << "check_regression: --" << name << " must be in [0, inf), got "
               << cli.get(name, "") << "\n";
