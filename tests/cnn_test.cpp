@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.h"
 #include "nn/cnn.h"
 #include "tensor/gemm_ref.h"
@@ -144,6 +148,20 @@ TEST(CnnKernelLog, EdgeConfigShapes) {
   EXPECT_EQ(log.count(KernelKind::kRelu), 8u);
   EXPECT_EQ(log.count(KernelKind::kPool), 4u);
   EXPECT_GT(log.total_macs(), std::int64_t{1} << 30);
+}
+
+TEST(CnnModel, TcLogitsArePinned) {
+  const auto cfg = cnn_small();
+  const auto model = random_cnn(cfg, 11);
+  const auto logits = model.forward(
+      random_image(cfg, 12), core::make_gemm_executor(core::Strategy::kTC));
+  const std::vector<std::int64_t> want = {
+      16020, 15007, -2345, 46649, -12692, 19167, 8573, 17371, 768, 28346};
+  std::vector<std::int64_t> got;
+  for (const float v : logits.flat())
+    got.push_back(static_cast<std::int64_t>(std::ldexp(
+        static_cast<double>(v), model.act_frac_bits + model.head.w_frac_bits)));
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.h"
 #include "nn/mixer.h"
 #include "tensor/gemm_ref.h"
@@ -77,6 +81,20 @@ TEST(Mixer, PipelineOrderingHolds) {
   const auto vb = core::time_inference(log, core::Strategy::kVitBit, cfg,
                                        spec, calib);
   EXPECT_LT(vb.total_cycles, tc.total_cycles);
+}
+
+TEST(Mixer, TcLogitsArePinned) {
+  const auto cfg = mixer_tiny();
+  const auto model = random_mixer(cfg, 7);
+  const auto logits = model.forward(
+      random_patches(cfg, 8), core::make_gemm_executor(core::Strategy::kTC));
+  const std::vector<std::int64_t> want = {
+      554, -918, 1787, 1489, -613, -551, 1014, 859, -88, 1496};
+  std::vector<std::int64_t> got;
+  for (const float v : logits.flat())
+    got.push_back(static_cast<std::int64_t>(std::ldexp(
+        static_cast<double>(v), model.act_frac_bits + model.head.w_frac_bits)));
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "epilogue_oracles.h"
 #include "nn/vit_model.h"
 #include "quant/fixed_point.h"
 #include "tensor/gemm_ref.h"
 #include "swar/packed_gemm.h"
+#include "vitbit/executors.h"
 
 namespace vitbit::nn {
 namespace {
@@ -256,6 +258,109 @@ TEST(ExtractPatches, LaysOutPatchesRowMajor) {
   EXPECT_FLOAT_EQ(
       patches.at(1 * grid + 2, (3 * cfg.patch_size + 4) * cfg.channels + 1),
       want);
+}
+
+// ---------------------------------------------------------------------------
+// Bit identity of the layer glue against the scalar oracles
+// (tests/epilogue_oracles.h), and the TC logits of a seeded forward.
+
+// int32s of every magnitude plus the extremes and zero.
+MatrixI32 wide_values(Rng& rng, int rows, int cols) {
+  MatrixI32 m(rows, cols);
+  for (auto& v : m.flat()) {
+    const int mag = static_cast<int>(rng.range(0, 31));
+    v = static_cast<std::int32_t>(
+        rng.range(-(std::int64_t{1} << mag), (std::int64_t{1} << mag) - 1));
+  }
+  m.flat()[0] = INT32_MIN;
+  m.flat()[1] = INT32_MAX;
+  m.flat()[2] = 0;
+  return m;
+}
+
+TEST(EpilogueOracle, ResidualAddMatches) {
+  Rng rng(61);
+  quant::QTensor a, b;
+  a.frac_bits = b.frac_bits = 4;
+  a.q = wide_values(rng, 9, 31);
+  b.q = wide_values(rng, 9, 31);
+  b.q.flat()[3] = INT32_MAX;  // pairs that overflow int32 both ways
+  a.q.flat()[3] = INT32_MAX;
+  a.q.flat()[4] = INT32_MIN;
+  b.q.flat()[4] = INT32_MIN;
+  for (const int act_bits : {2, 3, 4, 8, 16, 31, 32}) {
+    EXPECT_EQ(residual_add(a, b, nullptr, "add", act_bits).q,
+              oracle::residual_add_oracle(a.q, b.q, act_bits))
+        << act_bits;
+    // Activations already act_bits wide, the forward's case.
+    quant::QTensor na = a, nb = b;
+    for (auto& v : na.q.flat())
+      v = static_cast<std::int32_t>(clamp_signed(v, act_bits));
+    for (auto& v : nb.q.flat())
+      v = static_cast<std::int32_t>(clamp_signed(v, act_bits));
+    EXPECT_EQ(residual_add(na, nb, nullptr, "add", act_bits).q,
+              oracle::residual_add_oracle(na.q, nb.q, act_bits))
+        << act_bits;
+  }
+}
+
+TEST(EpilogueOracle, LayerNormMatches) {
+  Rng rng(62);
+  for (const int act_bits : {3, 4, 8, 16, 31})
+    for (const int frac_bits : {0, 4, 5, 12, 20}) {
+      quant::QTensor x;
+      x.frac_bits = frac_bits;
+      x.q = MatrixI32(7, 96);
+      const std::int64_t hi = signed_max(std::min(act_bits, 24));
+      fill_uniform(x.q, rng, -hi - 1, hi);
+      for (int c = 0; c < x.cols(); ++c) x.q.at(6, c) = 3;  // a constant row
+      EXPECT_EQ(layer_norm(x, nullptr, "ln", act_bits).q,
+                oracle::layer_norm_oracle(x.q, frac_bits, act_bits))
+          << act_bits << " bits, fb " << frac_bits;
+    }
+}
+
+TEST(EpilogueOracle, QuantLinearMatches) {
+  // acc = x * W + bias in int64, then the requantize oracle, at shifts
+  // from 8 left to 30 right and every output width.
+  Rng rng(63);
+  const auto l = random_linear(rng, 24, 40);
+  quant::QTensor x;
+  x.frac_bits = 4;
+  x.q = MatrixI32(5, 24);
+  fill_uniform(x.q, rng, -128, 127);
+  MatrixI32 acc = gemm_ref_int(x.q, l.weight);
+  for (int r = 0; r < acc.rows(); ++r)
+    for (int c = 0; c < acc.cols(); ++c)
+      acc.at(r, c) += l.bias[static_cast<std::size_t>(c)];
+  const int in_fb = x.frac_bits + l.w_frac_bits;
+  for (int out_fb = in_fb - 30; out_fb <= in_fb + 8; ++out_fb)
+    for (const int bits : {2, 4, 8, 16, 31})
+      EXPECT_EQ(l.forward(x, out_fb, reference_gemm(), nullptr, "t", bits).q,
+                oracle::requantize_oracle(acc, in_fb, out_fb, bits))
+          << "out_fb " << out_fb << " bits " << bits;
+}
+
+// logits * 2^frac_bits: the head's accumulators, exact in float.
+std::vector<std::int64_t> logit_accumulators(const MatrixF32& logits,
+                                             int frac_bits) {
+  std::vector<std::int64_t> out;
+  for (const float v : logits.flat())
+    out.push_back(static_cast<std::int64_t>(
+        std::ldexp(static_cast<double>(v), frac_bits)));
+  return out;
+}
+
+TEST(VitModel, TcLogitsArePinned) {
+  const auto cfg = vit_tiny();
+  const auto model = random_vit(cfg, 42);
+  const auto logits = model.forward(
+      random_patches(cfg, 7), core::make_gemm_executor(core::Strategy::kTC));
+  const std::vector<std::int64_t> want = {
+      1048, 102, -326, -676, 1245, 281, -1019, 1465, -1593, -1801};
+  EXPECT_EQ(logit_accumulators(
+                logits, model.act_frac_bits + model.head.w_frac_bits),
+            want);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
+#include "epilogue_oracles.h"
 #include "quant/fixed_point.h"
 #include "quant/ilayernorm.h"
 #include "quant/int_exp.h"
@@ -328,6 +331,202 @@ TEST(ILayerNorm, AffineAppliesGammaBeta) {
   for (std::size_t i = 0; i < plain.size(); ++i)
     EXPECT_NEAR(affine.flat()[i],
                 plain.flat()[i] * 2 + (3 << out_fb), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Bit identity against the scalar oracles (tests/epilogue_oracles.h).
+
+// Values every requantize test row carries: the int32 extremes, zero, and
+// each power of two with its neighbours.
+std::vector<std::int32_t> edge_values() {
+  std::vector<std::int32_t> v = {INT32_MIN, INT32_MIN + 1, INT32_MAX,
+                                 INT32_MAX - 1, 0, 1, -1};
+  for (int p = 1; p <= 30; ++p) {
+    const std::int32_t t = std::int32_t{1} << p;
+    for (const std::int32_t x : {t - 1, t, t + 1}) {
+      v.push_back(x);
+      v.push_back(-x);
+    }
+  }
+  return v;
+}
+
+// A seeded matrix holding edge_values() followed by int32s of every
+// magnitude.
+MatrixI32 requantize_inputs(std::uint64_t seed, int rows, int cols) {
+  MatrixI32 m(rows, cols);
+  const auto edges = edge_values();
+  Rng rng(seed);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (i < edges.size()) {
+      m.flat()[i] = edges[i];
+      continue;
+    }
+    const int mag = static_cast<int>(rng.range(0, 31));
+    m.flat()[i] = static_cast<std::int32_t>(
+        rng.range(-(std::int64_t{1} << mag), (std::int64_t{1} << mag) - 1));
+  }
+  return m;
+}
+
+TEST(RequantizeOracle, EveryShiftAndWidthMatches) {
+  const MatrixI32 acc = requantize_inputs(51, 13, 37);
+  for (int shift = -40; shift <= 62; ++shift)
+    for (const int bits : {2, 4, 8, 16, 31}) {
+      const int in_fb = shift >= 0 ? shift + 3 : 3;
+      const int out_fb = in_fb - shift;
+      ASSERT_EQ(requantize(acc, in_fb, out_fb, bits),
+                oracle::requantize_oracle(acc, in_fb, out_fb, bits))
+          << "shift " << shift << " bits " << bits;
+    }
+}
+
+TEST(ShiftGeluOracle, ClampedOverWholeActivationDomain) {
+  for (int fb = 1; fb <= 20; ++fb)
+    for (const int bits : {2, 3, 4, 5, 6, 7, 8, 12, 16}) {
+      const auto lo = signed_min(bits);
+      MatrixI32 x(1, static_cast<int>(std::int64_t{1} << bits));
+      for (int i = 0; i < x.cols(); ++i)
+        x.at(0, i) = static_cast<std::int32_t>(lo + i);
+      MatrixI32 want = oracle::shift_gelu_oracle(x, fb);
+      for (auto& v : want.flat())
+        v = static_cast<std::int32_t>(clamp_signed(v, bits));
+      MatrixI32 got = shift_gelu(x, fb);
+      for (auto& v : got.flat())
+        v = static_cast<std::int32_t>(clamp_signed(v, bits));
+      ASSERT_EQ(got, want) << "fb " << fb << " bits " << bits;
+    }
+}
+
+TEST(ShiftGeluOracle, SeededInt32InputsMatch) {
+  // |q| < 2^30 keeps the 1.702 * q shift sum inside int32.
+  Rng rng(52);
+  MatrixI32 x(64, 64);
+  for (int fb = 1; fb <= 20; ++fb) {
+    for (auto& v : x.flat()) {
+      const int mag = static_cast<int>(rng.range(0, 30));
+      v = static_cast<std::int32_t>(rng.range(
+          -(std::int64_t{1} << mag) + 1, (std::int64_t{1} << mag) - 1));
+    }
+    ASSERT_EQ(shift_gelu(x, fb), oracle::shift_gelu_oracle(x, fb)) << fb;
+  }
+}
+
+// Rows of `cols` values centred on `base` and spanning up to `span`.
+MatrixI32 layernorm_rows(Rng& rng, int rows, int cols, std::int64_t base,
+                         std::int64_t span) {
+  MatrixI32 x(rows, cols);
+  for (auto& v : x.flat())
+    v = static_cast<std::int32_t>(base + rng.range(-span / 2, span / 2));
+  return x;
+}
+
+TEST(ILayerNormOracle, ConstantRowsMatch) {
+  for (const std::int32_t v : {0, 1, -7, 42, INT32_MAX, INT32_MIN})
+    for (const int cols : {1, 2, 7, 64, 384}) {
+      const MatrixI32 x(3, cols, v);
+      for (int out_fb = 0; out_fb <= 20; ++out_fb)
+        ASSERT_EQ(ilayernorm(x, out_fb), oracle::ilayernorm_oracle(x, out_fb))
+            << v << " x " << cols << " at " << out_fb;
+    }
+}
+
+TEST(ILayerNormOracle, RowsSpanningUpToTwoToThirtyMatch) {
+  // Spans and widths keep the int64 sum of squared deviations exact:
+  // 2^30-wide rows have at most four columns.
+  struct Shape {
+    int cols;
+    std::int64_t span;
+  };
+  const Shape shapes[] = {{1, 1 << 30},  {2, 1 << 30},  {3, 1 << 30},
+                          {4, 1 << 30},  {64, 1 << 8},  {64, 1 << 27},
+                          {197, 1 << 16}, {384, 1 << 8}, {384, 1 << 26}};
+  Rng rng(53);
+  for (const auto& s : shapes)
+    for (const std::int64_t base : {std::int64_t{0}, std::int64_t{-1000},
+                                    std::int64_t{1} << 29,
+                                    -(std::int64_t{1} << 29)}) {
+      const MatrixI32 x = layernorm_rows(rng, 5, s.cols, base, s.span);
+      for (int out_fb = 0; out_fb <= 20; ++out_fb)
+        ASSERT_EQ(ilayernorm(x, out_fb), oracle::ilayernorm_oracle(x, out_fb))
+            << s.cols << " cols, span " << s.span << ", base " << base
+            << ", out_fb " << out_fb;
+    }
+}
+
+TEST(ILayerNormOracle, AffineMatches) {
+  Rng rng(54);
+  for (const int cols : {1, 16, 384}) {
+    std::vector<std::int32_t> gamma(static_cast<std::size_t>(cols));
+    std::vector<std::int32_t> beta(static_cast<std::size_t>(cols));
+    for (auto& g : gamma) g = static_cast<std::int32_t>(rng.range(-1024, 1024));
+    for (auto& b : beta) b = static_cast<std::int32_t>(rng.range(-1024, 1024));
+    const MatrixI32 x = layernorm_rows(rng, 4, cols, 100, 1 << 20);
+    for (int out_fb = 0; out_fb <= 8; ++out_fb)
+      for (const int gb_fb : {0, 4, 8, 12})
+        ASSERT_EQ(ilayernorm_affine(x, out_fb, gamma, beta, gb_fb),
+                  oracle::ilayernorm_affine_oracle(x, out_fb, gamma, beta,
+                                                   gb_fb))
+            << cols << " cols, out_fb " << out_fb << ", gb_fb " << gb_fb;
+  }
+}
+
+TEST(ShiftmaxOracle, EveryScaleAndWidthMatches) {
+  Rng rng(55);
+  for (const int in_fb : {1, 4, 8, 11, 24})
+    for (const int out_bits : {1, 7, 14, 24})
+      for (const int cols : {1, 3, 50, 197}) {
+        const std::int64_t unit = std::int64_t{1} << in_fb;
+        MatrixI32 logits(6, cols);
+        for (int r = 0; r < logits.rows(); ++r) {
+          // Spreads of 1, 8 and 40 units; rows 3-5 put one logit 40 units
+          // above the rest, so every other exponential underflows to 0.
+          const std::int64_t spread = r % 3 == 0 ? 1 : (r % 3 == 1 ? 8 : 40);
+          for (int c = 0; c < cols; ++c)
+            logits.at(r, c) = static_cast<std::int32_t>(
+                rng.range(-spread * unit, spread * unit) / 2);
+          if (r >= 3) {
+            for (int c = 0; c < cols; ++c)
+              logits.at(r, c) = static_cast<std::int32_t>(
+                  -20 * unit - rng.range(0, unit));
+            logits.at(r, static_cast<int>(rng.range(0, cols - 1))) =
+                static_cast<std::int32_t>(20 * unit);
+          }
+        }
+        ASSERT_EQ(shiftmax(logits, in_fb, out_bits),
+                  oracle::shiftmax_oracle(logits, in_fb, out_bits))
+            << "in_fb " << in_fb << " out_bits " << out_bits << " cols "
+            << cols;
+      }
+}
+
+TEST(EpilogueKernels, RejectBadArguments) {
+  const MatrixI32 m(2, 3, 5);
+  EXPECT_THROW(requantize(m, 0, 0, 1), CheckError);
+  EXPECT_THROW(requantize(m, 0, 0, 32), CheckError);
+  EXPECT_THROW(requantize(m, 63, 0, 8), CheckError);
+  EXPECT_THROW(requantize(m, 100, 10, 8), CheckError);
+  EXPECT_NO_THROW(requantize(m, 62, 0, 8));
+  EXPECT_NO_THROW(requantize(m, 0, 1000, 8));
+
+  EXPECT_THROW(shift_gelu(m, 0), CheckError);
+  EXPECT_THROW(shift_gelu(m, 21), CheckError);
+
+  EXPECT_THROW(shiftmax(m, 0, 8), CheckError);
+  EXPECT_THROW(shiftmax(m, 25, 8), CheckError);
+  EXPECT_THROW(shiftmax(m, 8, 0), CheckError);
+  EXPECT_THROW(shiftmax(m, 8, 25), CheckError);
+  EXPECT_THROW(shiftmax(MatrixI32(2, 0), 8, 8), CheckError);
+
+  EXPECT_THROW(ilayernorm(m, -1), CheckError);
+  EXPECT_THROW(ilayernorm(m, 21), CheckError);
+  EXPECT_THROW(ilayernorm(MatrixI32(2, 0), 8), CheckError);
+  const std::vector<std::int32_t> three(3, 1), two(2, 1);
+  EXPECT_THROW(ilayernorm_affine(m, 8, two, three, 8), CheckError);
+  EXPECT_THROW(ilayernorm_affine(m, 8, three, two, 8), CheckError);
+  EXPECT_THROW(ilayernorm_affine(m, 8, three, three, -1), CheckError);
+  EXPECT_THROW(ilayernorm_affine(m, 8, three, three, 21), CheckError);
+  EXPECT_THROW(ilayernorm_affine(m, 21, three, three, 8), CheckError);
 }
 
 }  // namespace
