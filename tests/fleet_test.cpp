@@ -253,7 +253,7 @@ TEST(SimulateFleet, SketchPercentilesTrackExactMode) {
   EXPECT_EQ(exact.total.total.dropped, sketch.total.total.dropped);
   EXPECT_EQ(exact.total.total.max_us, sketch.total.total.max_us);
   ASSERT_GT(exact.total.total.completed, 1'000u);
-  for (const auto [e, s] :
+  for (const auto& [e, s] :
        {std::pair{exact.total.total.p50_us, sketch.total.total.p50_us},
         std::pair{exact.total.total.p99_us, sketch.total.total.p99_us}}) {
     const double err = std::abs(static_cast<double>(s) -
