@@ -16,18 +16,6 @@
 
 namespace vitbit::bench {
 
-// Shared main() wrapper: benches report flag errors (e.g. --threads=0, a
-// non-numeric value) as a one-line message and exit code 2 instead of an
-// unhandled-exception abort, matching vitbit_cli / check_regression.
-inline int guarded_main(int argc, char** argv, int (*run)(int, char**)) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
-    return 2;
-  }
-}
-
 // Host thread pool from --threads (default hardware_concurrency, 1 =
 // serial). Every bench constructs this so the flag is validated uniformly.
 inline ThreadPool make_pool(const Cli& cli) {

@@ -58,5 +58,5 @@ int run(int argc, char** argv) {
 }  // namespace vitbit
 
 int main(int argc, char** argv) {
-  return vitbit::bench::guarded_main(argc, argv, vitbit::run);
+  return vitbit::guarded_main(argc, argv, vitbit::run);
 }

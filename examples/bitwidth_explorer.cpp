@@ -11,7 +11,9 @@
 #include "swar/packed_gemm.h"
 #include "tensor/gemm_ref.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace vitbit;
   const Cli cli(argc, argv);
   const int bits = static_cast<int>(cli.get_int("bits", 4));
@@ -58,4 +60,10 @@ int main(int argc, char** argv) {
             << stats.spill_events << "\n"
             << "  bit-exact: " << (exact ? "yes" : "NO") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return vitbit::guarded_main(argc, argv, run);
 }

@@ -4,6 +4,7 @@
 // with hand-written instruction streams.
 #include <iostream>
 
+#include "common/cli.h"
 #include "arch/calibration.h"
 #include "arch/orin_spec.h"
 #include "common/table.h"
@@ -13,7 +14,9 @@
 #include "sim/launcher.h"
 #include "swar/pack.h"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace vitbit;
 
   // A hand-written packed-MAC inner loop: load a packed operand, run four
@@ -94,4 +97,10 @@ int main() {
   std::cout << "\nFunctional run: one IMAD computed 7*11 = " << fw.reg(lo)
             << " and 7*23 = " << fw.reg(hi) << " simultaneously.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return vitbit::guarded_main(argc, argv, run);
 }

@@ -8,7 +8,9 @@
 #include "sim/launcher.h"
 #include "trace/gemm_traces.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace vitbit;
   const Cli cli(argc, argv);
   const arch::OrinSpec spec;
@@ -52,4 +54,10 @@ int main(int argc, char** argv) {
                "the tensor cores keep their own slice (warp-level"
                " co-scheduling).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return vitbit::guarded_main(argc, argv, run);
 }

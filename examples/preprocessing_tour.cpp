@@ -10,7 +10,9 @@
 #include "vitbit/executors.h"
 #include "vitbit/fused_gemm.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace vitbit;
   const Cli cli(argc, argv);
   const int n = static_cast<int>(cli.get_int("n", 96));
@@ -67,4 +69,10 @@ int main(int argc, char** argv) {
             << (max_abs_diff(c, ref) == 0 ? "bit-identical" : "DIFFERS")
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return vitbit::guarded_main(argc, argv, run);
 }

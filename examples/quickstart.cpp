@@ -4,11 +4,14 @@
 #include <array>
 #include <iostream>
 
+#include "common/cli.h"
 #include "common/rng.h"
 #include "swar/packed_gemm.h"
 #include "tensor/gemm_ref.h"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace vitbit;
 
   // 1. The paper's packing policy for INT8: two values per 32-bit register
@@ -43,4 +46,10 @@ int main() {
   std::cout << "bit-exact vs reference: "
             << (max_abs_diff(c_packed, c_ref) == 0 ? "yes" : "NO") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return vitbit::guarded_main(argc, argv, run);
 }

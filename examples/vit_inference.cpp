@@ -12,7 +12,9 @@
 #include "vitbit/executors.h"
 #include "vitbit/pipeline.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace vitbit;
   const Cli cli(argc, argv);
 
@@ -60,4 +62,10 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return vitbit::guarded_main(argc, argv, run);
 }

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <iostream>
 #include <map>
 #include <string>
 #include <vector>
@@ -45,5 +47,20 @@ class Cli {
   mutable std::map<std::string, bool> used_;
   std::vector<std::string> positional_;
 };
+
+// Shared main() for every bench, example and tool: a flag error (an
+// unknown flag, --threads=0, a non-numeric value) or any other CheckError
+// that escapes `run` prints one line, "<program>: <message>", and exits 2
+// instead of aborting on an unhandled exception.
+inline int guarded_main(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string prog = argc > 0 ? argv[0] : "vitbit";
+    std::cerr << prog.substr(prog.find_last_of('/') + 1) << ": " << e.what()
+              << "\n";
+    return 2;
+  }
+}
 
 }  // namespace vitbit

@@ -563,10 +563,5 @@ int run(int argc, char** argv) {
 }  // namespace vitbit
 
 int main(int argc, char** argv) {
-  try {
-    return vitbit::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "check_regression: " << e.what() << "\n";
-    return 2;
-  }
+  return vitbit::guarded_main(argc, argv, vitbit::run);
 }
