@@ -33,12 +33,6 @@ std::int64_t int_reciprocal(std::int64_t d, int frac_bits) {
   return r;
 }
 
-namespace {
-// Reciprocal precision of int_div_rounded: enough for the numerators the
-// integer-only kernels divide.
-constexpr int kDivFracBits = 30;
-}  // namespace
-
 std::int64_t int_div_rounded(std::int64_t n, std::int64_t d) {
   VITBIT_CHECK(n >= 0);
   VITBIT_CHECK(d >= 1);
@@ -46,22 +40,39 @@ std::int64_t int_div_rounded(std::int64_t n, std::int64_t d) {
   return IntDivisor(d).div_rounded(n);
 }
 
-IntDivisor::IntDivisor(std::int64_t d)
-    : d_(d), recip_(int_reciprocal(d, kDivFracBits)) {}
+namespace {
 
-std::int64_t IntDivisor::div_rounded(std::int64_t n) const {
-  VITBIT_CHECK(n >= 0);
-  if (n == 0) return 0;  // common in softmax rows: exps that underflow
-  // Approximate quotient, then exact correction by at most a few steps
-  // (the reciprocal is within a couple of ULPs).
-  std::int64_t q = static_cast<std::int64_t>(
-      (static_cast<__int128>(n) * recip_) >> kDivFracBits);
-  while (q * d_ > n) --q;
-  while ((q + 1) * d_ <= n) ++q;
-  // q = floor(n/d); round half away from zero.
-  const std::int64_t rem = n - q * d_;
-  if (2 * rem >= d_) ++q;
-  return q;
+// floor(2^(62 + w) / d) for d in [2^(w-1), 2^w), integer-only. Newton-
+// Raphson first finds r = round(2^(29 + w) / d), a 30-bit reciprocal
+// normalized to d's width (in (2^29, 2^30]). Scaling r by 2^33 starts the
+// quotient within 2^32 of the target; each remainder step adds about 30
+// correct bits, so after two the settle loops run at most a step or two.
+// Every product stays below 2^127.
+std::uint64_t scaled_reciprocal(std::int64_t d, int w) {
+  using i128 = __int128;
+  const int s = 29 + w;
+  const i128 one = i128{1} << s;
+  i128 r = i128{1} << 29;  // within 2x of one / d
+  for (int it = 0; it < 5; ++it) r = (r * (2 * one - d * r)) >> s;
+  while (d * (r + 1) <= one) ++r;
+  while (d * r > one) --r;
+  if (2 * (one - d * r) >= d) ++r;
+
+  const i128 num = i128{1} << (62 + w);
+  i128 m = r << 33;
+  for (int it = 0; it < 2; ++it) m += ((num - m * d) * r) >> s;
+  while (m * d > num) --m;
+  while ((m + 1) * d <= num) ++m;
+  return static_cast<std::uint64_t>(m);
+}
+
+}  // namespace
+
+IntDivisor::IntDivisor(std::int64_t d) : d_(static_cast<std::uint64_t>(d)) {
+  VITBIT_CHECK(d >= 1);
+  const int w = ilog2(static_cast<std::uint64_t>(d)) + 1;
+  shift_ = 62 + w;
+  magic_ = scaled_reciprocal(d, w);
 }
 
 }  // namespace vitbit::quant

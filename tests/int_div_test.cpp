@@ -81,9 +81,7 @@ TEST(IntDivRounded, RejectsBadArguments) {
 
 TEST(IntDivisor, MatchesIntDivRounded) {
   // One reciprocal per divisor, reused for every numerator: seeded pairs
-  // over the softmax ranges and beyond, numerators up to 2^48. (Past about
-  // 2^36 the quotient's correction takes up to n / 2^31 steps in both
-  // forms, so only the powers of two go that far.)
+  // over the softmax ranges and beyond, numerators up to 2^48.
   Rng rng(3);
   std::vector<std::int64_t> divisors = {1, 2, 3, 7, 1000003};
   for (int p = 0; p <= 40; p += 5) divisors.push_back(std::int64_t{1} << p);
@@ -98,6 +96,44 @@ TEST(IntDivisor, MatchesIntDivRounded) {
     }
     for (const std::int64_t n : numerators)
       ASSERT_EQ(div.div_rounded(n), int_div_rounded(n, d)) << n << " / " << d;
+  }
+}
+
+// round(n / d), half up, in plain 128-bit arithmetic.
+std::int64_t rounded_quotient(std::int64_t n, std::int64_t d) {
+  return static_cast<std::int64_t>((2 * static_cast<__int128>(n) + d) /
+                                   (2 * static_cast<__int128>(d)));
+}
+
+TEST(IntDivisor, MatchesInt128RoundedDivision) {
+  // Divisors of every width and numerators of every magnitude up to 2^62,
+  // plus the int64 extremes: one multiply and one correction step each.
+  Rng rng(4);
+  std::vector<std::int64_t> divisors = {1, 2, 3, 5, 7, 1000003, INT64_MAX,
+                                        INT64_MAX - 1};
+  for (int w = 1; w <= 63; ++w) {
+    const std::int64_t lo = std::int64_t{1} << (w - 1);
+    divisors.push_back(lo);
+    divisors.push_back(lo + (lo - 1));  // 2^w - 1
+    divisors.push_back(rng.range(lo, lo + (lo - 1)));
+  }
+  for (const std::int64_t d : divisors) {
+    const IntDivisor div(d);
+    std::vector<std::int64_t> numerators = {0, 1, d - 1, d, d / 2,
+                                            INT64_MAX, INT64_MAX - 1};
+    if (d <= INT64_MAX / 3) {
+      numerators.push_back(2 * d + d / 2);      // a tie when d is even
+      numerators.push_back(2 * d + d / 2 + 1);
+      numerators.push_back(3 * d - 1);
+    }
+    for (int p = 0; p <= 62; ++p) numerators.push_back(std::int64_t{1} << p);
+    for (int i = 0; i < 200; ++i) {
+      const int bits = static_cast<int>(rng.range(1, 62));
+      numerators.push_back(rng.range(0, (std::int64_t{1} << bits) - 1));
+    }
+    for (const std::int64_t n : numerators)
+      ASSERT_EQ(div.div_rounded(n), rounded_quotient(n, d))
+          << n << " / " << d;
   }
 }
 
