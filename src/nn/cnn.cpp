@@ -147,17 +147,11 @@ MatrixF32 CnnModel::forward(const MatrixF32& image_chw, const GemmFn& gemm,
     for (int y = 0; y < size; ++y)
       for (int xx = 0; xx < size; ++xx)
         feat.q.at(0, idx++) = x.at(c * size + y, xx);
-  MatrixI32 acc = gemm(feat.q, head.weight);
-  for (int c = 0; c < cfg.num_classes; ++c)
-    acc.at(0, c) += head.bias[static_cast<std::size_t>(c)];
+  const MatrixI32 acc = gemm(feat.q, head.weight);
   if (log)
     log->add({KernelKind::kGemm, "head", 1, feat.q.cols(), cfg.num_classes, 1,
               0});
-  MatrixF32 logits(1, cfg.num_classes);
-  const double s = std::ldexp(1.0, -(act_frac_bits + head.w_frac_bits));
-  for (int c = 0; c < cfg.num_classes; ++c)
-    logits.at(0, c) = static_cast<float>(acc.at(0, c) * s);
-  return logits;
+  return head_logits(acc, head, act_frac_bits);
 }
 
 CnnModel random_cnn(const CnnConfig& cfg, std::uint64_t seed, int act_bits,

@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <cmath>
+#include <utility>
 
 namespace vitbit::nn {
 
@@ -13,19 +14,19 @@ quant::QTensor QuantLinear::forward(const quant::QTensor& x, int out_fb,
                                                     << " features, expected "
                                                     << in_dim());
   MatrixI32 acc = gemm(x.q, weight);
-  if (!bias.empty()) {
+  if (!bias.empty())
     VITBIT_CHECK(static_cast<int>(bias.size()) == out_dim());
-    for (int r = 0; r < acc.rows(); ++r)
-      for (int c = 0; c < acc.cols(); ++c)
-        acc.at(r, c) += bias[static_cast<std::size_t>(c)];
-  }
   if (log) {
     log->add({KernelKind::kGemm, name, x.rows(), in_dim(), out_dim(),
               /*batch=*/1, /*elems=*/0});
   }
+  // Bias add (exact, as in int64), rounding shift and clamp in one pass
+  // over the accumulators.
+  quant::requantize_in_place(acc, bias, x.frac_bits + w_frac_bits, out_fb,
+                             out_bits);
   quant::QTensor out;
   out.frac_bits = out_fb;
-  out.q = quant::requantize(acc, x.frac_bits + w_frac_bits, out_fb, out_bits);
+  out.q = std::move(acc);
   return out;
 }
 
@@ -43,6 +44,20 @@ std::vector<float> QuantLinear::bias_f32(int x_frac_bits) const {
   for (std::size_t i = 0; i < bias.size(); ++i)
     out[i] = static_cast<float>(bias[i] * s);
   return out;
+}
+
+MatrixF32 head_logits(const MatrixI32& acc, const QuantLinear& head,
+                      int x_frac_bits) {
+  VITBIT_CHECK(acc.rows() == 1);
+  VITBIT_CHECK(static_cast<int>(head.bias.size()) == acc.cols());
+  MatrixF32 logits(1, acc.cols());
+  const double s = std::ldexp(1.0, -(x_frac_bits + head.w_frac_bits));
+  for (int c = 0; c < acc.cols(); ++c)
+    logits.at(0, c) = static_cast<float>(
+        (static_cast<std::int64_t>(acc.at(0, c)) +
+         head.bias[static_cast<std::size_t>(c)]) *
+        s);
+  return logits;
 }
 
 QuantLinear random_linear(Rng& rng, int in_dim, int out_dim, int w_frac_bits,

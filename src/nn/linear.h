@@ -23,7 +23,9 @@ struct QuantLinear {
 
   // y = requant(x.q * weight + bias) at `out_fb` fraction bits, saturated
   // to `out_bits`-bit signed range (8 for the INT8 pipeline, 4 for the
-  // low-bitwidth extension). Records a kGemm call when `log` is non-null.
+  // low-bitwidth extension). The bias sum is exact (as in int64) and the
+  // epilogue runs in place on the GEMM output. Records a kGemm call when
+  // `log` is non-null.
   quant::QTensor forward(const quant::QTensor& x, int out_fb,
                          const GemmFn& gemm, KernelLog* log,
                          const std::string& name, int out_bits = 8) const;
@@ -32,6 +34,12 @@ struct QuantLinear {
   MatrixF32 weight_f32() const;
   std::vector<float> bias_f32(int x_frac_bits) const;
 };
+
+// A classification head's real-valued logits: each accumulator of `acc`
+// (1 x out_dim, inputs at `x_frac_bits`) plus its bias, summed in int64,
+// at scale 2^-(x_frac_bits + w_frac_bits).
+MatrixF32 head_logits(const MatrixI32& acc, const QuantLinear& head,
+                      int x_frac_bits);
 
 // Gaussian int8 weights (sigma in integer steps) and small biases —
 // the distribution shape of trained, symmetric-quantized DNN weights.

@@ -81,17 +81,11 @@ MatrixF32 MixerModel::forward(const MatrixF32& patches, const GemmFn& gemm,
   if (log)
     log->add({KernelKind::kAdd, "pool", 0, 0, 0, 1,
               static_cast<std::int64_t>(x.q.size())});
-  MatrixI32 acc = gemm(pooled.q, head.weight);
-  for (int c = 0; c < cfg.num_classes; ++c)
-    acc.at(0, c) += head.bias[static_cast<std::size_t>(c)];
+  const MatrixI32 acc = gemm(pooled.q, head.weight);
   if (log)
     log->add({KernelKind::kGemm, "head", 1, cfg.hidden_dim, cfg.num_classes,
               1, 0});
-  MatrixF32 logits(1, cfg.num_classes);
-  const double s = std::ldexp(1.0, -(pooled.frac_bits + head.w_frac_bits));
-  for (int c = 0; c < cfg.num_classes; ++c)
-    logits.at(0, c) = static_cast<float>(acc.at(0, c) * s);
-  return logits;
+  return head_logits(acc, head, pooled.frac_bits);
 }
 
 MixerModel random_mixer(const MixerConfig& cfg, std::uint64_t seed) {

@@ -51,17 +51,11 @@ MatrixF32 VitModel::forward(const MatrixF32& patches, const GemmFn& gemm,
   cls.frac_bits = x.frac_bits;
   cls.q = MatrixI32(1, cfg.hidden_dim);
   for (int c = 0; c < cfg.hidden_dim; ++c) cls.q.at(0, c) = x.q.at(0, c);
-  MatrixI32 acc = gemm(cls.q, head.weight);
-  for (int c = 0; c < cfg.num_classes; ++c)
-    acc.at(0, c) += head.bias[static_cast<std::size_t>(c)];
+  const MatrixI32 acc = gemm(cls.q, head.weight);
   if (log)
     log->add({KernelKind::kGemm, "head", 1, cfg.hidden_dim, cfg.num_classes,
               1, 0});
-  MatrixF32 logits(1, cfg.num_classes);
-  const double s = std::ldexp(1.0, -(cls.frac_bits + head.w_frac_bits));
-  for (int c = 0; c < cfg.num_classes; ++c)
-    logits.at(0, c) = static_cast<float>(acc.at(0, c) * s);
-  return logits;
+  return head_logits(acc, head, cls.frac_bits);
 }
 
 MatrixF32 VitModel::forward_f32(const MatrixF32& patches) const {

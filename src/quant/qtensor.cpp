@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/int_math.h"
 #include "quant/fixed_point.h"
@@ -47,28 +48,84 @@ int choose_frac_bits(const MatrixF32& x, int bits) {
 }
 
 MatrixI32 requantize(const MatrixI32& acc, int in_fb, int out_fb, int bits) {
-  VITBIT_CHECK(bits >= 2 && bits <= 31);
-  MatrixI32 out(acc.rows(), acc.cols());
-  const auto in = acc.flat();
-  const auto dst = out.flat();
-  const int shift = in_fb - out_fb;
-  if (shift >= 0) {
-    // The shift is checked once; a rounded int32 always fits int32, so
-    // rounding_shift's per-value overflow check cannot fire here.
-    VITBIT_CHECK(shift < 63);
-    for (std::size_t i = 0; i < in.size(); ++i)
-      dst[i] = static_cast<std::int32_t>(
-          clamp_signed(rounding_shift_unchecked(in[i], shift), bits));
-  } else {
-    // |v| < 2^31, so v << 32 still fits int64 and any nonzero v shifted
-    // that far already saturates every bits <= 31: capping the shift at 32
-    // keeps the result and avoids wrapping int64.
-    const int left = std::min(-shift, 32);
-    for (std::size_t i = 0; i < in.size(); ++i)
-      dst[i] = static_cast<std::int32_t>(
-          clamp_signed(static_cast<std::int64_t>(in[i]) << left, bits));
-  }
+  MatrixI32 out = acc;
+  requantize_in_place(out, {}, in_fb, out_fb, bits);
   return out;
+}
+
+void requantize_in_place(MatrixI32& acc, std::span<const std::int32_t> bias,
+                         int in_fb, int out_fb, int bits) {
+  VITBIT_CHECK(bits >= 2 && bits <= 31);
+  VITBIT_CHECK(bias.empty() || static_cast<int>(bias.size()) == acc.cols());
+  const int shift = in_fb - out_fb;
+  VITBIT_CHECK(shift < 63);
+  using i128 = __int128;
+  const auto lo = static_cast<std::int32_t>(signed_min(bits));
+  const auto hi = static_cast<std::int32_t>(signed_max(bits));
+
+  // Every sum x = acc + bias has |x| <= 2^32, so right shifts past 34 all
+  // round to 0 like 34 does, and a left shift of bits - 1 or more already
+  // saturates every nonzero x (today's cap at 32 keeps the same results).
+  const int s = shift >= 0 ? std::min(shift, 34) : 0;
+  const int left = shift < 0 ? std::min(-shift, bits - 1) : 0;
+  // The right shift runs as floor((x + c1 - neg) / 2^k), then a rounding
+  // shift by j = s - k: k <= 30 keeps each low-part sum inside int32.
+  // neg = [x < 0] makes halves round away from zero.
+  const int k = std::min(s, 30);
+  const int j = s - k;
+  const std::int64_t c1 = j == 0 && s >= 1 ? std::int64_t{1} << (s - 1) : 0;
+  const std::int32_t c2 = j > 0 ? std::int32_t{1} << (j - 1) : 0;
+  const std::int32_t neg_on = s >= 1 ? -1 : 0;
+  const auto low_mask = static_cast<std::int32_t>((std::int64_t{1} << k) - 1);
+  // Outside [x_lo, x_hi] every output saturates: clamping x there first
+  // keeps each result and bounds the s == 0 and left-shift sums to int32.
+  i128 x_lo, x_hi;
+  if (shift < 0) {
+    x_lo = lo >> left;
+    x_hi = (hi >> left) + 1;
+  } else if (s == 0) {
+    x_lo = lo;
+    x_hi = hi;
+  } else {
+    x_lo = (i128{lo} + 1) * (i128{1} << s) - (i128{1} << (s - 1));
+    x_hi = i128{hi} * (i128{1} << s) - (i128{1} << (s - 1));
+  }
+  const auto sat32 = [](i128 v) {
+    return static_cast<std::int32_t>(std::clamp<i128>(v, INT32_MIN, INT32_MAX));
+  };
+
+  // Per column: the clamp bounds of acc, ~bias (x < 0 iff acc <= ~bias),
+  // and bias + c1 split at k bits into high and low parts.
+  const auto cols = static_cast<std::size_t>(acc.cols());
+  std::vector<std::int32_t> a_lo(cols), a_hi(cols), not_b(cols), b_hi(cols),
+      b_lo(cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    const std::int32_t b = bias.empty() ? 0 : bias[c];
+    a_lo[c] = sat32(x_lo - b);
+    a_hi[c] = sat32(x_hi - b);
+    not_b[c] = ~b;
+    const std::int64_t bc = b + c1;
+    b_hi[c] = static_cast<std::int32_t>(bc >> k);
+    b_lo[c] = static_cast<std::int32_t>(bc & low_mask);
+  }
+
+  for (int r = 0; r < acc.rows(); ++r) {
+    std::int32_t* const row = acc.row(r).data();
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::int32_t a = std::min(std::max(row[c], a_lo[c]), a_hi[c]);
+      const std::int32_t neg = a <= not_b[c] ? neg_on : 0;
+      const std::int32_t carry = ((a & low_mask) + b_lo[c] + neg) >> k;
+      // The exact quotient fits int32; the unsigned adds only avoid
+      // signed-overflow diagnostics in the partial sums.
+      const auto q = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(a >> k) +
+          static_cast<std::uint32_t>(b_hi[c]) +
+          static_cast<std::uint32_t>(carry));
+      const auto v = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>((q + c2) >> j) << left);
+      row[c] = std::min(std::max(v, lo), hi);
+    }
+  }
 }
 
 }  // namespace vitbit::quant

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "tensor/matrix.h"
 
@@ -35,8 +36,17 @@ MatrixF32 dequantize(const QTensor& t);
 int choose_frac_bits(const MatrixF32& x, int bits = 8);
 
 // Saturating requantization of int32 values at scale 2^-in_fb to `bits`-bit
-// integers at scale 2^-out_fb (a right shift with rounding, plus clamp) —
-// the epilogue of every integer linear layer.
+// integers at scale 2^-out_fb (a right shift with rounding half away from
+// zero, or a left shift, plus clamp). bits in [2, 31]; right shifts must be
+// below 63.
 MatrixI32 requantize(const MatrixI32& acc, int in_fb, int out_fb, int bits);
+
+// The epilogue of every integer linear layer, in place and in one pass:
+// acc[r][c] + bias[c], summed exactly as in int64, then requantized as
+// above. An empty bias adds nothing; otherwise it has one entry per
+// column. The pass runs on int32 lanes (each sum is split into high and
+// low parts at the shift), so it vectorizes at the baseline ISA.
+void requantize_in_place(MatrixI32& acc, std::span<const std::int32_t> bias,
+                         int in_fb, int out_fb, int bits);
 
 }  // namespace vitbit::quant

@@ -164,5 +164,24 @@ TEST(CnnModel, TcLogitsArePinned) {
   EXPECT_EQ(got, want);
 }
 
+TEST(CnnModel, HeadBiasSumNearInt32MaxIsExact) {
+  // Every accumulator within 64 of INT32_MAX: the head's bias sums must be
+  // int64 (an int32 sum overflows), and the layers saturate.
+  const auto cfg = cnn_small();
+  const auto model = random_cnn(cfg, 11);
+  const GemmFn near_max = [](const MatrixI32& a, const MatrixI32& b) {
+    return MatrixI32(a.rows(), b.cols(), INT32_MAX - 10);
+  };
+  const auto logits = model.forward(random_image(cfg, 12), near_max);
+  const double s =
+      std::ldexp(1.0, -(model.act_frac_bits + model.head.w_frac_bits));
+  for (int c = 0; c < cfg.num_classes; ++c)
+    EXPECT_EQ(logits.at(0, c),
+              static_cast<float>((std::int64_t{INT32_MAX} - 10 +
+                                  model.head.bias[static_cast<std::size_t>(c)]) *
+                                 s))
+        << c;
+}
+
 }  // namespace
 }  // namespace vitbit::nn

@@ -97,5 +97,24 @@ TEST(Mixer, TcLogitsArePinned) {
   EXPECT_EQ(got, want);
 }
 
+TEST(Mixer, HeadBiasSumNearInt32MaxIsExact) {
+  // Every accumulator within 64 of INT32_MAX: the head's bias sums must be
+  // int64 (an int32 sum overflows), and the layers saturate.
+  const auto cfg = mixer_tiny();
+  const auto model = random_mixer(cfg, 7);
+  const GemmFn near_max = [](const MatrixI32& a, const MatrixI32& b) {
+    return MatrixI32(a.rows(), b.cols(), INT32_MAX - 10);
+  };
+  const auto logits = model.forward(random_patches(cfg, 8), near_max);
+  const double s =
+      std::ldexp(1.0, -(model.act_frac_bits + model.head.w_frac_bits));
+  for (int c = 0; c < cfg.num_classes; ++c)
+    EXPECT_EQ(logits.at(0, c),
+              static_cast<float>((std::int64_t{INT32_MAX} - 10 +
+                                  model.head.bias[static_cast<std::size_t>(c)]) *
+                                 s))
+        << c;
+}
+
 }  // namespace
 }  // namespace vitbit::nn

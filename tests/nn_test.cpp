@@ -341,6 +341,40 @@ TEST(EpilogueOracle, QuantLinearMatches) {
           << "out_fb " << out_fb << " bits " << bits;
 }
 
+// A GEMM whose every accumulator lies within 64 of INT32_MAX: adding a
+// bias in int32 would overflow (undefined behaviour), so the sums must be
+// int64.
+MatrixI32 near_int32_max(const MatrixI32& a, const MatrixI32& b) {
+  return MatrixI32(a.rows(), b.cols(), INT32_MAX - 10);
+}
+
+TEST(QuantLinear, BiasSumNearInt32MaxSaturates) {
+  Rng rng(64);
+  const auto l = random_linear(rng, 8, 16);  // biases in [-64, 64]
+  ASSERT_GT(*std::max_element(l.bias.begin(), l.bias.end()), 10);
+  quant::QTensor x;
+  x.frac_bits = 4;
+  x.q = MatrixI32(3, 8);
+  for (const int bits : {4, 8}) {
+    const auto y = l.forward(x, 4, near_int32_max, nullptr, "t", bits);
+    for (const auto v : y.q.flat()) EXPECT_EQ(v, signed_max(bits)) << bits;
+  }
+}
+
+TEST(VitModel, HeadBiasSumNearInt32MaxIsExact) {
+  const auto cfg = vit_tiny();
+  const auto model = random_vit(cfg, 42);
+  const auto logits = model.forward(random_patches(cfg, 7), near_int32_max);
+  const double s =
+      std::ldexp(1.0, -(model.act_frac_bits + model.head.w_frac_bits));
+  for (int c = 0; c < cfg.num_classes; ++c)
+    EXPECT_EQ(logits.at(0, c),
+              static_cast<float>((std::int64_t{INT32_MAX} - 10 +
+                                  model.head.bias[static_cast<std::size_t>(c)]) *
+                                 s))
+        << c;
+}
+
 // logits * 2^frac_bits: the head's accumulators, exact in float.
 std::vector<std::int64_t> logit_accumulators(const MatrixF32& logits,
                                              int frac_bits) {
