@@ -1,5 +1,8 @@
 #include "nn/encoder.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/int_math.h"
 #include "quant/ilayernorm.h"
 #include "quant/shift_gelu.h"
@@ -14,9 +17,26 @@ quant::QTensor residual_add(const quant::QTensor& a, const quant::QTensor& b,
   quant::QTensor out;
   out.frac_bits = a.frac_bits;
   out.q = MatrixI32(a.rows(), a.cols());
-  for (std::size_t i = 0; i < out.q.size(); ++i)
-    out.q.flat()[i] = static_cast<std::int32_t>(clamp_signed(
-        static_cast<std::int64_t>(a.q.flat()[i]) + b.q.flat()[i], act_bits));
+  // One pass on int32 lanes: a wrapping sum, replaced by the int32 limit
+  // on overflow, then the act_bits clamp. Past 32 bits the clamp is a
+  // no-op and the int32 store wraps, as the int64 sum's store did.
+  const auto lo = static_cast<std::int32_t>(
+      std::max<std::int64_t>(signed_min(act_bits), INT32_MIN));
+  const auto hi = static_cast<std::int32_t>(
+      std::min<std::int64_t>(signed_max(act_bits), INT32_MAX));
+  const std::int32_t saturate = act_bits <= 32 ? -1 : 0;
+  const std::int32_t* const pa = a.q.data();
+  const std::int32_t* const pb = b.q.data();
+  std::int32_t* const po = out.q.data();
+  for (std::size_t i = 0; i < out.q.size(); ++i) {
+    const std::int32_t u = pa[i], v = pb[i];
+    const auto sum = static_cast<std::int32_t>(static_cast<std::uint32_t>(u) +
+                                               static_cast<std::uint32_t>(v));
+    // The sum overflowed iff u and v share a sign that it lacks.
+    const std::int32_t ovf = (((u ^ sum) & (v ^ sum)) >> 31) & saturate;
+    const std::int32_t limit = (u >> 31) ^ INT32_MAX;
+    po[i] = std::min(std::max((limit & ovf) | (sum & ~ovf), lo), hi);
+  }
   if (log)
     log->add({KernelKind::kAdd, name, 0, 0, 0, 1,
               static_cast<std::int64_t>(out.q.size())});
@@ -27,16 +47,15 @@ quant::QTensor layer_norm(const quant::QTensor& x, KernelLog* log,
                           const std::string& name, int act_bits) {
   quant::QTensor out;
   out.frac_bits = x.frac_bits;
-  out.q = quant::ilayernorm(x.q, x.frac_bits);
-  for (auto& v : out.q.flat())
-    v = static_cast<std::int32_t>(clamp_signed(v, act_bits));
+  // A clamp to 32 or more bits keeps every int32: ilayernorm's 32.
+  out.q = quant::ilayernorm(x.q, x.frac_bits, std::min(act_bits, 32));
   if (log)
     log->add({KernelKind::kLayerNorm, name, 0, 0, 0, 1,
               static_cast<std::int64_t>(out.q.size())});
   return out;
 }
 
-quant::QTensor dropout(const quant::QTensor& x, KernelLog* log,
+quant::QTensor dropout(quant::QTensor x, KernelLog* log,
                        const std::string& name) {
   if (log)
     log->add({KernelKind::kDropout, name, 0, 0, 0, 1,
@@ -49,22 +68,21 @@ quant::QTensor EncoderLayer::forward(const quant::QTensor& x,
                                      const std::string& name,
                                      int act_bits) const {
   const auto ln1 = layer_norm(x, log, name + ".ln1", act_bits);
-  const auto att = attn.forward(ln1, gemm, log, name + ".attn", act_bits);
-  const auto att_d = dropout(att, log, name + ".drop1");
+  const auto att_d =
+      dropout(attn.forward(ln1, gemm, log, name + ".attn", act_bits), log,
+              name + ".drop1");
   const auto h = residual_add(x, att_d, log, name + ".add1", act_bits);
 
   const auto ln2 = layer_norm(h, log, name + ".ln2", act_bits);
   auto mid =
       fc1.forward(ln2, ln2.frac_bits, gemm, log, name + ".fc1", act_bits);
-  mid.q = quant::shift_gelu(mid.q, mid.frac_bits);
-  for (auto& v : mid.q.flat())
-    v = static_cast<std::int32_t>(clamp_signed(v, act_bits));
+  mid.q = quant::shift_gelu_clamped(std::move(mid.q), mid.frac_bits, act_bits);
   if (log)
     log->add({KernelKind::kGelu, name + ".gelu", 0, 0, 0, 1,
               static_cast<std::int64_t>(mid.q.size())});
-  const auto out =
-      fc2.forward(mid, x.frac_bits, gemm, log, name + ".fc2", act_bits);
-  const auto out_d = dropout(out, log, name + ".drop2");
+  const auto out_d =
+      dropout(fc2.forward(mid, x.frac_bits, gemm, log, name + ".fc2", act_bits),
+              log, name + ".drop2");
   return residual_add(h, out_d, log, name + ".add2", act_bits);
 }
 

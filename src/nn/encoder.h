@@ -37,7 +37,7 @@ quant::QTensor layer_norm(const quant::QTensor& x, KernelLog* log,
 
 // Inference-mode dropout: identity on values, but a real kernel launch in
 // the paper's workload, so it is recorded in the log.
-quant::QTensor dropout(const quant::QTensor& x, KernelLog* log,
+quant::QTensor dropout(quant::QTensor x, KernelLog* log,
                        const std::string& name);
 
 }  // namespace vitbit::nn

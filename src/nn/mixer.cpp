@@ -1,6 +1,7 @@
 #include "nn/mixer.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/int_math.h"
 #include "quant/shift_gelu.h"
@@ -21,9 +22,7 @@ quant::QTensor mlp_block(const quant::QTensor& x, const QuantLinear& fc1,
                          KernelLog* log, const std::string& name,
                          int act_bits) {
   auto mid = fc1.forward(x, x.frac_bits, gemm, log, name + ".fc1", act_bits);
-  mid.q = quant::shift_gelu(mid.q, mid.frac_bits);
-  for (auto& v : mid.q.flat())
-    v = static_cast<std::int32_t>(clamp_signed(v, act_bits));
+  mid.q = quant::shift_gelu_clamped(std::move(mid.q), mid.frac_bits, act_bits);
   if (log)
     log->add({KernelKind::kGelu, name + ".gelu", 0, 0, 0, 1,
               static_cast<std::int64_t>(mid.q.size())});

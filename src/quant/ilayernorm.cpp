@@ -1,16 +1,21 @@
 #include "quant/ilayernorm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "common/int_math.h"
 #include "quant/fixed_point.h"
+#include "quant/int_div.h"
 
 namespace vitbit::quant {
 
 namespace {
-// Normalizes one row into `out` at out_fb fraction bits.
+// Normalizes one row into `out` at out_fb fraction bits, clamped to
+// [lo, hi].
 void normalize_row(std::span<const std::int32_t> row,
-                   std::span<std::int32_t> out, int out_fb) {
+                   std::span<std::int32_t> out, int out_fb, std::int64_t lo,
+                   std::int64_t hi) {
   const auto n = static_cast<std::int64_t>(row.size());
   std::int64_t sum = 0;
   for (const auto v : row) sum += v;
@@ -23,24 +28,29 @@ void normalize_row(std::span<const std::int32_t> row,
     var_acc += d * d;
   }
   const std::int64_t var = var_acc / n + 1;  // +1 guards division by zero
-  const std::int64_t stddev = isqrt(var);
+  // (|d| + floor(sd / 2)) / sd is round(|d| / sd) with halves away from
+  // zero for every sd >= 1, odd or even: one reciprocal serves the row.
+  const IntDivisor stddev(isqrt(var));
   for (std::size_t i = 0; i < row.size(); ++i) {
     const std::int64_t d = (static_cast<std::int64_t>(row[i]) - mean)
                            << out_fb;
-    const std::int64_t q =
-        d >= 0 ? (d + stddev / 2) / stddev : -((-d + stddev / 2) / stddev);
+    const std::int64_t m = stddev.div_rounded(d < 0 ? -d : d);
+    const std::int64_t q = d < 0 ? -m : m;
     VITBIT_DCHECK(q >= INT32_MIN && q <= INT32_MAX);
-    out[i] = static_cast<std::int32_t>(q);
+    out[i] = static_cast<std::int32_t>(std::clamp(q, lo, hi));
   }
 }
 }  // namespace
 
-MatrixI32 ilayernorm(const MatrixI32& x, int out_fb) {
+MatrixI32 ilayernorm(const MatrixI32& x, int out_fb, int bits) {
   VITBIT_CHECK(out_fb >= 0 && out_fb <= 20);
   VITBIT_CHECK(x.cols() >= 1);
+  VITBIT_CHECK(bits >= 1 && bits <= 32);
+  const std::int64_t lo = bits < 32 ? signed_min(bits) : INT64_MIN;
+  const std::int64_t hi = bits < 32 ? signed_max(bits) : INT64_MAX;
   MatrixI32 out(x.rows(), x.cols());
   for (int r = 0; r < x.rows(); ++r)
-    normalize_row(x.row(r), out.row(r), out_fb);
+    normalize_row(x.row(r), out.row(r), out_fb, lo, hi);
   return out;
 }
 

@@ -8,10 +8,13 @@
 
 namespace vitbit::quant {
 
-// Row-wise integer layer norm: out = (q - mean) * 2^out_fb / sqrt(var + 1).
-// The input scale cancels, so `x` may carry any fraction bits; the output
-// carries `out_fb`. Integer ops only (int64 intermediates, Newton isqrt).
-MatrixI32 ilayernorm(const MatrixI32& x, int out_fb);
+// Row-wise integer layer norm: out = (q - mean) * 2^out_fb / sqrt(var + 1),
+// rounded half away from zero. The input scale cancels, so `x` may carry
+// any fraction bits; the output carries `out_fb`, saturated to the
+// `bits`-bit signed range (32: no saturation). Integer ops only: int64
+// intermediates, a Newton isqrt per row and one IntDivisor reciprocal of
+// the standard deviation per row.
+MatrixI32 ilayernorm(const MatrixI32& x, int out_fb, int bits = 32);
 
 // Variant with quantized affine parameters: gamma/beta carry `gb_fb`
 // fraction bits and have one entry per column. Output keeps `out_fb`.

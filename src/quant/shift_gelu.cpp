@@ -1,8 +1,10 @@
 #include "quant/shift_gelu.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "common/int_math.h"
 #include "quant/fixed_point.h"
 #include "quant/int_exp.h"
 
@@ -25,6 +27,30 @@ MatrixI32 shift_gelu(const MatrixI32& x, int fb) {
     out.flat()[i] = rounding_shift(static_cast<std::int64_t>(q) * sigma, fb);
   }
   return out;
+}
+
+MatrixI32 shift_gelu_clamped(MatrixI32 x, int fb, int bits) {
+  VITBIT_CHECK(bits >= 2 && bits <= 16);
+  const auto lo = static_cast<std::int32_t>(signed_min(bits));
+  const std::uint32_t size = std::uint32_t{1} << bits;
+  MatrixI32 table(1, static_cast<int>(size));
+  for (std::uint32_t i = 0; i < size; ++i)
+    table.flat()[i] = lo + static_cast<std::int32_t>(i);
+  table = shift_gelu(table, fb);
+  for (auto& v : table.flat())
+    v = static_cast<std::int32_t>(clamp_signed(v, bits));
+  // v - lo indexes the table exactly when v is in the domain; the mask keeps
+  // every read inside it and one check after the pass rejects the rest.
+  std::uint32_t top = 0;
+  for (auto& v : x.flat()) {
+    const std::uint32_t i =
+        static_cast<std::uint32_t>(v) - static_cast<std::uint32_t>(lo);
+    top = std::max(top, i);
+    v = table.flat()[i & (size - 1)];
+  }
+  VITBIT_CHECK_MSG(top < size, "shift_gelu_clamped: an input lies outside "
+                                   "the " << bits << "-bit domain");
+  return x;
 }
 
 MatrixF32 gelu_sigmoid_ref(const MatrixF32& x) {

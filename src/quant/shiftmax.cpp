@@ -9,7 +9,8 @@
 
 namespace vitbit::quant {
 
-MatrixI32 shiftmax(const MatrixI32& logits, int in_fb, int out_bits) {
+MatrixI32 shiftmax(const MatrixI32& logits, int in_fb, int out_bits,
+                   std::int32_t out_max) {
   VITBIT_CHECK(in_fb >= 1 && in_fb <= 24);
   VITBIT_CHECK(out_bits >= 1 && out_bits <= 24);
   VITBIT_CHECK(logits.cols() >= 1);
@@ -28,12 +29,13 @@ MatrixI32 shiftmax(const MatrixI32& logits, int in_fb, int out_bits) {
     VITBIT_DCHECK(sum > 0);  // the max element contributes 2^in_fb
     // Integer-only normalization: one Newton reciprocal of the row sum
     // (GPUs have no integer divider; see quant/int_div.h), then an exact
-    // rounded quotient per element.
+    // rounded quotient per element, saturated at out_max.
     const IntDivisor div(sum);
     const auto out_row = out.row(r);
     for (std::size_t c = 0; c < e.size(); ++c)
-      out_row[c] = static_cast<std::int32_t>(
-          div.div_rounded(static_cast<std::int64_t>(e[c]) << out_bits));
+      out_row[c] = static_cast<std::int32_t>(std::min<std::int64_t>(
+          div.div_rounded(static_cast<std::int64_t>(e[c]) << out_bits),
+          out_max));
   }
   return out;
 }

@@ -381,6 +381,47 @@ TEST(RequantizeOracle, EveryShiftAndWidthMatches) {
     }
 }
 
+// clamp(round((acc + bias) * 2^(out_fb - in_fb)), bits) with the sum in
+// int64 and the shift in 128-bit arithmetic: requantize's arithmetic on a
+// sum that may leave int32.
+std::int32_t requantize_sum_reference(std::int64_t x, int in_fb, int out_fb,
+                                      int bits) {
+  const int shift = in_fb - out_fb;
+  const __int128 v =
+      shift >= 0 ? rounding_shift_unchecked(x, shift)
+                 : static_cast<__int128>(x) << std::min(-shift, 32);
+  const __int128 lo = signed_min(bits), hi = signed_max(bits);
+  return static_cast<std::int32_t>(v < lo ? lo : (v > hi ? hi : v));
+}
+
+TEST(RequantizeOracle, InPlaceBiasSumIsExactAtEveryShift) {
+  const MatrixI32 acc = requantize_inputs(56, 13, 37);
+  const MatrixI32 bias_row = requantize_inputs(57, 1, 37);
+  std::vector<std::int32_t> bias(bias_row.flat().begin(),
+                                 bias_row.flat().end());
+  bias[0] = INT32_MAX;  // sums past both int32 limits
+  bias[1] = INT32_MIN;
+  for (int shift = -40; shift <= 62; ++shift)
+    for (const int bits : {2, 4, 8, 16, 31}) {
+      const int in_fb = shift >= 0 ? shift + 3 : 3;
+      const int out_fb = in_fb - shift;
+      MatrixI32 got = acc;
+      requantize_in_place(got, bias, in_fb, out_fb, bits);
+      for (int r = 0; r < acc.rows(); ++r)
+        for (int c = 0; c < acc.cols(); ++c)
+          ASSERT_EQ(got.at(r, c),
+                    requantize_sum_reference(
+                        std::int64_t{acc.at(r, c)} +
+                            bias[static_cast<std::size_t>(c)],
+                        in_fb, out_fb, bits))
+              << acc.at(r, c) << " + " << bias[static_cast<std::size_t>(c)]
+              << ", shift " << shift << ", bits " << bits;
+      MatrixI32 plain = acc;
+      requantize_in_place(plain, {}, in_fb, out_fb, bits);
+      ASSERT_EQ(plain, oracle::requantize_oracle(acc, in_fb, out_fb, bits));
+    }
+}
+
 TEST(ShiftGeluOracle, ClampedOverWholeActivationDomain) {
   for (int fb = 1; fb <= 20; ++fb)
     for (const int bits : {2, 3, 4, 5, 6, 7, 8, 12, 16}) {
@@ -395,7 +436,25 @@ TEST(ShiftGeluOracle, ClampedOverWholeActivationDomain) {
       for (auto& v : got.flat())
         v = static_cast<std::int32_t>(clamp_signed(v, bits));
       ASSERT_EQ(got, want) << "fb " << fb << " bits " << bits;
+      ASSERT_EQ(shift_gelu_clamped(x, fb, bits), want)
+          << "fb " << fb << " bits " << bits;
     }
+}
+
+TEST(ShiftGeluClamped, RejectsInputsOutsideTheDomain) {
+  for (const int bits : {2, 8, 16}) {
+    const auto lo = static_cast<std::int32_t>(signed_min(bits));
+    const auto hi = static_cast<std::int32_t>(signed_max(bits));
+    MatrixI32 x(2, 3, 0);
+    x.at(1, 2) = hi;
+    x.at(0, 0) = lo;
+    EXPECT_NO_THROW(shift_gelu_clamped(x, 8, bits));
+    for (const std::int32_t bad : {lo - 1, hi + 1, INT32_MIN, INT32_MAX}) {
+      x.at(1, 1) = bad;
+      EXPECT_THROW(shift_gelu_clamped(x, 8, bits), CheckError)
+          << bad << " at " << bits << " bits";
+    }
+  }
 }
 
 TEST(ShiftGeluOracle, SeededInt32InputsMatch) {
@@ -447,10 +506,20 @@ TEST(ILayerNormOracle, RowsSpanningUpToTwoToThirtyMatch) {
                                     std::int64_t{1} << 29,
                                     -(std::int64_t{1} << 29)}) {
       const MatrixI32 x = layernorm_rows(rng, 5, s.cols, base, s.span);
-      for (int out_fb = 0; out_fb <= 20; ++out_fb)
-        ASSERT_EQ(ilayernorm(x, out_fb), oracle::ilayernorm_oracle(x, out_fb))
+      for (int out_fb = 0; out_fb <= 20; ++out_fb) {
+        const MatrixI32 want = oracle::ilayernorm_oracle(x, out_fb);
+        ASSERT_EQ(ilayernorm(x, out_fb), want)
             << s.cols << " cols, span " << s.span << ", base " << base
             << ", out_fb " << out_fb;
+        for (const int bits : {1, 4, 8, 31}) {
+          MatrixI32 clamped = want;
+          for (auto& v : clamped.flat())
+            v = static_cast<std::int32_t>(clamp_signed(v, bits));
+          ASSERT_EQ(ilayernorm(x, out_fb, bits), clamped)
+              << s.cols << " cols, span " << s.span << ", base " << base
+              << ", out_fb " << out_fb << ", bits " << bits;
+        }
+      }
     }
 }
 
@@ -493,8 +562,15 @@ TEST(ShiftmaxOracle, EveryScaleAndWidthMatches) {
                 static_cast<std::int32_t>(20 * unit);
           }
         }
-        ASSERT_EQ(shiftmax(logits, in_fb, out_bits),
-                  oracle::shiftmax_oracle(logits, in_fb, out_bits))
+        const MatrixI32 want = oracle::shiftmax_oracle(logits, in_fb, out_bits);
+        ASSERT_EQ(shiftmax(logits, in_fb, out_bits), want)
+            << "in_fb " << in_fb << " out_bits " << out_bits << " cols "
+            << cols;
+        // Saturated as the attention does, one step below 1.0.
+        const std::int32_t top = (std::int32_t{1} << out_bits) - 1;
+        MatrixI32 saturated = want;
+        for (auto& v : saturated.flat()) v = std::min(v, top);
+        ASSERT_EQ(shiftmax(logits, in_fb, out_bits, top), saturated)
             << "in_fb " << in_fb << " out_bits " << out_bits << " cols "
             << cols;
       }
@@ -508,9 +584,20 @@ TEST(EpilogueKernels, RejectBadArguments) {
   EXPECT_THROW(requantize(m, 100, 10, 8), CheckError);
   EXPECT_NO_THROW(requantize(m, 62, 0, 8));
   EXPECT_NO_THROW(requantize(m, 0, 1000, 8));
+  MatrixI32 acc = m;
+  const std::vector<std::int32_t> three(3, 1), two(2, 1);
+  EXPECT_THROW(requantize_in_place(acc, {}, 0, 0, 1), CheckError);
+  EXPECT_THROW(requantize_in_place(acc, {}, 0, 0, 32), CheckError);
+  EXPECT_THROW(requantize_in_place(acc, three, 63, 0, 8), CheckError);
+  EXPECT_THROW(requantize_in_place(acc, two, 6, 0, 8), CheckError);
+  EXPECT_NO_THROW(requantize_in_place(acc, three, 6, 0, 8));
 
   EXPECT_THROW(shift_gelu(m, 0), CheckError);
   EXPECT_THROW(shift_gelu(m, 21), CheckError);
+  EXPECT_THROW(shift_gelu_clamped(m, 0, 8), CheckError);
+  EXPECT_THROW(shift_gelu_clamped(m, 21, 8), CheckError);
+  EXPECT_THROW(shift_gelu_clamped(m, 8, 1), CheckError);
+  EXPECT_THROW(shift_gelu_clamped(m, 8, 17), CheckError);
 
   EXPECT_THROW(shiftmax(m, 0, 8), CheckError);
   EXPECT_THROW(shiftmax(m, 25, 8), CheckError);
@@ -521,7 +608,8 @@ TEST(EpilogueKernels, RejectBadArguments) {
   EXPECT_THROW(ilayernorm(m, -1), CheckError);
   EXPECT_THROW(ilayernorm(m, 21), CheckError);
   EXPECT_THROW(ilayernorm(MatrixI32(2, 0), 8), CheckError);
-  const std::vector<std::int32_t> three(3, 1), two(2, 1);
+  EXPECT_THROW(ilayernorm(m, 8, 0), CheckError);
+  EXPECT_THROW(ilayernorm(m, 8, 33), CheckError);
   EXPECT_THROW(ilayernorm_affine(m, 8, two, three, 8), CheckError);
   EXPECT_THROW(ilayernorm_affine(m, 8, three, two, 8), CheckError);
   EXPECT_THROW(ilayernorm_affine(m, 8, three, three, -1), CheckError);
