@@ -65,7 +65,7 @@ void requantize_in_place(MatrixI32& acc, std::span<const std::int32_t> bias,
 
   // Every sum x = acc + bias has |x| <= 2^32, so right shifts past 34 all
   // round to 0 like 34 does, and a left shift of bits - 1 or more already
-  // saturates every nonzero x (today's cap at 32 keeps the same results).
+  // saturates every nonzero x: capping both changes no result.
   const int s = shift >= 0 ? std::min(shift, 34) : 0;
   const int left = shift < 0 ? std::min(-shift, bits - 1) : 0;
   // The right shift runs as floor((x + c1 - neg) / 2^k), then a rounding
@@ -79,17 +79,12 @@ void requantize_in_place(MatrixI32& acc, std::span<const std::int32_t> bias,
   const auto low_mask = static_cast<std::int32_t>((std::int64_t{1} << k) - 1);
   // Outside [x_lo, x_hi] every output saturates: clamping x there first
   // keeps each result and bounds the s == 0 and left-shift sums to int32.
-  i128 x_lo, x_hi;
-  if (shift < 0) {
-    x_lo = lo >> left;
-    x_hi = (hi >> left) + 1;
-  } else if (s == 0) {
-    x_lo = lo;
-    x_hi = hi;
-  } else {
-    x_lo = (i128{lo} + 1) * (i128{1} << s) - (i128{1} << (s - 1));
-    x_hi = i128{hi} * (i128{1} << s) - (i128{1} << (s - 1));
-  }
+  const i128 unit = i128{1} << s;
+  const i128 x_lo = shift < 0 ? i128{lo >> left}
+                    : s == 0  ? i128{lo}
+                              : (i128{lo} + 1) * unit - unit / 2;
+  const i128 x_hi =
+      shift < 0 ? i128{(hi >> left) + 1} : i128{hi} * unit - unit / 2;
   const auto sat32 = [](i128 v) {
     return static_cast<std::int32_t>(std::clamp<i128>(v, INT32_MIN, INT32_MAX));
   };
@@ -114,13 +109,9 @@ void requantize_in_place(MatrixI32& acc, std::span<const std::int32_t> bias,
     for (std::size_t c = 0; c < cols; ++c) {
       const std::int32_t a = std::min(std::max(row[c], a_lo[c]), a_hi[c]);
       const std::int32_t neg = a <= not_b[c] ? neg_on : 0;
+      // Both partial sums of q are exact values inside int32.
       const std::int32_t carry = ((a & low_mask) + b_lo[c] + neg) >> k;
-      // The exact quotient fits int32; the unsigned adds only avoid
-      // signed-overflow diagnostics in the partial sums.
-      const auto q = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(a >> k) +
-          static_cast<std::uint32_t>(b_hi[c]) +
-          static_cast<std::uint32_t>(carry));
+      const std::int32_t q = (a >> k) + b_hi[c] + carry;
       const auto v = static_cast<std::int32_t>(
           static_cast<std::uint32_t>((q + c2) >> j) << left);
       row[c] = std::min(std::max(v, lo), hi);
