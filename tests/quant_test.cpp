@@ -458,12 +458,13 @@ TEST(ShiftGeluClamped, RejectsInputsOutsideTheDomain) {
 }
 
 TEST(ShiftGeluOracle, SeededInt32InputsMatch) {
-  // |q| < 2^30 keeps the 1.702 * q shift sum inside int32.
+  // |q| < 2^29 keeps ShiftGELU's int32 arithmetic defined: the 1.702 * q
+  // shift sum and, on its magnitude, int_exp_neg's x * log2(e) shift sum.
   Rng rng(52);
   MatrixI32 x(64, 64);
   for (int fb = 1; fb <= 20; ++fb) {
     for (auto& v : x.flat()) {
-      const int mag = static_cast<int>(rng.range(0, 30));
+      const int mag = static_cast<int>(rng.range(0, 29));
       v = static_cast<std::int32_t>(rng.range(
           -(std::int64_t{1} << mag) + 1, (std::int64_t{1} << mag) - 1));
     }
