@@ -1,6 +1,6 @@
 #include "nn/cnn.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/int_math.h"
 #include "quant/qtensor.h"

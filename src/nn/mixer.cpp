@@ -1,6 +1,5 @@
 #include "nn/mixer.h"
 
-#include <cmath>
 #include <utility>
 
 #include "common/int_math.h"
