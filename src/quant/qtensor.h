@@ -45,7 +45,8 @@ MatrixI32 requantize(const MatrixI32& acc, int in_fb, int out_fb, int bits);
 // acc[r][c] + bias[c], summed exactly as in int64, then requantized as
 // above. An empty bias adds nothing; otherwise it has one entry per
 // column. The pass runs on int32 lanes (each sum is split into high and
-// low parts at the shift), so it vectorizes at the baseline ISA.
+// low parts at the shift), so gcc vectorizes it at the baseline ISA at
+// -O3.
 void requantize_in_place(MatrixI32& acc, std::span<const std::int32_t> bias,
                          int in_fb, int out_fb, int bits);
 
