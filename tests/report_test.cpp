@@ -2,6 +2,7 @@
 // run-report serialization, and the tolerance-based baseline gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <sstream>
 #include <string>
@@ -234,6 +235,53 @@ RunReport sample_report() {
   gp.max_abs_diff = 0.0;
   gp.min_speedup = 6.0;
   rep.gemm_points.push_back(std::move(gp));
+  FleetPointReport fp;
+  fp.strategy = "VitBit";
+  fp.route = "jsq";
+  fp.policy = "timeout";
+  fp.arrival = "poisson";
+  fp.rate_rps = 4000;
+  fp.offered = 1000;
+  fp.completed = 990;
+  fp.goodput_rps = 3900.0;
+  fp.p99_us = 30000;
+  fp.scale_ups = 2;
+  fp.shard_util_max = 0.9;
+  rep.fleet_points.push_back(std::move(fp));
+  SchedPointReport sc;
+  sc.mode = "cb-pre";
+  sc.scope = "class";
+  sc.group = "gold";
+  sc.rate_rps = 400;
+  sc.offered = 200;
+  sc.completed = 190;
+  sc.goodput_rps = 380.0;
+  sc.p50_us = 7000;
+  rep.sched_points.push_back(std::move(sc));
+  FleetSchedPointReport fs;
+  fs.mode = "cb-pre";
+  fs.route = "warm";
+  fs.scope = "all";
+  fs.group = "all";
+  fs.rate_rps = 400;
+  fs.offered = 800;
+  fs.completed = 760;
+  fs.preemptions = 5;
+  fs.cold_swaps = 3;
+  fs.goodput_rps = 370.0;
+  fs.shard_util_min = 0.4;
+  rep.fleet_sched_points.push_back(std::move(fs));
+  SimLoopPointReport sl;
+  sl.name = "vitbit_fused";
+  sl.cycles = 41844;
+  sl.instructions = 90000;
+  sl.repeats = 3;
+  sl.ref_seconds = 0.02;
+  sl.packed_seconds = 0.01;
+  sl.speedup = 2.0;
+  sl.stats_identical = true;
+  sl.min_speedup = 0.5;
+  rep.sim_loop_points.push_back(std::move(sl));
   return rep;
 }
 
@@ -372,6 +420,93 @@ TEST(Baseline, IdenticalReportsPass) {
   EXPECT_TRUE(result.violations().empty());
   EXPECT_EQ(result.first_violation(), "");
   EXPECT_FALSE(result.deltas.empty());
+}
+
+TEST(Baseline, GatedMetricsArePinned) {
+  // Every (metric, tolerance) pair the gate compares on the sample report,
+  // which holds one point of every kind. A change to the gate's code must
+  // leave this list as it is; a change to what it gates edits it here.
+  const RunReport rep = sample_report();
+  const auto result = check_against_baseline(rep, rep, ToleranceSpec{});
+  std::vector<std::pair<std::string, double>> gated;
+  for (const auto& d : result.deltas) gated.emplace_back(d.metric, d.tolerance);
+  std::sort(gated.begin(), gated.end());
+  const std::vector<std::pair<std::string, double>> pinned = {
+      {"VitBit.cuda_cycles", 0.02},
+      {"VitBit.gemm_cycles", 0.02},
+      {"VitBit.kernel.layer0.fc1.cycles", 0.02},
+      {"VitBit.kernel.layer0.fc1.ipc", 0.01},
+      {"VitBit.mean_ipc", 0.01},
+      {"VitBit.total_cycles", 0.02},
+      {"VitBit.total_energy_mj", 0.05},
+      {"VitBit.total_instructions", 0.0},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.completed", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.drop_rate", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.goodput_rps", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.offered", 0.0},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.p50_us", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.p99_us", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.scale_downs", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.scale_ups", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.shard_util_max", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.shard_util_min", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.shed", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.throughput_rps", 0.05},
+      {"fleet.VitBit.jsq.timeout.poisson@4000.utilization", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.cold_swaps", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.completed", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.drop_rate", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.goodput_rps", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.model_swaps", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.offered", 0.0},
+      {"fleet_sched.cb-pre.warm.all.all@400.p50_us", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.p99_us", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.preemptions", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.scale_downs", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.scale_ups", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.shard_util_max", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.shard_util_min", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.throughput_rps", 0.05},
+      {"fleet_sched.cb-pre.warm.all.all@400.utilization", 0.05},
+      {"gemm.layer0.fc1.int32.simd.k", 0.0},
+      {"gemm.layer0.fc1.int32.simd.m", 0.0},
+      {"gemm.layer0.fc1.int32.simd.max_abs_diff", 0.0},
+      {"gemm.layer0.fc1.int32.simd.n", 0.0},
+      {"gemm.layer0.fc1.int32.simd.repeats", 0.0},
+      {"gemm.layer0.fc1.int32.simd.speedup", 0.0},
+      {"l2.gemm_tc.cycles", 0.02},
+      {"l2.gemm_tc.hit_rate", 0.01},
+      {"sched.cb-pre.class.gold@400.completed", 0.05},
+      {"sched.cb-pre.class.gold@400.drop_rate", 0.05},
+      {"sched.cb-pre.class.gold@400.goodput_rps", 0.05},
+      {"sched.cb-pre.class.gold@400.model_swaps", 0.05},
+      {"sched.cb-pre.class.gold@400.offered", 0.0},
+      {"sched.cb-pre.class.gold@400.p50_us", 0.05},
+      {"sched.cb-pre.class.gold@400.p99_us", 0.05},
+      {"sched.cb-pre.class.gold@400.preemptions", 0.05},
+      {"sched.cb-pre.class.gold@400.throughput_rps", 0.05},
+      {"sched.cb-pre.class.gold@400.utilization", 0.05},
+      {"serve.VitBit.timeout.poisson@400.batch_failures", 0.05},
+      {"serve.VitBit.timeout.poisson@400.completed", 0.05},
+      {"serve.VitBit.timeout.poisson@400.degraded_s", 0.05},
+      {"serve.VitBit.timeout.poisson@400.drop_rate", 0.05},
+      {"serve.VitBit.timeout.poisson@400.failovers", 0.05},
+      {"serve.VitBit.timeout.poisson@400.goodput_rps", 0.05},
+      {"serve.VitBit.timeout.poisson@400.offered", 0.0},
+      {"serve.VitBit.timeout.poisson@400.p50_us", 0.05},
+      {"serve.VitBit.timeout.poisson@400.p99_us", 0.05},
+      {"serve.VitBit.timeout.poisson@400.requeued", 0.05},
+      {"serve.VitBit.timeout.poisson@400.retries", 0.05},
+      {"serve.VitBit.timeout.poisson@400.shed", 0.05},
+      {"serve.VitBit.timeout.poisson@400.throughput_rps", 0.05},
+      {"serve.VitBit.timeout.poisson@400.utilization", 0.05},
+      {"sim_loop.vitbit_fused.cycles", 0.0},
+      {"sim_loop.vitbit_fused.instructions", 0.0},
+      {"sim_loop.vitbit_fused.repeats", 0.0},
+      {"sim_loop.vitbit_fused.speedup", 0.0},
+      {"sim_loop.vitbit_fused.stats_identical", 0.0},
+  };
+  EXPECT_EQ(gated, pinned);
 }
 
 TEST(Baseline, ExactlyAtThresholdPasses) {
