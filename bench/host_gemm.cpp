@@ -10,8 +10,8 @@
 //   host_gemm [--shapes=fc1,fc2,...] [--repeats=5] [--seed=42]
 //             [--threads=N] [--csv] [--json=PATH]
 //
-// --json writes a schema-versioned run report (gemm_points section,
-// schema minor 6). GFLOP/s, speedup, and the simd level column are
+// --json writes a schema-versioned run report (gemm_points section).
+// GFLOP/s, speedup, and the simd level column are
 // machine-dependent; everything else in the report is deterministic for a
 // given seed, at every thread count and every VITBIT_SIMD_LEVEL — which
 // is what lets CI byte-diff stripped reports across --threads values and
@@ -43,25 +43,6 @@ std::vector<GemmShapeSpec> select_shapes(const Cli& cli) {
   VITBIT_CHECK_MSG(!out.empty(),
                    "--shapes=" << filter << " matched no ViT-Base GEMM");
   return out;
-}
-
-report::GemmPointReport make_point(const GemmShapeSpec& shape,
-                                   const std::string& dtype, int repeats,
-                                   const GemmMeasurement& m) {
-  report::GemmPointReport p;
-  p.name = shape.name;
-  p.dtype = dtype;
-  p.engine = "simd";
-  p.simd_level = simd_level_name(active_simd_level());
-  p.m = shape.m;
-  p.k = shape.k;
-  p.n = shape.n;
-  p.repeats = repeats;
-  p.gflops = m.engine_gflops;
-  p.ref_gflops = m.ref_gflops;
-  p.speedup = m.speedup;
-  p.max_abs_diff = m.max_abs_diff;
-  return p;
 }
 
 int run(int argc, char** argv) {
@@ -102,7 +83,8 @@ int run(int argc, char** argv) {
           .cell(m.engine_gflops, 2)
           .cell(m.speedup, 2)
           .cell(m.max_abs_diff, 0);
-      points.push_back(make_point(shape, dtype, repeats, m));
+      points.push_back(
+          report::make_gemm_point(shape, dtype, "simd", level, repeats, m));
     }
   }
   if (csv)
@@ -117,7 +99,7 @@ int run(int argc, char** argv) {
   for (const auto& p : points)
     VITBIT_CHECK_MSG(p.max_abs_diff == 0.0,
                      p.engine << " engine diverged from reference on "
-                              << p.key()
+                              << report::key(p)
                               << ": max|diff|=" << p.max_abs_diff);
 
   if (!json.empty()) {

@@ -188,9 +188,9 @@ int cmd_report(const Cli& cli, ThreadPool& pool) {
   const auto back = report::load_report_file(out);
   VITBIT_CHECK_MSG(report::to_json(back) == report::to_json(rep),
                    "report round-trip mismatch: " << out);
-  std::cout << "wrote " << out << " (schema v" << rep.schema_version << ", "
-            << rep.strategies.size() << " strategies, " << rep.l2_runs.size()
-            << " L2 runs)\n";
+  std::cout << "wrote " << out << " (schema v" << report::kSchemaVersion
+            << ", " << rep.strategies.size() << " strategies, "
+            << rep.l2_runs.size() << " L2 runs)\n";
   return 0;
 }
 
@@ -291,7 +291,7 @@ int cmd_sched(const Cli& cli, ThreadPool& pool) {
 // Scheduled-fleet sweep (serve/cluster.h simulate_fleet_sched): the
 // mixed multi-class stream routed across many scheduler shards, warm
 // routing and model placement compared against jsq. --json writes the
-// schema-versioned fleet_sched_points report (schema minor 9).
+// schema-versioned fleet_sched_points report.
 int cmd_fleet_sched(const Cli& cli, ThreadPool& pool) {
   const auto start = std::chrono::steady_clock::now();
   const auto& calib = arch::default_calibration();

@@ -16,25 +16,16 @@
 
 namespace vitbit::report {
 
-// Relative tolerances per metric family (0.02 == ±2%).
+// Relative tolerances of the gate classes the command line sets (0.02 ==
+// +-2%). The other classes have fixed tolerances (see report::Gate).
 struct ToleranceSpec {
   double cycles = 0.02;
   double ipc = 0.01;
-  double instructions = 0.0;  // instruction counts are deterministic
-  double energy = 0.05;
-  double l2_hit_rate = 0.01;
   // Serving-simulator sweep metrics (rates, percentiles, counts). These
   // inherit drift from the memoized batch latencies, and queueing
   // amplifies a latency shift discretely near saturation, so the band is
   // wider than raw cycles.
   double serve = 0.05;
-  // Check per-kernel cycles too (off: only strategy aggregates).
-  bool check_kernels = true;
-  // A kernel/strategy present in the fresh report but absent from the
-  // baseline is recorded as a note, not a violation (new code paths must
-  // not fail CI before their baseline lands). The reverse — baseline
-  // metric missing from the fresh report — is always a violation.
-  bool allow_new_metrics = true;
 };
 
 struct MetricDelta {
@@ -63,8 +54,16 @@ struct BaselineCheckResult {
 // Relative delta with a guard against zero baselines.
 double relative_delta(double baseline, double fresh);
 
+// Compares every gated field of every entry the two reports share, by the
+// reports' field tables. An entry of the baseline missing from the fresh
+// report is a violation; an entry only the fresh report has is noted, not
+// failed, so new code paths do not fail CI before their baseline lands.
 BaselineCheckResult check_against_baseline(const RunReport& fresh,
                                            const RunReport& baseline,
                                            const ToleranceSpec& tol);
+
+// `fresh` with every host-only field cleared: the form --update commits,
+// so a regenerated baseline differs only where a simulated metric moved.
+RunReport strip_host_only(RunReport fresh);
 
 }  // namespace vitbit::report

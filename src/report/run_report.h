@@ -6,11 +6,18 @@
 // optional whole-GPU L2 results (sim::GpuRunResult) — plus build/config
 // metadata, as one JSON document. CI diffs these against checked-in
 // baselines (report/baseline.h) instead of scraping console tables.
+//
+// Each report struct is described once, by the field table its static
+// fields() returns: one row per member, giving its JSON name and its gate
+// class. The writer, the reader, key(), find_point(), the baseline gate and
+// its host-only strip are all derived from these tables, so a new field is
+// one member plus one row.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "arch/orin_spec.h"
@@ -18,31 +25,58 @@
 #include "report/json.h"
 #include "sim/gpu_sim.h"
 #include "sim/stats.h"
+#include "tensor/gemm_timing.h"
+#include "tensor/simd_level.h"
 #include "vitbit/pipeline.h"
 
 namespace vitbit::report {
 
-// Bumped whenever the report layout changes incompatibly; the reader
-// rejects documents with a different major version.
-inline constexpr int kSchemaVersion = 1;
-// Bumped on compatible additions. Readers accept any minor version:
-// documents written before a minor bump simply lack the added fields
-// (which all carry neutral defaults), so old baselines keep loading.
-//   minor 1: host_wall_seconds + threads (host-side perf trajectory).
-//   minor 2: serve_points (serving-simulator rate sweeps, src/serve).
-//   minor 3: gemm_points (host GEMM engine sweep, tensor/gemm_blocked.h).
-//   minor 4: serve fault metrics on serve_points (serve/faults.h).
-//   minor 5: fleet_points (sharded fleet sweeps, serve/cluster.h).
-//   minor 6: simd_level on gemm_points (tensor/simd_level.h) and the
-//            measured engine name joined into the gemm-point key.
-//   minor 7: sched_points (continuous-batching scheduler sweeps over the
-//            multi-model zoo, serve/sched).
-//   minor 8: sim_loop_points (host-simulation-loop timing of the
-//            bit-packed SmSim vs the frozen SmSimRef, sim/sim_loop_timing).
-//   minor 9: fleet_sched_points (class-aware scheduled fleet sweeps — the
-//            sched and cluster tiers unified, serve/cluster.h
-//            simulate_fleet_sched).
-inline constexpr int kSchemaMinorVersion = 9;
+// The reader rejects documents of any other version, and requires every
+// key that the writer writes.
+inline constexpr int kSchemaVersion = 2;
+
+// How the baseline gate (report/baseline.h) treats a field.
+enum class Gate {
+  kKey,       // part of the entry's identity, see key(); never compared
+  kUngated,   // recorded for humans, never compared
+  kExact,     // deterministic: any drift is a violation
+  kCycles,    // ToleranceSpec::cycles
+  kIpc,       // ToleranceSpec::ipc
+  kEnergy,    // +-5%
+  kL2,        // L2 hit rate, +-1%
+  kServe,     // ToleranceSpec::serve
+  kHostOnly,  // machine-dependent: never compared, cleared in baselines
+  kFloor,     // one-sided: the fresh value of the field named by `metric`
+              // must reach the baseline's value of this one (skipped at 0)
+};
+
+// One row of a field table. `metric` names the field in gate output when
+// that differs from its JSON name (for kFloor: the measured field).
+template <class T, class M>
+struct Field {
+  const char* json;
+  M T::*member;
+  Gate gate;
+  const char* metric = nullptr;
+};
+
+// A list of keyed entries, each gated through its own table and matched
+// across reports by key(). Its metrics are named
+// "<prefix>.<key>.<field>" (just "<key>.<field>" for an empty prefix); an
+// entry found on one side only is noted as "<prefix>.<key>.<presence>".
+template <class T, class E>
+struct Section {
+  const char* json;
+  std::vector<E> T::*member;
+  const char* prefix;
+  const char* presence;
+};
+
+// Calls fn(row) for each row of T's field table, in JSON order.
+template <class T, class Fn>
+void for_each_field(Fn&& fn) {
+  std::apply([&](const auto&... row) { (fn(row), ...); }, T::fields());
+}
 
 // sim::SmStats with names instead of enum indices (only nonzero counters
 // are kept, so reports stay small and resilient to ISA growth).
@@ -53,6 +87,19 @@ struct SmStatsReport {
   double ipc = 0.0;
   std::map<std::string, std::uint64_t> issued_by_opcode;
   std::map<std::string, std::uint64_t> unit_busy_cycles;
+
+  static constexpr auto fields() {
+    using R = SmStatsReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"cycles", &R::cycles, kUngated},
+        Field{"instructions_issued", &R::instructions_issued, kUngated},
+        Field{"dram_bytes", &R::dram_bytes, kUngated},
+        Field{"ipc", &R::ipc, kUngated},
+        Field{"issued_by_opcode", &R::issued_by_opcode, kUngated},
+        Field{"unit_busy_cycles", &R::unit_busy_cycles, kUngated},
+    };
+  }
 };
 
 // One core::KernelTiming.
@@ -67,6 +114,23 @@ struct KernelReport {
   double tc_util = 0.0;
   double energy_mj = 0.0;
   SmStatsReport sm;
+
+  static constexpr auto fields() {
+    using R = KernelReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"name", &R::name, kKey},
+        Field{"kind", &R::kind, kUngated},
+        Field{"cycles", &R::cycles, kCycles},
+        Field{"instructions", &R::instructions, kUngated},
+        Field{"ipc", &R::ipc, kIpc},
+        Field{"int_util", &R::int_util, kUngated},
+        Field{"fp_util", &R::fp_util, kUngated},
+        Field{"tc_util", &R::tc_util, kUngated},
+        Field{"energy_mj", &R::energy_mj, kUngated},
+        Field{"sm", &R::sm, kUngated},
+    };
+  }
 };
 
 // One core::InferenceTiming under a named strategy.
@@ -80,6 +144,22 @@ struct StrategyReport {
   double total_energy_mj = 0.0;
   double mean_ipc = 0.0;
   std::vector<KernelReport> kernels;
+
+  static constexpr auto fields() {
+    using R = StrategyReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"strategy", &R::strategy, kKey},
+        Field{"total_cycles", &R::total_cycles, kCycles},
+        Field{"gemm_cycles", &R::gemm_cycles, kCycles},
+        Field{"cuda_cycles", &R::cuda_cycles, kCycles},
+        Field{"total_instructions", &R::total_instructions, kExact},
+        Field{"total_ms", &R::total_ms, kUngated},
+        Field{"total_energy_mj", &R::total_energy_mj, kEnergy},
+        Field{"mean_ipc", &R::mean_ipc, kIpc},
+        Section{"kernels", &R::kernels, "kernel", "cycles"},
+    };
+  }
 };
 
 // One sim::GpuRunResult (multi-SM L2 validation run).
@@ -90,12 +170,26 @@ struct L2Report {
   std::uint64_t l2_misses = 0;
   double l2_hit_rate = 0.0;
   SmStatsReport total;
+
+  static constexpr auto fields() {
+    using R = L2Report;
+    using enum Gate;
+    return std::tuple{
+        Field{"name", &R::name, kKey},
+        Field{"cycles", &R::cycles, kCycles},
+        Field{"l2_hits", &R::l2_hits, kUngated},
+        Field{"l2_misses", &R::l2_misses, kUngated},
+        Field{"l2_hit_rate", &R::l2_hit_rate, kL2, "hit_rate"},
+        Field{"total", &R::total, kUngated},
+    };
+  }
 };
 
 // One (strategy, arrival-rate) point of a serving-simulator rate sweep
-// (serve/server.h). Latencies are virtual microseconds; rates are
-// requests per virtual second. Identified for baseline matching by
-// (strategy, policy, arrival, rate_rps) — see key().
+// (serve/cluster.h). Latencies are virtual microseconds; rates are
+// requests per virtual second. offered counts arrivals of the seeded
+// workload, so it is exact; completed and everything downstream inherit
+// latency drift through the queue dynamics.
 struct ServePointReport {
   std::string strategy;
   std::string policy;
@@ -104,8 +198,8 @@ struct ServePointReport {
   std::uint64_t offered = 0;
   std::uint64_t completed = 0;
   std::uint64_t dropped = 0;
-  // Fault-injection accounting (schema minor 4; serve/metrics.h). All
-  // zero for fault-free sweeps and for pre-bump documents.
+  // Fault-injection accounting (serve/metrics.h); all zero for fault-free
+  // sweeps.
   std::uint64_t batch_failures = 0;
   std::uint64_t retries = 0;
   std::uint64_t requeued = 0;
@@ -125,14 +219,42 @@ struct ServePointReport {
   std::uint64_t p95_us = 0;
   std::uint64_t p99_us = 0;
 
-  // Stable identity within a report, e.g. "VitBit.timeout.poisson@200".
-  std::string key() const;
+  static constexpr auto fields() {
+    using R = ServePointReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"strategy", &R::strategy, kKey},
+        Field{"policy", &R::policy, kKey},
+        Field{"arrival", &R::arrival, kKey},
+        Field{"rate_rps", &R::rate_rps, kKey},
+        Field{"offered", &R::offered, kExact},
+        Field{"completed", &R::completed, kServe},
+        Field{"dropped", &R::dropped, kUngated},
+        Field{"batch_failures", &R::batch_failures, kServe},
+        Field{"retries", &R::retries, kServe},
+        Field{"requeued", &R::requeued, kServe},
+        Field{"shed", &R::shed, kServe},
+        Field{"failovers", &R::failovers, kServe},
+        Field{"degraded_s", &R::degraded_s, kServe},
+        Field{"batches", &R::batches, kUngated},
+        Field{"mean_batch_size", &R::mean_batch_size, kUngated},
+        Field{"drop_rate", &R::drop_rate, kServe},
+        Field{"throughput_rps", &R::throughput_rps, kServe},
+        Field{"goodput_rps", &R::goodput_rps, kServe},
+        Field{"utilization", &R::utilization, kServe},
+        Field{"mean_queue_depth", &R::mean_queue_depth, kUngated},
+        Field{"max_queue_depth", &R::max_queue_depth, kUngated},
+        Field{"p50_us", &R::p50_us, kServe},
+        Field{"p90_us", &R::p90_us, kUngated},
+        Field{"p95_us", &R::p95_us, kUngated},
+        Field{"p99_us", &R::p99_us, kServe},
+    };
+  }
 };
 
 // One (route-policy, arrival-rate) point of a fleet sweep
 // (serve/cluster.h). Latency percentiles are P²-sketch estimates unless
-// the sweep ran with exact percentiles. Identified for baseline matching
-// by (strategy, route, policy, arrival, rate_rps) — see key().
+// the sweep ran with exact percentiles.
 struct FleetPointReport {
   std::string strategy;
   std::string route;    // serve::route_policy_name
@@ -162,17 +284,45 @@ struct FleetPointReport {
   double shard_util_min = 0.0;
   double shard_util_max = 0.0;
 
-  // Stable identity within a report, e.g. "VitBit.jsq.timeout.poisson@4000".
-  std::string key() const;
+  static constexpr auto fields() {
+    using R = FleetPointReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"strategy", &R::strategy, kKey},
+        Field{"route", &R::route, kKey},
+        Field{"policy", &R::policy, kKey},
+        Field{"arrival", &R::arrival, kKey},
+        Field{"rate_rps", &R::rate_rps, kKey},
+        Field{"offered", &R::offered, kExact},
+        Field{"completed", &R::completed, kServe},
+        Field{"dropped", &R::dropped, kUngated},
+        Field{"shed", &R::shed, kServe},
+        Field{"batches", &R::batches, kUngated},
+        Field{"mean_batch_size", &R::mean_batch_size, kUngated},
+        Field{"drop_rate", &R::drop_rate, kServe},
+        Field{"throughput_rps", &R::throughput_rps, kServe},
+        Field{"goodput_rps", &R::goodput_rps, kServe},
+        Field{"utilization", &R::utilization, kServe},
+        Field{"mean_queue_depth", &R::mean_queue_depth, kUngated},
+        Field{"max_queue_depth", &R::max_queue_depth, kUngated},
+        Field{"p50_us", &R::p50_us, kServe},
+        Field{"p90_us", &R::p90_us, kUngated},
+        Field{"p95_us", &R::p95_us, kUngated},
+        Field{"p99_us", &R::p99_us, kServe},
+        Field{"scale_ups", &R::scale_ups, kServe},
+        Field{"scale_downs", &R::scale_downs, kServe},
+        Field{"shard_util_min", &R::shard_util_min, kServe},
+        Field{"shard_util_max", &R::shard_util_max, kServe},
+    };
+  }
 };
 
-// One row of a continuous-batching scheduler sweep (serve/sched). Each
+// One row of a continuous-batching scheduler sweep (serve/cluster.h). Each
 // (mode, rate) sweep point expands to one aggregate row (scope "all",
 // group "all") plus one row per priority class (scope "class", group =
 // class name) and per zoo model (scope "model", group = model name).
 // Preemption/swap counters are whole-run totals carried on the "all" row
-// only. Identified for baseline matching by (mode, scope, group,
-// rate_rps) — see key().
+// only.
 struct SchedPointReport {
   std::string mode;   // fifo | cb | cb-pre
   std::string scope;  // "all" | "class" | "model"
@@ -197,18 +347,41 @@ struct SchedPointReport {
   std::uint64_t p95_us = 0;
   std::uint64_t p99_us = 0;
 
-  // Stable identity within a report, e.g. "cb-pre.class.gold@400".
-  std::string key() const;
+  static constexpr auto fields() {
+    using R = SchedPointReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"mode", &R::mode, kKey},
+        Field{"scope", &R::scope, kKey},
+        Field{"group", &R::group, kKey},
+        Field{"rate_rps", &R::rate_rps, kKey},
+        Field{"offered", &R::offered, kExact},
+        Field{"completed", &R::completed, kServe},
+        Field{"dropped", &R::dropped, kUngated},
+        Field{"preemptions", &R::preemptions, kServe},
+        Field{"model_swaps", &R::model_swaps, kServe},
+        Field{"swap_us", &R::swap_us, kUngated},
+        Field{"batches", &R::batches, kUngated},
+        Field{"mean_batch_size", &R::mean_batch_size, kUngated},
+        Field{"drop_rate", &R::drop_rate, kServe},
+        Field{"throughput_rps", &R::throughput_rps, kServe},
+        Field{"goodput_rps", &R::goodput_rps, kServe},
+        Field{"utilization", &R::utilization, kServe},
+        Field{"mean_queue_depth", &R::mean_queue_depth, kUngated},
+        Field{"max_queue_depth", &R::max_queue_depth, kUngated},
+        Field{"p50_us", &R::p50_us, kServe},
+        Field{"p90_us", &R::p90_us, kUngated},
+        Field{"p95_us", &R::p95_us, kUngated},
+        Field{"p99_us", &R::p99_us, kServe},
+    };
+  }
 };
 
 // One row of a class-aware scheduled-fleet sweep (serve/cluster.h
-// simulate_fleet_sched — the sched and cluster tiers unified; schema
-// minor 9). Each (mode, route, rate) sweep point expands like a sched
-// point: one aggregate row (scope "all", group "all") plus one row per
-// priority class and per zoo model. Whole-run counters — preemptions,
-// swaps, autoscale actions, utilization spread — ride the "all" row
-// only. Identified for baseline matching by (mode, route, scope, group,
-// rate_rps) — see key().
+// simulate_fleet_sched). Each (mode, route, rate) sweep point expands like
+// a sched point: one aggregate row (scope "all", group "all") plus one row
+// per priority class and per zoo model. Whole-run counters — preemptions,
+// swaps, autoscale actions, utilization spread — ride the "all" row only.
 struct FleetSchedPointReport {
   std::string mode;   // fifo | cb | cb-pre
   std::string route;  // serve::route_policy_name (jsq | warm | ...)
@@ -241,27 +414,54 @@ struct FleetSchedPointReport {
   double shard_util_min = 0.0;
   double shard_util_max = 0.0;
 
-  // Stable identity within a report, e.g. "cb-pre.warm.class.gold@400".
-  std::string key() const;
+  static constexpr auto fields() {
+    using R = FleetSchedPointReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"mode", &R::mode, kKey},
+        Field{"route", &R::route, kKey},
+        Field{"scope", &R::scope, kKey},
+        Field{"group", &R::group, kKey},
+        Field{"rate_rps", &R::rate_rps, kKey},
+        Field{"offered", &R::offered, kExact},
+        Field{"completed", &R::completed, kServe},
+        Field{"dropped", &R::dropped, kUngated},
+        Field{"preemptions", &R::preemptions, kServe},
+        Field{"model_swaps", &R::model_swaps, kServe},
+        Field{"cold_swaps", &R::cold_swaps, kServe},
+        Field{"swap_us", &R::swap_us, kUngated},
+        Field{"batches", &R::batches, kUngated},
+        Field{"mean_batch_size", &R::mean_batch_size, kUngated},
+        Field{"drop_rate", &R::drop_rate, kServe},
+        Field{"throughput_rps", &R::throughput_rps, kServe},
+        Field{"goodput_rps", &R::goodput_rps, kServe},
+        Field{"utilization", &R::utilization, kServe},
+        Field{"mean_queue_depth", &R::mean_queue_depth, kUngated},
+        Field{"max_queue_depth", &R::max_queue_depth, kUngated},
+        Field{"p50_us", &R::p50_us, kServe},
+        Field{"p90_us", &R::p90_us, kUngated},
+        Field{"p95_us", &R::p95_us, kUngated},
+        Field{"p99_us", &R::p99_us, kServe},
+        Field{"scale_ups", &R::scale_ups, kServe},
+        Field{"scale_downs", &R::scale_downs, kServe},
+        Field{"shard_util_min", &R::shard_util_min, kServe},
+        Field{"shard_util_max", &R::shard_util_max, kServe},
+    };
+  }
 };
 
 // One (shape, dtype, engine) point of a host-GEMM sweep (bench/host_gemm,
 // tensor/gemm_timing.h): the simd engine timed against the reference
 // triple loop, at the active SIMD tier ("simd") or, in check_regression's
-// host_gemm gate, forced to tier none ("simd-none"). gflops/ref_gflops/
-// speedup and simd_level are machine-dependent and are zeroed/cleared in
-// checked-in baselines; the gate instead enforces max_abs_diff == 0
-// (bit-identity) and fresh speedup >= the baseline's min_speedup floor.
-// Identified for baseline matching by (name, dtype, engine) — see key().
+// host_gemm gate, forced to tier none ("simd-none"). The shape, the repeat
+// count and max_abs_diff == 0 (bit-identity) are exact; the measured rates
+// only gate through the min_speedup floor recorded at --update time.
 struct GemmPointReport {
   std::string name;    // workload label, e.g. "layer0.attn.qkv"
   std::string dtype;   // "int32" | "f32"
   std::string engine;  // what was measured against the reference:
                        // "simd" | "simd-none"
-  // SIMD tier the simd engine ran at ("none" | "sse" | "avx2"; schema
-  // minor 6). Machine-dependent — recorded for humans reading fresh
-  // reports, cleared in baselines and never gated on.
-  std::string simd_level;
+  std::string simd_level;  // tier the simd engine ran at
   int m = 0;
   int k = 0;
   int n = 0;
@@ -272,18 +472,32 @@ struct GemmPointReport {
   double max_abs_diff = 0.0;  // vs reference output; 0 == bit-identical
   double min_speedup = 0.0;   // gate floor recorded at --update time
 
-  // Stable identity within a report, e.g. "layer0.attn.qkv.int32.simd".
-  std::string key() const;
+  static constexpr auto fields() {
+    using R = GemmPointReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"name", &R::name, kKey},
+        Field{"dtype", &R::dtype, kKey},
+        Field{"engine", &R::engine, kKey},
+        Field{"simd_level", &R::simd_level, kHostOnly},
+        Field{"m", &R::m, kExact},
+        Field{"k", &R::k, kExact},
+        Field{"n", &R::n, kExact},
+        Field{"repeats", &R::repeats, kExact},
+        Field{"gflops", &R::gflops, kHostOnly},
+        Field{"ref_gflops", &R::ref_gflops, kHostOnly},
+        Field{"speedup", &R::speedup, kHostOnly},
+        Field{"max_abs_diff", &R::max_abs_diff, kExact},
+        Field{"min_speedup", &R::min_speedup, kFloor, "speedup"},
+    };
+  }
 };
 
 // One workload of a host-simulation-loop timing run (bench/sim_loop,
 // sim/sim_loop_timing.h): the bit-packed SmSim timed against the frozen
-// pre-packing SmSimRef. cycles/instructions are simulated and therefore
-// deterministic; the seconds/speedup fields are machine-dependent and are
-// zeroed in checked-in baselines. The gate enforces stats_identical (the
-// packed layout's byte-identity contract), exact cycles/instructions, and
-// fresh speedup >= the baseline's min_speedup floor. Identified for
-// baseline matching by name — see key().
+// pre-packing SmSimRef. cycles/instructions are simulated and exact, as is
+// stats_identical (the packed layout's byte-identity contract); the
+// measured seconds only gate through the min_speedup floor.
 struct SimLoopPointReport {
   std::string name;  // workload label, e.g. "vitbit_fused"
   std::uint64_t cycles = 0;
@@ -295,60 +509,95 @@ struct SimLoopPointReport {
   bool stats_identical = false;  // SmSim stats == SmSimRef stats
   double min_speedup = 0.0;      // gate floor recorded at --update time
 
-  std::string key() const { return name; }
+  static constexpr auto fields() {
+    using R = SimLoopPointReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"name", &R::name, kKey},
+        Field{"cycles", &R::cycles, kExact},
+        Field{"instructions", &R::instructions, kExact},
+        Field{"repeats", &R::repeats, kExact},
+        Field{"ref_seconds", &R::ref_seconds, kHostOnly},
+        Field{"packed_seconds", &R::packed_seconds, kHostOnly},
+        Field{"speedup", &R::speedup, kHostOnly},
+        Field{"stats_identical", &R::stats_identical, kExact},
+        Field{"min_speedup", &R::min_speedup, kFloor, "speedup"},
+    };
+  }
 };
 
 struct RunReport {
-  int schema_version = kSchemaVersion;
-  int schema_minor_version = kSchemaMinorVersion;
   std::string tool;  // producing binary, e.g. "vitbit_cli" / "check_regression"
-  // Free-form run context: model, layers, pack factor, build type, compiler.
-  // Baseline checking requires these to match exactly.
-  std::map<std::string, std::string> meta;
   // Host-side performance of the run that produced this report: wall-clock
-  // seconds spent simulating and the --threads count used. Machine-
-  // dependent by nature, so the baseline gate never compares them; they
-  // make the simulator's own perf trajectory machine-readable alongside
-  // the simulated metrics. 0 when the producer did not record them.
+  // seconds spent simulating and the --threads count used. 0 when the
+  // producer did not record them.
   double host_wall_seconds = 0.0;
   int threads = 0;
+  // Free-form run context: model, layers, pack factor, build type, compiler.
+  // Baseline checking requires these to match exactly, apart from the
+  // toolchain keys.
+  std::map<std::string, std::string> meta;
+  // Each list is empty when the run did not produce that kind of result.
   std::vector<StrategyReport> strategies;
   std::vector<L2Report> l2_runs;
-  // Serving-simulator sweep points (schema minor 2; empty for reports
-  // that ran no serving simulation, and for pre-bump documents).
   std::vector<ServePointReport> serve_points;
-  // Host-GEMM engine sweep points (schema minor 3; empty for reports that
-  // ran no host-GEMM measurement, and for pre-bump documents).
   std::vector<GemmPointReport> gemm_points;
-  // Fleet sweep points (schema minor 5; empty for reports that ran no
-  // fleet simulation, and for pre-bump documents).
   std::vector<FleetPointReport> fleet_points;
-  // Scheduler sweep points (schema minor 7; empty for reports that ran
-  // no scheduler simulation, and for pre-bump documents).
   std::vector<SchedPointReport> sched_points;
-  // Scheduled-fleet sweep points (schema minor 9; empty for reports that
-  // ran no scheduled-fleet simulation, and for pre-bump documents).
   std::vector<FleetSchedPointReport> fleet_sched_points;
-  // Host-simulation-loop timing points (schema minor 8; empty for reports
-  // that ran no sim-loop measurement, and for pre-bump documents).
   std::vector<SimLoopPointReport> sim_loop_points;
 
-  // nullptr when the report has no entry for `strategy`.
-  const StrategyReport* find_strategy(const std::string& strategy) const;
-  // nullptr when the report has no serve point with this key().
-  const ServePointReport* find_serve_point(const std::string& key) const;
-  // nullptr when the report has no gemm point with this key().
-  const GemmPointReport* find_gemm_point(const std::string& key) const;
-  // nullptr when the report has no fleet point with this key().
-  const FleetPointReport* find_fleet_point(const std::string& key) const;
-  // nullptr when the report has no sched point with this key().
-  const SchedPointReport* find_sched_point(const std::string& key) const;
-  // nullptr when the report has no scheduled-fleet point with this key().
-  const FleetSchedPointReport* find_fleet_sched_point(
-      const std::string& key) const;
-  // nullptr when the report has no sim-loop point with this key().
-  const SimLoopPointReport* find_sim_loop_point(const std::string& key) const;
+  static constexpr auto fields() {
+    using R = RunReport;
+    using enum Gate;
+    return std::tuple{
+        Field{"tool", &R::tool, kUngated},
+        Field{"host_wall_seconds", &R::host_wall_seconds, kHostOnly},
+        Field{"threads", &R::threads, kHostOnly},
+        Field{"meta", &R::meta, kExact},
+        Section{"strategies", &R::strategies, "", "total_cycles"},
+        Section{"l2_runs", &R::l2_runs, "l2", "cycles"},
+        Section{"serve_points", &R::serve_points, "serve", "goodput_rps"},
+        Section{"gemm_points", &R::gemm_points, "gemm", "max_abs_diff"},
+        Section{"fleet_points", &R::fleet_points, "fleet", "goodput_rps"},
+        Section{"sched_points", &R::sched_points, "sched", "goodput_rps"},
+        Section{"fleet_sched_points", &R::fleet_sched_points, "fleet_sched",
+                "goodput_rps"},
+        Section{"sim_loop_points", &R::sim_loop_points, "sim_loop",
+                "stats_identical"},
+    };
+  }
 };
+
+// "%g" of a numeric key field, so rate 400.0 keys as "400".
+std::string key_number(double v);
+
+// Stable identity of an entry within its list: its kKey fields in table
+// order, strings joined by '.' and a number appended after '@', e.g.
+// "VitBit.timeout.poisson@400" or "layer0.fc1.int32.simd".
+template <class T>
+std::string key(const T& entry) {
+  std::string out;
+  for_each_field<T>([&](const auto& row) {
+    if constexpr (requires { row.gate; }) {
+      using M = std::remove_cvref_t<decltype(entry.*row.member)>;
+      if (row.gate != Gate::kKey) return;
+      if constexpr (std::is_same_v<M, std::string>)
+        out += (out.empty() ? "" : ".") + entry.*row.member;
+      else if constexpr (std::is_arithmetic_v<M>)
+        out += "@" + key_number(entry.*row.member);
+    }
+  });
+  return out;
+}
+
+// nullptr when `list` holds no entry whose key() is `k`.
+template <class T>
+const T* find_point(const std::vector<T>& list, const std::string& k) {
+  for (const auto& entry : list)
+    if (key(entry) == k) return &entry;
+  return nullptr;
+}
 
 // ---- Builders from live simulator results ----
 
@@ -357,25 +606,22 @@ KernelReport make_kernel_report(const core::KernelTiming& timing);
 StrategyReport make_strategy_report(const core::InferenceTiming& timing,
                                     const arch::OrinSpec& spec);
 L2Report make_l2_report(const std::string& name, const sim::GpuRunResult& r);
+// The simd engine timed at `level`, reported under `engine` ("simd" at the
+// active tier, "simd-none" when forced to none); min_speedup is left 0.
+GemmPointReport make_gemm_point(const GemmShapeSpec& shape,
+                                const std::string& dtype,
+                                const std::string& engine, SimdLevel level,
+                                int repeats, const GemmMeasurement& m);
 
 // Compiler/build-mode/schema identification stamped into every report.
 std::map<std::string, std::string> build_metadata();
 
 // ---- JSON round-trip ----
 
-Json to_json(const SmStatsReport& r);
-Json to_json(const KernelReport& r);
-Json to_json(const StrategyReport& r);
-Json to_json(const L2Report& r);
-Json to_json(const ServePointReport& r);
-Json to_json(const GemmPointReport& r);
-Json to_json(const FleetPointReport& r);
-Json to_json(const SchedPointReport& r);
-Json to_json(const FleetSchedPointReport& r);
-Json to_json(const SimLoopPointReport& r);
 Json to_json(const RunReport& r);
 
-// Throw CheckError on schema-version or shape mismatch.
+// Throws CheckError on a schema-version mismatch, a missing key or a value
+// of the wrong type.
 RunReport run_report_from_json(const Json& j);
 
 RunReport load_report_file(const std::string& path);

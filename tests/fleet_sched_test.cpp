@@ -228,13 +228,14 @@ TEST(FleetSchedSweep, ReportRoundTripsAndIndexes) {
   const auto back = report::load_report_file(path);
   EXPECT_TRUE(report::to_json(back) == report::to_json(rep));
 
-  const auto* p = back.find_fleet_sched_point("fifo.jsq.all.all@50000");
+  const auto& rows = back.fleet_sched_points;
+  const auto* p = report::find_point(rows, "fifo.jsq.all.all@50000");
   ASSERT_NE(p, nullptr);
   EXPECT_GT(p->offered, 0u);
   EXPECT_EQ(p->offered, p->completed + p->dropped);
-  EXPECT_NE(back.find_fleet_sched_point("cb-pre.warm.class.interactive@250000"),
+  EXPECT_NE(report::find_point(rows, "cb-pre.warm.class.interactive@250000"),
             nullptr);
-  EXPECT_EQ(back.find_fleet_sched_point("fifo.po2c.all.all@50000"), nullptr);
+  EXPECT_EQ(report::find_point(rows, "fifo.po2c.all.all@50000"), nullptr);
 }
 
 TEST(FleetSchedCli, AssemblesConfigFromFlags) {

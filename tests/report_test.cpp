@@ -344,11 +344,10 @@ TEST(RunReport, JsonRoundTrip) {
   const RunReport back = run_report_from_json(Json::parse(j.dump()));
   // Equality via re-serialization: the document is the contract.
   EXPECT_EQ(to_json(back), j);
-  ASSERT_NE(back.find_strategy("VitBit"), nullptr);
-  EXPECT_EQ(back.find_strategy("VitBit")->kernels[0].sm.issued_by_opcode.at(
-                "IMMA"),
-            500u);
-  EXPECT_EQ(back.find_strategy("absent"), nullptr);
+  const auto* s = find_point(back.strategies, "VitBit");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->kernels[0].sm.issued_by_opcode.at("IMMA"), 500u);
+  EXPECT_EQ(find_point(back.strategies, "absent"), nullptr);
 }
 
 TEST(RunReport, FileRoundTrip) {
@@ -360,29 +359,54 @@ TEST(RunReport, FileRoundTrip) {
 
 TEST(RunReport, HostPerfFieldsRoundTrip) {
   const RunReport rep = sample_report();
-  const Json j = to_json(rep);
-  EXPECT_EQ(j.int_at("schema_minor_version"), kSchemaMinorVersion);
-  const RunReport back = run_report_from_json(Json::parse(j.dump()));
+  const RunReport back = run_report_from_json(Json::parse(to_json(rep).dump()));
   EXPECT_DOUBLE_EQ(back.host_wall_seconds, rep.host_wall_seconds);
   EXPECT_EQ(back.threads, 4);
-  EXPECT_EQ(back.schema_minor_version, kSchemaMinorVersion);
 }
 
-TEST(RunReport, PreMinorBumpDocumentsStillLoad) {
-  // The checked-in baselines were written before schema minor 1; a reader
-  // must default the added fields instead of rejecting the document.
-  const Json full = to_json(sample_report());
-  Json j = Json::object();
-  for (const auto& [key, value] : full.items()) {
-    if (key == "schema_minor_version" || key == "host_wall_seconds" ||
-        key == "threads")
-      continue;
-    j.set(key, value);
+// Copies `j`, leaving out the `skip`-th key, in document order, of the
+// fixed-layout objects (every object but the meta and counter maps).
+// `seen` counts those keys; `dropped` names the one left out.
+Json copy_without(const Json& j, int skip, int& seen, std::string& dropped,
+                  bool fixed_layout = true) {
+  if (j.is_array()) {
+    Json out = Json::array();
+    for (std::size_t i = 0; i < j.size(); ++i)
+      out.push_back(copy_without(j[i], skip, seen, dropped));
+    return out;
   }
-  const RunReport back = run_report_from_json(j);
-  EXPECT_EQ(back.schema_minor_version, 0);
-  EXPECT_DOUBLE_EQ(back.host_wall_seconds, 0.0);
-  EXPECT_EQ(back.threads, 0);
+  if (!j.is_object()) return j;
+  Json out = Json::object();
+  for (const auto& [k, v] : j.items()) {
+    if (fixed_layout && seen++ == skip) {
+      dropped = k;
+      continue;
+    }
+    const bool map =
+        k == "meta" || k == "issued_by_opcode" || k == "unit_busy_cycles";
+    out.set(k, copy_without(v, skip, seen, dropped, fixed_layout && !map));
+  }
+  return out;
+}
+
+TEST(RunReport, EveryKeyIsRequired) {
+  // The sample holds one entry of every kind, so every key of the schema
+  // occurs in it; the reader must reject the document without any one.
+  const Json doc = to_json(sample_report());
+  int keys = 0;
+  for (int skip = 0;; ++skip) {
+    int seen = 0;
+    std::string dropped;
+    const Json mutated = copy_without(doc, skip, seen, dropped);
+    if (skip >= seen) {
+      keys = seen;
+      break;
+    }
+    EXPECT_THROW(run_report_from_json(mutated), CheckError)
+        << "key #" << skip << " (" << dropped << ")";
+  }
+  EXPECT_GT(keys, 150);
+  EXPECT_NO_THROW(run_report_from_json(doc));
 }
 
 TEST(RunReport, SchemaVersionMismatchRejected) {
@@ -579,8 +603,7 @@ TEST(Baseline, NewKernelNameIsNotedNotFailed) {
   KernelReport extra = base.strategies[0].kernels[0];
   extra.name = "layer0.new_fused";
   fresh.strategies[0].kernels.push_back(std::move(extra));
-  ToleranceSpec tol;
-  const auto result = check_against_baseline(fresh, base, tol);
+  const auto result = check_against_baseline(fresh, base, ToleranceSpec{});
   EXPECT_TRUE(result.ok());
   bool noted = false;
   for (const auto& d : result.deltas)
@@ -590,9 +613,6 @@ TEST(Baseline, NewKernelNameIsNotedNotFailed) {
       noted = true;
     }
   EXPECT_TRUE(noted);
-  // Strict mode: new metrics fail until their baseline lands.
-  tol.allow_new_metrics = false;
-  EXPECT_FALSE(check_against_baseline(fresh, base, tol).ok());
 }
 
 TEST(Baseline, WorkloadMetaMismatchFails) {
@@ -649,58 +669,24 @@ TEST(RunReport, ServePointsRoundTripAndLookup) {
   const RunReport rep = sample_report();
   const RunReport back = run_report_from_json(to_json(rep));
   EXPECT_EQ(to_json(back), to_json(rep));
-  const auto* p = back.find_serve_point("VitBit.timeout.poisson@400");
+  const auto* p = find_point(back.serve_points, "VitBit.timeout.poisson@400");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->completed, 780u);
   EXPECT_EQ(p->p99_us, 24000u);
-  EXPECT_EQ(back.find_serve_point("TC.timeout.poisson@400"), nullptr);
+  EXPECT_EQ(find_point(back.serve_points, "TC.timeout.poisson@400"), nullptr);
 }
 
 TEST(RunReport, GemmPointKeyIncludesEngine) {
-  // Schema minor 6: the engine name is part of the gemm-point identity,
-  // so simd-none and simd measurements of the same shape coexist in one
-  // report, and simd_level survives the JSON round trip.
+  // The engine name is part of the gemm-point identity, so simd-none and
+  // simd measurements of the same shape coexist in one report, and
+  // simd_level survives the JSON round trip.
   const RunReport back = run_report_from_json(to_json(sample_report()));
-  const auto* p = back.find_gemm_point("layer0.fc1.int32.simd");
+  const auto& points = back.gemm_points;
+  const auto* p = find_point(points, "layer0.fc1.int32.simd");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->simd_level, "avx2");
   EXPECT_EQ(p->min_speedup, 6.0);
-  EXPECT_EQ(back.find_gemm_point("layer0.fc1.int32.simd-none"), nullptr);
-}
-
-TEST(RunReport, PreMinor6GemmPointsLoadWithoutSimdLevel) {
-  // Documents written before minor 6 carry no simd_level key on their
-  // gemm points; the reader must default it to empty, not reject.
-  const Json full = to_json(sample_report());
-  Json j = Json::object();
-  for (const auto& [key, value] : full.items()) {
-    if (key != "gemm_points") {
-      j.set(key, value);
-      continue;
-    }
-    Json points = Json::array();
-    for (std::size_t i = 0; i < value.size(); ++i) {
-      Json point = Json::object();
-      for (const auto& [pk, pv] : value[i].items())
-        if (pk != "simd_level") point.set(pk, pv);
-      points.push_back(std::move(point));
-    }
-    j.set(key, std::move(points));
-  }
-  const RunReport back = run_report_from_json(j);
-  ASSERT_EQ(back.gemm_points.size(), 1u);
-  EXPECT_TRUE(back.gemm_points[0].simd_level.empty());
-  EXPECT_EQ(back.gemm_points[0].engine, "simd");
-}
-
-TEST(RunReport, DocumentsWithoutServePointsStillLoad) {
-  // Pre-minor-2 documents (the original fig5/fig10 baselines) carry no
-  // serve_points key; the reader must default to an empty section.
-  const Json full = to_json(sample_report());
-  Json j = Json::object();
-  for (const auto& [key, value] : full.items())
-    if (key != "serve_points") j.set(key, value);
-  EXPECT_TRUE(run_report_from_json(j).serve_points.empty());
+  EXPECT_EQ(find_point(points, "layer0.fc1.int32.simd-none"), nullptr);
 }
 
 TEST(Baseline, ServeGoodputDriftTrips) {

@@ -347,13 +347,14 @@ TEST(SchedSweep, ReportRoundTripsAndIndexes) {
   const auto back = report::load_report_file(path);
   EXPECT_TRUE(report::to_json(back) == report::to_json(rep));
 
-  const auto* p = back.find_sched_point("fifo.all.all@50000");
+  const auto& rows = back.sched_points;
+  const auto* p = report::find_point(rows, "fifo.all.all@50000");
   ASSERT_NE(p, nullptr);
   EXPECT_GT(p->offered, 0u);
   EXPECT_EQ(p->offered, p->completed + p->dropped);
-  EXPECT_NE(back.find_sched_point("cb-pre.class.interactive@250000"),
+  EXPECT_NE(report::find_point(rows, "cb-pre.class.interactive@250000"),
             nullptr);
-  EXPECT_EQ(back.find_sched_point("lifo.all.all@50000"), nullptr);
+  EXPECT_EQ(report::find_point(rows, "lifo.all.all@50000"), nullptr);
 }
 
 TEST(SchedCli, AssemblesConfigFromFlags) {

