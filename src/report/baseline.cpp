@@ -145,15 +145,17 @@ void compare_row(std::vector<MetricDelta>& out, const Section<T, E>& row,
   const auto& b = base.*row.member;
   const auto& f = fresh.*row.member;
   for (const E& entry : b) {
-    const std::string p = prefix + key(entry) + ".";
-    if (const E* match = find_point(f, key(entry)))
-      compare(out, entry, *match, p, tol);
+    const std::string k = key(entry);
+    if (const E* match = find_point(f, k))
+      compare(out, entry, *match, prefix + k + ".", tol);
     else
-      add_missing(out, p + row.presence);
+      add_missing(out, prefix + k + "." + row.presence);
   }
-  for (const E& entry : f)
-    if (find_point(b, key(entry)) == nullptr)
-      add_new(out, prefix + key(entry) + "." + row.presence);
+  for (const E& entry : f) {
+    const std::string k = key(entry);
+    if (find_point(b, k) == nullptr)
+      add_new(out, prefix + k + "." + row.presence);
+  }
 }
 
 template <class T>

@@ -70,7 +70,7 @@
 namespace vitbit {
 namespace {
 
-constexpr const char* kTool = "check_regression";
+constexpr char kTool[] = "check_regression";
 
 // One gated report: its baseline file stem and the run that builds it.
 struct GateRow {
