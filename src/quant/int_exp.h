@@ -16,23 +16,25 @@
 namespace vitbit::quant {
 
 // x * log2(e) by shifts (x may be negative; arithmetic shifts round toward
-// -inf, which is fine for an approximation used symmetrically).
-inline std::int32_t shift_log2e(std::int32_t x) {
+// -inf, which is fine for an approximation used symmetrically). The sum is
+// 1.4375 * x, so it is defined for |x| <= 2^62.
+inline std::int64_t shift_log2e(std::int64_t x) {
   return x + (x >> 1) - (x >> 4);
 }
 
-// Integer exp(p) for p <= 0 at `fb` fraction bits; returns a value in
-// (0, 2^fb] also at `fb` fraction bits.
-inline std::int32_t int_exp_neg(std::int32_t p, int fb) {
-  VITBIT_CHECK(p <= 0);
+// Integer exp(p) for -2^62 <= p <= 0 at `fb` fraction bits; returns a value
+// in [0, 2^fb] also at `fb` fraction bits (0 once it underflows). The range
+// covers every difference of two int32 values and ShiftGELU's 1.702 * q.
+inline std::int32_t int_exp_neg(std::int64_t p, int fb) {
+  VITBIT_CHECK(p <= 0 && p >= -(std::int64_t{1} << 62));
   VITBIT_CHECK(fb >= 1 && fb <= 24);
-  const std::int32_t t = -shift_log2e(p);  // -p*log2e >= 0, fb fraction bits
+  const std::int64_t t = -shift_log2e(p);  // -p*log2e >= 0, fb fraction bits
   const std::int32_t one = std::int32_t{1} << fb;
-  const std::int32_t qint = t >> fb;                     // integer part
-  const std::int32_t r = t & low_mask32(fb);             // fractional part
+  const std::int64_t qint = t >> fb;                     // integer part
+  const std::int64_t r = t & low_mask32(fb);             // fractional part
   if (qint >= 31) return 0;                              // underflow
-  const std::int32_t base = one - (r >> 1);              // 2^-r ~ 1 - r/2
-  return base >> qint;
+  const std::int64_t base = one - (r >> 1);              // 2^-r ~ 1 - r/2
+  return static_cast<std::int32_t>(base >> qint);
 }
 
 }  // namespace vitbit::quant

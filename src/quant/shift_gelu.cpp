@@ -16,9 +16,11 @@ MatrixI32 shift_gelu(const MatrixI32& x, int fb) {
   const std::int32_t one = std::int32_t{1} << fb;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const std::int32_t q = x.flat()[i];
-    // 1.702*x by shifts: 1 + 1/2 + 1/8 + 1/16 + 1/128 = 1.6953.
-    const std::int32_t y = q + (q >> 1) + (q >> 3) + (q >> 4) + (q >> 7);
-    const std::int32_t n = y < 0 ? y : -y;  // -|y|
+    // 1.702*x by shifts: 1 + 1/2 + 1/8 + 1/16 + 1/128 = 1.6953, summed in
+    // int64 since it exceeds int32 for |q| above about 2^30.2.
+    const std::int64_t y =
+        std::int64_t{q} + (q >> 1) + (q >> 3) + (q >> 4) + (q >> 7);
+    const std::int64_t n = y < 0 ? y : -y;  // -|y|
     const std::int32_t e = int_exp_neg(n, fb);
     const std::int64_t denom = static_cast<std::int64_t>(one) + e;
     const std::int64_t num =

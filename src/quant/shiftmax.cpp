@@ -21,8 +21,9 @@ MatrixI32 shiftmax(const MatrixI32& logits, int in_fb, int out_bits,
     const std::int32_t mx = *std::max_element(row.begin(), row.end());
     std::int64_t sum = 0;
     for (int c = 0; c < logits.cols(); ++c) {
-      // Delta <= 0; exp via shifts.
-      const std::int32_t d = row[static_cast<std::size_t>(c)] - mx;
+      // Delta <= 0, down to -(2^32 - 1) in int64; exp via shifts.
+      const std::int64_t d =
+          std::int64_t{row[static_cast<std::size_t>(c)]} - mx;
       e[static_cast<std::size_t>(c)] = int_exp_neg(d, in_fb);
       sum += e[static_cast<std::size_t>(c)];
     }

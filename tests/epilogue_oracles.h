@@ -46,8 +46,9 @@ inline MatrixI32 shift_gelu_oracle(const MatrixI32& x, int fb) {
   const std::int32_t one = std::int32_t{1} << fb;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const std::int32_t q = x.flat()[i];
-    const std::int32_t y = q + (q >> 1) + (q >> 3) + (q >> 4) + (q >> 7);
-    const std::int32_t n = y < 0 ? y : -y;
+    const std::int64_t y =
+        std::int64_t{q} + (q >> 1) + (q >> 3) + (q >> 4) + (q >> 7);
+    const std::int64_t n = y < 0 ? y : -y;
     const std::int32_t e = quant::int_exp_neg(n, fb);
     const std::int64_t denom = static_cast<std::int64_t>(one) + e;
     const std::int64_t num =
@@ -127,7 +128,8 @@ inline MatrixI32 shiftmax_oracle(const MatrixI32& logits, int in_fb,
     const std::int32_t mx = *std::max_element(row.begin(), row.end());
     std::int64_t sum = 0;
     for (int c = 0; c < logits.cols(); ++c) {
-      const std::int32_t d = row[static_cast<std::size_t>(c)] - mx;
+      const std::int64_t d =
+          std::int64_t{row[static_cast<std::size_t>(c)]} - mx;
       e[static_cast<std::size_t>(c)] = quant::int_exp_neg(d, in_fb);
       sum += e[static_cast<std::size_t>(c)];
     }

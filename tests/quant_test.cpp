@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -458,16 +459,19 @@ TEST(ShiftGeluClamped, RejectsInputsOutsideTheDomain) {
 }
 
 TEST(ShiftGeluOracle, SeededInt32InputsMatch) {
-  // |q| < 2^29 keeps ShiftGELU's int32 arithmetic defined: the 1.702 * q
-  // shift sum and, on its magnitude, int_exp_neg's x * log2(e) shift sum.
+  // Magnitudes up to 2^31, both int32 extremes included: ShiftGELU's
+  // 1.702 * q sum and int_exp_neg's x * log2(e) sum run in int64, so every
+  // int32 input is defined.
   Rng rng(52);
   MatrixI32 x(64, 64);
   for (int fb = 1; fb <= 20; ++fb) {
     for (auto& v : x.flat()) {
-      const int mag = static_cast<int>(rng.range(0, 29));
-      v = static_cast<std::int32_t>(rng.range(
-          -(std::int64_t{1} << mag) + 1, (std::int64_t{1} << mag) - 1));
+      const int mag = static_cast<int>(rng.range(0, 31));
+      v = static_cast<std::int32_t>(rng.range(-(std::int64_t{1} << mag),
+                                              (std::int64_t{1} << mag) - 1));
     }
+    x.flat()[0] = std::numeric_limits<std::int32_t>::min();
+    x.flat()[1] = std::numeric_limits<std::int32_t>::max();
     ASSERT_EQ(shift_gelu(x, fb), oracle::shift_gelu_oracle(x, fb)) << fb;
   }
 }
@@ -547,8 +551,8 @@ TEST(ShiftmaxOracle, EveryScaleAndWidthMatches) {
     for (const int out_bits : {1, 7, 14, 24})
       for (const int cols : {1, 3, 50, 197}) {
         const std::int64_t unit = std::int64_t{1} << in_fb;
-        MatrixI32 logits(6, cols);
-        for (int r = 0; r < logits.rows(); ++r) {
+        MatrixI32 logits(7, cols);
+        for (int r = 0; r < 6; ++r) {
           // Spreads of 1, 8 and 40 units; rows 3-5 put one logit 40 units
           // above the rest, so every other exponential underflows to 0.
           const std::int64_t spread = r % 3 == 0 ? 1 : (r % 3 == 1 ? 8 : 40);
@@ -563,6 +567,14 @@ TEST(ShiftmaxOracle, EveryScaleAndWidthMatches) {
                 static_cast<std::int32_t>(20 * unit);
           }
         }
+        // Row 6 spans INT32_MIN to INT32_MAX: its deltas to the row
+        // maximum reach -(2^32 - 1).
+        for (int c = 0; c < cols; ++c)
+          logits.at(6, c) = static_cast<std::int32_t>(rng.range(
+              std::numeric_limits<std::int32_t>::min(),
+              std::numeric_limits<std::int32_t>::max()));
+        logits.at(6, 0) = std::numeric_limits<std::int32_t>::min();
+        logits.at(6, cols - 1) = std::numeric_limits<std::int32_t>::max();
         const MatrixI32 want = oracle::shiftmax_oracle(logits, in_fb, out_bits);
         ASSERT_EQ(shiftmax(logits, in_fb, out_bits), want)
             << "in_fb " << in_fb << " out_bits " << out_bits << " cols "
