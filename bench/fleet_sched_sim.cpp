@@ -30,9 +30,9 @@
 //                   [--scale-preempt-per-s=0] [--scale-slo-miss-rate=0]
 //
 // --json writes a schema-versioned run report (fleet_sched_points
-// section, schema minor 9) — the document CI diffs across
-// --threads=1/2/4 byte-for-byte (the fleet loop is single-threaded per
-// sweep point; parallelism only fans out over points).
+// section) — the document CI diffs across --threads=1/2/4 byte-for-byte
+// (the fleet loop is single-threaded per sweep point; parallelism only
+// fans out over points).
 #include <chrono>
 #include <iostream>
 #include <string>

@@ -11,11 +11,10 @@
 //             [--threads=N] [--csv] [--json=PATH]
 //
 // --json writes a schema-versioned run report (gemm_points section).
-// GFLOP/s, speedup, and the simd level column are
-// machine-dependent; everything else in the report is deterministic for a
-// given seed, at every thread count and every VITBIT_SIMD_LEVEL — which
-// is what lets CI byte-diff stripped reports across --threads values and
-// SIMD tiers.
+// GFLOP/s, speedup, and the simd level column are machine-dependent;
+// everything else in the report is deterministic for a given seed, at
+// every thread count and every VITBIT_SIMD_LEVEL — which is what lets CI
+// byte-diff stripped reports across --threads values and SIMD tiers.
 #include <chrono>
 #include <iostream>
 #include <string>

@@ -336,8 +336,8 @@ Table fleet_sched_table(const FleetSchedSweepConfig& cfg,
 // Validates the assembled config before returning.
 FleetSchedSweepConfig fleet_sched_config_from_cli(const Cli& cli);
 
-// Schema-versioned report (schema minor 9): per (mode, route, rate) one
-// aggregate "all" row plus one row per class and per model
+// Schema-versioned report: per (mode, route, rate) one aggregate "all"
+// row plus one row per class and per model
 // (report::FleetSchedPointReport), with the sweep's full knob set in
 // meta. host_wall_seconds is left 0.
 report::RunReport make_fleet_sched_report(
