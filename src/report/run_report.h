@@ -461,7 +461,8 @@ struct GemmPointReport {
   std::string dtype;   // "int32" | "f32"
   std::string engine;  // what was measured against the reference:
                        // "simd" | "simd-none"
-  std::string simd_level;  // tier the simd engine ran at
+  // SIMD tier the simd engine ran at ("none" | "sse" | "avx2").
+  std::string simd_level;
   int m = 0;
   int k = 0;
   int n = 0;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -467,11 +466,11 @@ TEST(ShiftGeluOracle, SeededInt32InputsMatch) {
   for (int fb = 1; fb <= 20; ++fb) {
     for (auto& v : x.flat()) {
       const int mag = static_cast<int>(rng.range(0, 31));
-      v = static_cast<std::int32_t>(rng.range(-(std::int64_t{1} << mag),
-                                              (std::int64_t{1} << mag) - 1));
+      v = static_cast<std::int32_t>(rng.range(
+          -(std::int64_t{1} << mag), (std::int64_t{1} << mag) - 1));
     }
-    x.flat()[0] = std::numeric_limits<std::int32_t>::min();
-    x.flat()[1] = std::numeric_limits<std::int32_t>::max();
+    x.flat()[0] = INT32_MIN;
+    x.flat()[1] = INT32_MAX;
     ASSERT_EQ(shift_gelu(x, fb), oracle::shift_gelu_oracle(x, fb)) << fb;
   }
 }
@@ -570,11 +569,10 @@ TEST(ShiftmaxOracle, EveryScaleAndWidthMatches) {
         // Row 6 spans INT32_MIN to INT32_MAX: its deltas to the row
         // maximum reach -(2^32 - 1).
         for (int c = 0; c < cols; ++c)
-          logits.at(6, c) = static_cast<std::int32_t>(rng.range(
-              std::numeric_limits<std::int32_t>::min(),
-              std::numeric_limits<std::int32_t>::max()));
-        logits.at(6, 0) = std::numeric_limits<std::int32_t>::min();
-        logits.at(6, cols - 1) = std::numeric_limits<std::int32_t>::max();
+          logits.at(6, c) =
+              static_cast<std::int32_t>(rng.range(INT32_MIN, INT32_MAX));
+        logits.at(6, 0) = INT32_MIN;
+        logits.at(6, cols - 1) = INT32_MAX;
         const MatrixI32 want = oracle::shiftmax_oracle(logits, in_fb, out_bits);
         ASSERT_EQ(shiftmax(logits, in_fb, out_bits), want)
             << "in_fb " << in_fb << " out_bits " << out_bits << " cols "
